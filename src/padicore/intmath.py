@@ -4,8 +4,9 @@ from functools import lru_cache
 
 from .errors import DivisionByZeroError, DomainError
 
-# Trial division stops here; larger primes are trusted input.
-_TRIAL_DIVISION_LIMIT = 10**6
+# Miller-Rabin bases, exact below 3317044064679887385961981 (Sorenson and
+# Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def int_valuation(n, p):
@@ -42,16 +43,28 @@ def floor_log(n, base):
 
 @lru_cache(maxsize=None)
 def check_prime(p):
-    """Reject p with a divisor below 10**6; larger p is trusted input."""
+    """Return p if it is prime, else raise DomainError.
+
+    Deterministic Miller-Rabin on the prime bases 2..41, which is exact for
+    p < 3.3 * 10**24.  Above that bound a p that passes every base is
+    accepted as a probable prime.
+    """
     if not isinstance(p, int) or p < 2:
         raise DomainError(f"modulus must be an integer >= 2, got {p!r}")
-    if p in (2, 3):
+    if p in _MR_BASES:
         return p
-    if p % 2 == 0 or p % 3 == 0:
-        raise DomainError(f"{p} is not prime")
-    d = 5
-    while d * d <= p and d <= _TRIAL_DIVISION_LIMIT:
-        if p % d == 0 or p % (d + 2) == 0:
-            raise DomainError(f"{p} is not prime (divisible by small factor)")
-        d += 6
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            raise DomainError(f"{p} is not prime")
     return p

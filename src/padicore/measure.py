@@ -10,8 +10,11 @@ the number of level-1 sub-balls of the unit ball (N = p here).  This is
 the Hausdorff measure of exponent alpha with rho_1**alpha = 1/N kept
 symbolically: only the rational (1/N)**j is ever materialised, never a
 real power, so a residue field of some other size q reuses the same
-arithmetic with branching = q.  Boolean operations refine both operands
-to a common level, act on residue sets, and re-canonicalise.
+arithmetic with branching = q.
+
+Boolean operations use that two balls are nested or disjoint, so a ball
+holding holes splits only along the paths down to them.  A result of more
+than 10**6 balls is refused before it is built, which bounds the time.
 """
 
 from dataclasses import dataclass
@@ -20,7 +23,7 @@ from fractions import Fraction
 from .errors import DomainError, EnumerationGuardError, PrimeMismatchError
 from .intmath import check_prime
 
-_REFINE_GUARD = 10**6
+_BALL_GUARD = 10**6
 _COUNT_GUARD = 10**7
 
 
@@ -69,43 +72,41 @@ class Ball:
         return {"level": self.level, "center": self.center}
 
 
-def _canonicalise(p, balls):
-    """Drop contained balls, then merge complete sibling families.
-
-    Works on per-level center sets, so the cost is linear in the number
-    of balls times the number of distinct levels.
-    """
+def _index(balls):
+    """The centers of `balls` in one set per level."""
     by_level = {}
     for b in balls:
         by_level.setdefault(b.level, set()).add(b.center)
+    return by_level
+
+
+def _cover(p, index, level, center):
+    """The level of an indexed ball containing center + p**level Z_p, or None."""
+    for q, centers in index.items():
+        if q <= level and center % p**q in centers:
+            return q
+    return None
+
+
+def _canonicalise(p, by_level):
+    """Canonical balls of reduced centers by level, in centers x levels time."""
     # drop any center covered by a coarser kept ball
     kept = {}
     for lvl in sorted(by_level):
-        centers = {
-            c
-            for c in by_level[lvl]
-            if not any(c % p**q in kept[q] for q in kept)
-        }
+        centers = {c for c in by_level[lvl] if _cover(p, kept, lvl, c) is None}
         if centers:
             kept[lvl] = centers
     # merge complete p-sibling families, deepest level first so that a
     # merge can complete a family one level up
     for lvl in range(max(kept, default=0), 0, -1):
-        centers = kept.get(lvl)
-        if not centers:
-            continue
         parents = {}
-        for c in centers:
+        for c in kept.get(lvl, ()):
             parents.setdefault(c % p ** (lvl - 1), []).append(c)
         for parent, children in parents.items():
             if len(children) == p:
-                centers.difference_update(children)
+                kept[lvl].difference_update(children)
                 kept.setdefault(lvl - 1, set()).add(parent)
-        if not centers:
-            del kept[lvl]
-    return tuple(
-        sorted(Ball(p, lvl, c) for lvl, cs in kept.items() for c in cs)
-    )
+    return tuple(Ball(p, lvl, c) for lvl in sorted(kept) for c in sorted(kept[lvl]))
 
 
 class ClopenSet:
@@ -120,7 +121,15 @@ class ClopenSet:
             if b.p != p:
                 raise PrimeMismatchError("ball from a different prime")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "balls", _canonicalise(p, balls))
+        object.__setattr__(self, "balls", _canonicalise(p, _index(balls)))
+
+    @classmethod
+    def _from_index(cls, p, by_level):
+        """The set of the centers indexed by level, for a checked prime p."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "p", p)
+        object.__setattr__(s, "balls", _canonicalise(p, by_level))
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("ClopenSet is immutable")
@@ -140,60 +149,64 @@ class ClopenSet:
     def max_level(self):
         return max((b.level for b in self.balls), default=0)
 
-    def _residues(self, level):
-        """All residues mod p**level covered by this set."""
-        out = set()
-        for b in self.balls:
-            step = self.p**b.level
-            count = self.p ** (level - b.level)
-            out.update(b.center + k * step for k in range(count))
-        return out
-
     def _check(self, other):
         if not isinstance(other, ClopenSet):
             raise DomainError("expected a ClopenSet")
         if other.p != self.p:
             raise PrimeMismatchError("clopen sets from different primes")
 
-    def _common_level(self, other=None):
-        level = self.max_level()
-        if other is not None:
-            level = max(level, other.max_level())
-        if self.p**level > _REFINE_GUARD:
-            raise EnumerationGuardError(
-                f"refinement to level {level} exceeds the guard {_REFINE_GUARD}"
-            )
-        return level
-
-    @classmethod
-    def _from_residues(cls, p, level, residues):
-        return cls(p, [Ball(p, level, c) for c in residues])
-
     def union(self, other):
         self._check(other)
         return ClopenSet(self.p, self.balls + other.balls)
 
     def intersect(self, other):
+        """Of each nested pair of balls the smaller; disjoint pairs give nothing."""
         self._check(other)
-        level = self._common_level(other)
-        return ClopenSet._from_residues(
-            self.p, level, self._residues(level) & other._residues(level)
+        p, own, their = self.p, _index(self.balls), _index(other.balls)
+        return ClopenSet(
+            p,
+            [a for a in self.balls if _cover(p, their, a.level, a.center) is not None]
+            + [b for b in other.balls if _cover(p, own, b.level, b.center) is not None],
         )
 
     def difference(self, other):
+        """Each ball holding holes splits once, along the paths down to them."""
         self._check(other)
-        level = self._common_level(other)
-        return ClopenSet._from_residues(
-            self.p, level, self._residues(level) - other._residues(level)
-        )
+        p, mine, holes = self.p, _index(self.balls), _index(other.balls)
+        # the path nodes by level, from each ball holding holes (a root)
+        # down to the parents of its holes
+        path, roots, nested = {}, set(), 0
+        for h in other.balls:
+            q = _cover(p, mine, h.level, h.center)
+            if q is None or q == h.level:
+                continue
+            nested += 1
+            roots.add((q, h.center % p**q))
+            for lvl in range(h.level - 1, q - 1, -1):
+                centers = path.setdefault(lvl, set())
+                if h.center % p**lvl in centers:
+                    break
+                centers.add(h.center % p**lvl)
+        kept = [a for a in self.balls if a.center not in path.get(a.level, ())]
+        kept = [a for a in kept if _cover(p, holes, a.level, a.center) is None]
+        # each path node but the roots, and each nested hole, is the child
+        # of exactly one path node
+        nodes = sum(map(len, path.values()))
+        if len(kept) + (p - 1) * nodes + len(roots) - nested > _BALL_GUARD:
+            raise EnumerationGuardError(f"the result would exceed {_BALL_GUARD} balls")
+        out = _index(kept)
+        for lvl, centers in path.items():
+            step = p**lvl
+            children = set()
+            for c in centers:
+                children.update(range(c, c + p * step, step))
+            children.difference_update(path.get(lvl + 1, ()), holes.get(lvl + 1, ()))
+            out.setdefault(lvl + 1, set()).update(children)
+        return ClopenSet._from_index(p, out)
 
     def complement(self):
         """Complement inside Z_p."""
-        level = self._common_level()
-        everything = set(range(self.p**level))
-        return ClopenSet._from_residues(
-            self.p, level, everything - self._residues(level)
-        )
+        return ClopenSet.full(self.p).difference(self)
 
     def translate(self, c):
         """The set shifted by the p-adic integer c (given mod enough levels)."""
@@ -231,28 +244,12 @@ class ClopenSet:
 
 
 def residue_count(p, level):
-    """The number p**level of residues mod p**level.
-
-    Cross-checked by walking the split tree to the requested depth and
-    counting its leaves; guarded against oversized enumerations.
-    """
+    """The number p**level of residues mod p**level, guarded in size."""
     check_prime(p)
     if level < 0:
         raise DomainError("level must be nonnegative")
-    expected = p**level
-    if expected > _COUNT_GUARD:
+    if p**level > _COUNT_GUARD:
         raise EnumerationGuardError(
             f"{p}^{level} exceeds the enumeration guard {_COUNT_GUARD}"
         )
-    # leaf count of the split tree, without materialising Ball objects
-    leaves = 0
-    stack = [0]
-    while stack:
-        depth = stack.pop()
-        if depth == level:
-            leaves += 1
-        else:
-            stack.extend([depth + 1] * p)
-    if leaves != expected:
-        raise AssertionError("split tree disagrees with the power count")
-    return expected
+    return p**level

@@ -31,6 +31,7 @@ from .errors import (
     DivisionByZeroError,
     DomainError,
     NotAnIntegerError,
+    ParseError,
     PrecisionError,
     PrimeMismatchError,
 )
@@ -355,12 +356,17 @@ class Padic:
 
     @classmethod
     def from_json_dict(cls, data):
-        p = data["p"]
+        """The value of a JSON dict; the JSON and compact forms both end here."""
+        p = check_prime(data["p"])
         digits = data["digits"]
         abs_prec = data["abs_prec"]
+        if any(not 0 <= d < p for d in digits):
+            raise ParseError(f"{p}-adic digits must lie in [0, {p})")
         if not digits:
             return cls.zero(p, abs_prec)
         v = data["valuation"]
+        if abs_prec < v:
+            raise ParseError(f"abs_prec {abs_prec} is below the valuation {v}")
         m = 0
         for d in reversed(digits):
             m = m * p + d

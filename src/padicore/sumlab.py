@@ -14,13 +14,20 @@ hypotheses are vacuous and only the identities it licenses are
 executable.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .errors import DomainError, EnumerationGuardError, PrimeMismatchError
 from .padics import Padic
 
 _BFS_GUARD = 20
+
+
+def _sum(items):
+    """Left fold of + from the first item; sum()'s int 0 would cap Padic precision."""
+    return reduce(operator.add, items)
 
 
 def _abs_exact(value):
@@ -81,10 +88,7 @@ class FiniteFamily:
         return self.values[self.labels.index(label)]
 
     def total(self):
-        acc = self.values[0]
-        for v in self.values[1:]:
-            acc = acc + v
-        return acc
+        return _sum(self.values)
 
     def sup_norm(self):
         return max(_abs_exact(v) for v in self.values)
@@ -176,15 +180,8 @@ def fubini_check(rows):
     grid = [
         values[i * width : (i + 1) * width] for i in range(len(rows))
     ]
-
-    def _sum(items):
-        acc = items[0]
-        for v in items[1:]:
-            acc = acc + v
-        return acc
-
-    row_first = _sum([_sum(row) for row in grid])
-    column_first = _sum([_sum([row[j] for row in grid]) for j in range(width)])
+    row_first = _sum(_sum(row) for row in grid)
+    column_first = _sum(_sum(column) for column in zip(*grid))
     direct = family.total()
     return FubiniReport(
         row_first=row_first,
@@ -215,16 +212,10 @@ def partition_check(family, blocks):
         raise DomainError("blocks overlap")
     if set(seen) != set(family.labels):
         raise DomainError("blocks do not cover the index set")
-    block_totals = []
-    for block in blocks:
-        vals = [family.value_at(lbl) for lbl in block]
-        acc = vals[0]
-        for v in vals[1:]:
-            acc = acc + v
-        block_totals.append(acc)
-    total = block_totals[0]
-    for v in block_totals[1:]:
-        total = total + v
+    block_totals = [
+        _sum(family.value_at(lbl) for lbl in block) for block in blocks
+    ]
+    total = _sum(block_totals)
     direct = family.total()
     return PartitionReport(
         block_totals=tuple(block_totals),

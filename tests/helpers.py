@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 
-from padicore import Padic, PowerSeries
+from padicore import Ball, ClopenSet, Padic, PowerSeries
 
 
 def random_unit(rng, p, prec):
@@ -105,6 +105,51 @@ def brute_force_root(p, level, target, poly_residues, seed_residue, seed_level):
         if acc == target % modulus:
             hits.append(x)
     return hits
+
+
+def _residues(s, level):
+    """All residues mod p**level covered by the clopen set s."""
+    out = set()
+    for b in s.balls:
+        step = s.p**b.level
+        out.update(b.center + k * step for k in range(s.p ** (level - b.level)))
+    return out
+
+
+def _from_residues(p, level, residues):
+    return ClopenSet(p, [Ball(p, level, c) for c in residues])
+
+
+def enumerated_intersect(a, b):
+    """Intersection oracle: refine both sets to a common level, enumerate."""
+    level = max(a.max_level(), b.max_level())
+    return _from_residues(a.p, level, _residues(a, level) & _residues(b, level))
+
+
+def enumerated_difference(a, b):
+    """Difference oracle: refine both sets to a common level, enumerate."""
+    level = max(a.max_level(), b.max_level())
+    return _from_residues(a.p, level, _residues(a, level) - _residues(b, level))
+
+
+def enumerated_complement(s):
+    """Complement oracle: every residue mod p**level not covered by s."""
+    level = s.max_level()
+    everything = set(range(s.p**level))
+    return _from_residues(s.p, level, everything - _residues(s, level))
+
+
+def split_tree_leaves(p, level):
+    """Leaf count of the p-ary split tree of depth level, walked node by node."""
+    leaves = 0
+    stack = [0]
+    while stack:
+        depth = stack.pop()
+        if depth == level:
+            leaves += 1
+        else:
+            stack.extend([depth + 1] * p)
+    return leaves
 
 
 def rng_for(name):

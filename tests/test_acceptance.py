@@ -37,13 +37,18 @@ from padicore import (
     teichmuller,
 )
 from padicore.cli import main as cli_main
+from padicore.textforms import clopen_to_json
 from helpers import (
     compose_by_monomials,
+    enumerated_complement,
+    enumerated_difference,
+    enumerated_intersect,
     random_fp_series,
     random_padic,
     random_q_series,
     random_unit,
     rng_for,
+    split_tree_leaves,
 )
 
 PRIMES = [2, 3, 5, 7]
@@ -249,7 +254,7 @@ def test_criterion_10_measure():
 
     for p in (2, 3, 5):
         for j in range(7):
-            assert residue_count(p, j) == p**j
+            assert residue_count(p, j) == split_tree_leaves(p, j) == p**j
     rng = rng_for("acc-measure")
 
     def random_clopen(p):
@@ -269,14 +274,23 @@ def test_criterion_10_measure():
             )
         while checked < 125 * ((2, 3, 5, 7).index(p) + 1):
             a = random_clopen(p)
-            b = random_clopen(p).difference(a)
+            other = random_clopen(p)
+            # the ball algebra against refine-and-enumerate, byte for byte
+            for got, want in (
+                (a.intersect(other), enumerated_intersect(a, other)),
+                (a.difference(other), enumerated_difference(a, other)),
+                (other.difference(a), enumerated_difference(other, a)),
+                (a.complement(), enumerated_complement(a)),
+            ):
+                assert clopen_to_json(got) == clopen_to_json(want)
+            b = other.difference(a)
             assert a.union(b).measure() == a.measure() + b.measure()
             assert a.measure() + a.complement().measure() == 1
             shift = rng.randrange(-(p**4), p**4)
             assert a.translate(shift).measure() == a.measure()
             checked += 1
     assert checked == 500
-    _report(10, "residue counts and Haar laws on 500 random clopen sets", started)
+    _report(10, "residue counts, Haar laws, enumeration oracle on 500 sets", started)
 
 
 def test_criterion_11_summation():

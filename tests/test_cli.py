@@ -277,6 +277,31 @@ def test_malformed_json_exit_2():
     assert run(["sums", "bfs", '{"mode": "weird", "values": []}'])[0] == 2
 
 
+def _valuation_of(p, valuation, digits, abs_prec):
+    operand = json.dumps(
+        {"p": p, "valuation": valuation, "digits": digits, "abs_prec": abs_prec}
+    )
+    return run(["padic", "valuation", "--p", "5", "--prec", "4", operand])
+
+
+def test_padic_json_composite_prime_exit_1():
+    code, out, err = _valuation_of(6, 0, [1], 2)
+    assert code == 1 and out == ""
+    assert err == "error: 6 is not prime\n"
+
+
+def test_padic_json_digit_out_of_range_exit_2():
+    code, out, err = _valuation_of(5, 0, [7, 9], 2)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+def test_padic_json_precision_below_valuation_exit_2():
+    code, out, err = _valuation_of(5, 3, [1], 1)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
 def test_prec_cap_env(monkeypatch):
     code, _, err = run(
         ["padic", "add", "--p", "5", "--prec", "40", "1", "1"],

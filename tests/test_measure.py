@@ -10,7 +10,14 @@ from padicore.errors import (
     EnumerationGuardError,
     PrimeMismatchError,
 )
-from helpers import rng_for
+from padicore.textforms import clopen_to_json
+from helpers import (
+    enumerated_complement,
+    enumerated_difference,
+    enumerated_intersect,
+    rng_for,
+    split_tree_leaves,
+)
 
 
 def random_clopen(rng, p, max_level=4):
@@ -157,7 +164,7 @@ def test_residue_count_values():
     assert residue_count(5, 0) == 1
     for p in (2, 3, 5):
         for j in range(7):
-            assert residue_count(p, j) == p**j
+            assert residue_count(p, j) == split_tree_leaves(p, j) == p**j
 
 
 def test_residue_count_guard():
@@ -169,5 +176,48 @@ def test_residue_count_guard():
 
 def test_refinement_guard():
     deep = ClopenSet(5, [Ball(5, 10, 3)])
+    c = deep.complement()
+    assert len(c.balls) == 40
+    assert c.measure() == 1 - Fraction(1, 5**10)
+    assert c.union(deep) == ClopenSet.full(5)
+    # p - 1 = 1000002 balls would exceed the ball guard
     with pytest.raises(EnumerationGuardError):
-        deep.complement()
+        ClopenSet(1000003, [Ball(1000003, 1, 0)]).complement()
+
+
+def test_many_ball_sets_match_enumeration():
+    rng = rng_for("many-balls")
+
+    def scattered(p, level, count, lowest=None):
+        centers = rng.sample(range(p**level), count)
+        lowest = level if lowest is None else lowest
+        return ClopenSet(
+            p, [Ball(p, rng.randrange(lowest, level + 1), c) for c in centers]
+        )
+
+    cases = [
+        (scattered(2, 12, 2000), scattered(2, 12, 2000)),
+        (scattered(2, 12, 1000, lowest=10), scattered(2, 12, 1500)),
+        (scattered(3, 8, 1500, lowest=6), scattered(3, 8, 2000, lowest=7)),
+        # level-3 balls in distinct level-2 parents, against level-2 holes
+        (
+            ClopenSet(
+                31,
+                [
+                    Ball(31, 3, r + 31**2 * rng.randrange(31))
+                    for r in rng.sample(range(31**2), 900)
+                ],
+            ),
+            scattered(31, 2, 300),
+        ),
+    ]
+    for a, b in cases:
+        assert len(a.balls) > 500 and len(b.balls) > 200
+        for got, want in (
+            (a.intersect(b), enumerated_intersect(a, b)),
+            (a.difference(b), enumerated_difference(a, b)),
+            (b.difference(a), enumerated_difference(b, a)),
+            (a.complement(), enumerated_complement(a)),
+            (b.complement(), enumerated_complement(b)),
+        ):
+            assert clopen_to_json(got) == clopen_to_json(want)

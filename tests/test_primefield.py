@@ -1,11 +1,14 @@
 """Prime-field arithmetic: reductions, inverses, field axioms, Frobenius."""
 
+from math import isqrt
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from padicore import DivisionByZeroError, FpElement, PrimeMismatchError
 from padicore.errors import DomainError
+from padicore.intmath import check_prime
 
 SMALL_PRIMES = [2, 3, 5, 7]
 
@@ -52,6 +55,20 @@ def test_composite_modulus_rejected():
         FpElement(1, 6)
     with pytest.raises(DomainError):
         FpElement(1, 1)
+
+
+def test_check_prime_is_exact():
+    with pytest.raises(DomainError):
+        check_prime(1000003 * 1000033)  # both factors above 10**6
+    assert check_prime(2**61 - 1) == 2**61 - 1
+    assert check_prime(4294967311) == 4294967311
+    for n in range(10**5):
+        by_trial_division = n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+        try:
+            accepted = check_prime(n) == n
+        except DomainError:
+            accepted = False
+        assert accepted == by_trial_division, n
 
 
 def test_pow_examples():
