@@ -31,7 +31,6 @@ from .hensel import (
     nth_root,
     solve,
     solve_classical,
-    solve_newton,
     sqrt,
     teichmuller,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "residue_count",
     "solve",
     "solve_classical",
-    "solve_newton",
     "sqrt",
     "sup_le_lr",
     "teichmuller",

@@ -1,7 +1,8 @@
 """Kernel selection: compiled extension when available, pure Python otherwise.
 
 Both backends expose ``convolve_mod`` and ``compose_mod`` with identical
-contracts; ``BACKEND`` names the one in use.  ``get_backend`` returns a
+contracts; ``BACKEND`` names the one in use for primes below 2**31, and
+larger primes always go to the pure kernels.  ``get_backend`` returns a
 specific implementation by name, which the benchmark and the equivalence
 tests use to compare the two.
 """
@@ -19,8 +20,24 @@ else:
         _impl = _pure
 
 BACKEND = _impl.BACKEND
-convolve_mod = _impl.convolve_mod
-compose_mod = _impl.compose_mod
+
+# The compiled kernel multiplies residues in int64, which overflows once
+# p >= 2**31; those primes always take the pure kernel.
+_COMPILED_PRIME_LIMIT = 2**31
+
+
+def _for(p):
+    return _impl if p < _COMPILED_PRIME_LIMIT else _pure
+
+
+def convolve_mod(a, b, n, p):
+    """First n coefficients of the coefficient convolution of a and b."""
+    return _for(p).convolve_mod(a, b, n, p)
+
+
+def compose_mod(f, g, n, p):
+    """First n coefficients of f(g) mod p; requires g[0] == 0."""
+    return _for(p).compose_mod(f, g, n, p)
 
 
 def get_backend(name):

@@ -1,4 +1,4 @@
-"""Quantitative root solving on p-adic balls via contraction iteration.
+"""Quantitative root solving on p-adic balls, certified by contraction.
 
 For a polynomial f with coefficients of nonnegative valuation on the ball
 B(x0, p**-t_exp) inside B(0, p**-m), the solvability condition is
@@ -10,15 +10,15 @@ the valuation form of "t times the second-order constant is smaller than
 B(f(x0), p**-(v(f'(x0)) + t_exp)), every x in the ball has
 v(f'(x)) = v(f'(x0)), and v(f(x) - f(y)) = v(f'(x0)) + v(x - y) exactly.
 
-``solve`` iterates the fixed-point map
-
-    h(x) = x0 + f'(x0)**-1 * (z - f(x0)) - f'(x0)**-1 * g0(x),
-    g0(x) = f(x) - f(x0) - f'(x0) * (x - x0),
-
-whose Lipschitz valuation gap is (t_exp + mu2) - v(f'(x0)) >= 1, so each
-step gains at least one digit and the loop ends within the working
-precision.  A classical Newton wrapper is provided and agrees with the
-fixed-point route to precision.
+``solve`` runs Newton's method x -> x - (f(x) - z) / f'(x) on exact
+iterates: each iterate is lifted to more digits than the data carry, so
+only the coefficients and z bring uncertainty.  Each step gains at least
+gap = t_exp + mu2 - v(f'(x0)) >= 1 digits.  When the residual
+r = f(x) - z is zero to its precision, the isometry gives
+v(x - root) >= r.abs_prec - v(f'(x0)), and that is the precision
+returned: what the certificate proves from the data.  The contraction
+map of the paper, x -> x0 + f'(x0)**-1 * (z - f(x0) - g0(x)) with
+g0(x) = f(x) - f(x0) - f'(x0) * (x - x0), is the oracle in the tests.
 
 Derived conveniences: square roots, n-th roots prime to p, Teichmuller
 lifts, and an exhaustive ball-image verifier for small moduli.
@@ -35,6 +35,7 @@ from .errors import (
     IndeterminateConditionError,
     NoRootError,
 )
+from .intmath import sqrt_mod
 from .padics import Padic
 
 _IMAGE_GUARD = 10**6
@@ -88,7 +89,7 @@ def check_condition(f, x0, m, t_exp):
 class HenselProblem:
     """A polynomial, a center, and a ball on which solving is certified."""
 
-    __slots__ = ("f", "x0", "m", "t_exp", "fprime", "fprime_x0", "f_x0", "report")
+    __slots__ = ("f", "x0", "m", "t_exp", "fprime", "f_x0", "report")
 
     def __init__(self, f, x0, m=0, t_exp=None):
         if not isinstance(x0, Padic):
@@ -106,7 +107,6 @@ class HenselProblem:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "t_exp", t_exp)
         object.__setattr__(self, "fprime", f.derivative())
-        object.__setattr__(self, "fprime_x0", self.fprime.evaluate(x0))
         object.__setattr__(self, "f_x0", f.evaluate(x0))
         object.__setattr__(self, "report", report)
 
@@ -118,10 +118,21 @@ class HenselProblem:
         return self.report.derivative_valuation + self.t_exp
 
 
+def _exact(x, abs_prec):
+    """The representative p**v * unit of x, as a value known mod p**abs_prec."""
+    if x.abs_prec >= abs_prec:
+        return x.truncate(abs_prec)
+    if x.is_zero:
+        return Padic.zero(x.p, abs_prec)
+    return Padic(x.p, x.v, x.unit, abs_prec - x.v)
+
+
 def solve(problem, z):
-    """The unique x in the certified ball with f(x) = z, to precision.
+    """The unique x in the certified ball with f(x) = z, to the proven precision.
 
     Requires v(z - f(x0)) >= v(f'(x0)) + t_exp (z in the image ball).
+    The result is known to r.abs_prec - v(f'(x0)), where r = f(x) - z is
+    the residual at the final exact iterate.
     """
     f = problem.f
     if not isinstance(z, Padic):
@@ -132,47 +143,20 @@ def solve(problem, z):
             f"right-hand side outside the image ball: v(z - f(x0)) = "
             f"{shift.valuation_bound} < {problem.target_valuation()}"
         )
-    c = problem.fprime_x0.invert()
-    base = problem.x0 + c * shift
+    vfp = problem.report.derivative_valuation
+    # iterates carry `work` digits, more than any Horner term of valuation
+    # >= low or the answer (z.abs_prec - vfp <= work digits) can use
+    low = min([0] + [c.valuation_bound + j * min(problem.m, 0) for j, c in enumerate(f.coeffs)])
+    work = z.abs_prec - low
     x = problem.x0
-    max_steps = max(x.abs_prec, z.abs_prec, 1) + 2
-    for _ in range(max_steps):
-        g0 = f.evaluate(x) - problem.f_x0 - problem.fprime_x0 * (x - problem.x0)
-        x_next = base - c * g0
-        done = (x_next - x).is_zero
-        x = x_next
-        if done:
-            break
-    else:
-        raise AssertionError("contraction failed to settle; internal invariant broken")
-    residual = f.evaluate(x) - z
-    assert residual.is_zero, "root does not satisfy f(x) = z at working precision"
-    assert (x - problem.x0).valuation_bound >= problem.t_exp
-    return x
-
-
-def solve_newton(problem, z):
-    """Classical Newton iteration for the same problem; same limit as solve."""
-    f = problem.f
-    fprime = problem.fprime
-    if not isinstance(z, Padic):
-        z = Padic.from_int(z, f.p)
-    shift = z - problem.f_x0
-    if shift.valuation_bound < problem.target_valuation():
-        raise ConditionNotMetError("right-hand side outside the image ball")
-    x = problem.x0
-    max_steps = max(x.abs_prec, z.abs_prec, 1) + 2
-    for _ in range(max_steps):
-        step = (f.evaluate(x) - z) * fprime.evaluate(x).invert()
-        x_next = x - step
-        done = (x_next - x).is_zero
-        x = x_next
-        if done:
-            break
-    else:
-        raise AssertionError("Newton iteration failed to settle")
-    assert (f.evaluate(x) - z).is_zero
-    return x
+    for _ in range(max(work - problem.t_exp, 0) + 2):  # gap >= 1 digit a step
+        x = _exact(x, work)
+        r = f.evaluate(x) - z
+        if r.is_zero:
+            assert (x - problem.x0).valuation_bound >= problem.t_exp
+            return x.truncate(r.abs_prec - vfp)
+        x = x - r * problem.fprime.evaluate(x).invert()
+    raise AssertionError("Newton iteration failed to settle; internal invariant broken")
 
 
 def solve_classical(f, x0, z=0):
@@ -204,36 +188,54 @@ def solve_classical(f, x0, z=0):
     return x0 + y
 
 
+def _unit_root(u, n, seed, t_exp):
+    """The root of x**n = u in B(seed, p**-t_exp), to the precision of u."""
+    p, prec = u.p, u.abs_prec
+    f = PadicPolynomial(
+        p, [-u] + [Padic.zero(p, prec)] * (n - 1) + [Padic.from_int(1, p, prec, cap=prec)]
+    )
+    problem = HenselProblem(f, Padic.from_int(seed, p, prec, cap=prec), m=0, t_exp=t_exp)
+    return solve(problem, Padic.zero(p, prec))
+
+
+def _residue_root(a, n, p):
+    """The least s in [0, p) with s**n = a mod p, or None."""
+    if math.gcd(n, p - 1) == 1:
+        return pow(a, pow(n, -1, p - 1), p)
+    if n == 2:
+        if pow(a, (p - 1) // 2, p) != 1:
+            return None
+        s = sqrt_mod(a, p)
+        return min(s, p - s)
+    return next((s for s in range(p) if pow(s, n, p) == a), None)
+
+
 def sqrt(u):
     """A square root of the unit u, canonical mod-p branch.
 
     For odd p the seed is the smaller square root of u mod p; p = 2 needs
     u = 1 mod 8 and returns the root congruent to 1 mod 4.
     """
-    p = u.p
     if u.is_zero or u.valuation() != 0:
         raise DomainError("square root is provided for units only")
+    p = u.p
     if p == 2:
         # residue(3) raises PrecisionError when u is not known mod 8
         if u.residue(3).value != 1:
             raise NoRootError("2-adic units have square roots only when u = 1 mod 8")
-        f = PadicPolynomial(p, [-u, 0, Padic.from_int(1, p, u.abs_prec)])
-        problem = HenselProblem(f, Padic.from_int(1, p, u.abs_prec), m=0, t_exp=2)
-        return solve(problem, Padic.zero(p, u.abs_prec))
+        return _unit_root(u, 2, 1, 2)
     u0 = u.residue(1).value
-    seed = next((s for s in range(p) if s * s % p == u0), None)
+    seed = _residue_root(u0, 2, p)
     if seed is None:
         raise NoRootError(f"{u0} is not a quadratic residue mod {p}")
-    f = PadicPolynomial(p, [-u, 0, Padic.from_int(1, p, u.abs_prec)])
-    problem = HenselProblem(f, Padic.from_int(seed, p, u.abs_prec), m=0, t_exp=1)
-    return solve(problem, Padic.zero(p, u.abs_prec))
+    return _unit_root(u, 2, seed, 1)
 
 
 def nth_root(u, n):
     """An n-th root of the unit u for n prime to p, canonical mod-p branch."""
-    p = u.p
     if u.is_zero or u.valuation() != 0:
         raise DomainError("n-th root is provided for units only")
+    p = u.p
     if n < 1:
         raise DomainError("root degree must be a positive integer")
     if n % p == 0:
@@ -241,13 +243,10 @@ def nth_root(u, n):
     if n == 1:
         return u
     u0 = u.residue(1).value
-    seed = next((s for s in range(p) if pow(s, n, p) == u0), None)
+    seed = _residue_root(u0, n, p)
     if seed is None:
         raise NoRootError(f"{u0} is not an {n}-th power residue mod {p}")
-    coeffs = [-u] + [0] * (n - 1) + [Padic.from_int(1, p, u.abs_prec)]
-    f = PadicPolynomial(p, coeffs)
-    problem = HenselProblem(f, Padic.from_int(seed, p, u.abs_prec), m=0, t_exp=1)
-    return solve(problem, Padic.zero(p, u.abs_prec))
+    return _unit_root(u, n, seed, 1)
 
 
 def teichmuller(a, p=None, abs_prec=None):
@@ -281,7 +280,7 @@ def teichmuller(a, p=None, abs_prec=None):
         x = x_next
     else:
         raise AssertionError("p-power iteration failed to settle")
-    return Padic.from_int(x, p, abs_prec)
+    return Padic.from_int(x, p, abs_prec, cap=abs_prec)
 
 
 @dataclass(frozen=True)

@@ -68,3 +68,31 @@ def check_prime(p):
         else:
             raise DomainError(f"{p} is not prime")
     return p
+
+
+def sqrt_mod(a, p):
+    """A square root of the quadratic residue a modulo the odd prime p.
+
+    Tonelli-Shanks: write p - 1 = q * 2**s with q odd; a non-residue c
+    generates the 2-Sylow subgroup, and each pass halves the order of the
+    remaining error t until it is 1.
+    """
+    a %= p
+    if a == 0:
+        return 0
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    c = 2
+    while pow(c, (p - 1) // 2, p) != p - 1:
+        c += 1
+    c, t, r = pow(c, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r

@@ -22,7 +22,9 @@ Precision rules per operation:
 A construction-time cap (default 64 digits) bounds the relative precision
 of freshly made values; since no operation ever increases relative
 precision, the cap bounds the whole computation.  It is plain function
-input, not ambient mutable state.
+input, not ambient mutable state.  A plain ``int`` or ``Fraction``
+operand is exact: it is built at least as precise as the other operand,
+in absolute and relative precision, so it never bounds a result.
 """
 
 from fractions import Fraction
@@ -199,11 +201,16 @@ class Padic:
                     f"cannot combine {self.p}-adic and {other.p}-adic values"
                 )
             return other
-        if isinstance(other, int):
-            return Padic.from_int(other, self.p)
-        if isinstance(other, Fraction):
-            return Padic.from_rational(other, 1, self.p)
-        return None
+        if not isinstance(other, (int, Fraction)):
+            return None
+        # an exact constant never bounds the result: it is built at least
+        # as precise as this value, in absolute and in relative precision
+        if other == 0:
+            return Padic.zero(self.p, max(self.abs_prec, self.rel))
+        q = Fraction(other)
+        v = int_valuation(q.numerator, self.p) - int_valuation(q.denominator, self.p)
+        rel = max(self.rel, self.abs_prec - v, 1)
+        return Padic.from_rational(q, 1, self.p, v + rel, cap=rel)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -358,19 +365,26 @@ class Padic:
     def from_json_dict(cls, data):
         """The value of a JSON dict; the JSON and compact forms both end here."""
         p = check_prime(data["p"])
-        digits = data["digits"]
-        abs_prec = data["abs_prec"]
+        digits = [_integer(d, "digit") for d in data["digits"]]
+        abs_prec = _integer(data["abs_prec"], "abs_prec")
         if any(not 0 <= d < p for d in digits):
             raise ParseError(f"{p}-adic digits must lie in [0, {p})")
         if not digits:
             return cls.zero(p, abs_prec)
-        v = data["valuation"]
+        v = _integer(data["valuation"], "valuation")
         if abs_prec < v:
             raise ParseError(f"abs_prec {abs_prec} is below the valuation {v}")
         m = 0
         for d in reversed(digits):
             m = m * p + d
         return cls._normalised(p, v, m, abs_prec - v)
+
+
+def _integer(value, name):
+    """value itself if it is an int; bool and float are not accepted."""
+    if type(value) is not int:
+        raise ParseError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 class ResidueClass:

@@ -107,6 +107,52 @@ def brute_force_root(p, level, target, poly_residues, seed_residue, seed_level):
     return hits
 
 
+def fixed_point_solve(problem, z):
+    """Solve oracle: iterate the contraction map of the certificate.
+
+    h(x) = x0 + f'(x0)**-1 * (z - f(x0)) - f'(x0)**-1 * g0(x), with
+    g0(x) = f(x) - f(x0) - f'(x0) * (x - x0), gains at least gap digits
+    per step on the certified ball.
+    """
+    f, x0, f_x0 = problem.f, problem.x0, problem.f_x0
+    fprime_x0 = problem.fprime.evaluate(x0)
+    c = fprime_x0.invert()
+    base = x0 + c * (z - f_x0)
+    x = x0
+    for _ in range(max(x.abs_prec, z.abs_prec, 1) + 2):
+        g0 = f.evaluate(x) - f_x0 - fprime_x0 * (x - x0)
+        x_next = base - c * g0
+        done = (x_next - x).is_zero
+        x = x_next
+        if done:
+            assert (f.evaluate(x) - z).is_zero
+            return x
+    raise AssertionError("contraction failed to settle")
+
+
+def least_residue_root(a, n, p):
+    """Seed oracle: the least s in [0, p) with s**n = a mod p, or None."""
+    return next((s for s in range(p) if pow(s, n, p) == a % p), None)
+
+
+def schoolbook_mul(a, b, n, p):
+    """Product oracle: the first n coefficients of a * b mod p, term by term."""
+    return [
+        sum(a[i] * b[k - i] for i in range(k + 1) if i < len(a) and k - i < len(b)) % p
+        for k in range(n)
+    ]
+
+
+def schoolbook_compose(f, g, n, p):
+    """Composition oracle: sum of f_j * g**j mod T**n, powers by schoolbook_mul."""
+    out = [0] * n
+    power = [1] + [0] * (n - 1)
+    for fj in f[:n]:
+        out = [(o + fj * q) % p for o, q in zip(out, power)]
+        power = schoolbook_mul(power, g, n, p)
+    return out
+
+
 def _residues(s, level):
     """All residues mod p**level covered by the clopen set s."""
     out = set()

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 from padicore.cli import main
@@ -300,6 +301,34 @@ def test_padic_json_precision_below_valuation_exit_2():
     code, out, err = _valuation_of(5, 3, [1], 1)
     assert code == 2 and out == ""
     assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+def test_padic_json_non_integer_fields_exit_2():
+    for digits, abs_prec in (([1.5], 2), ([1], 2.5), ([True], 2)):
+        code, out, err = _valuation_of(5, 0, digits, abs_prec)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+    code, _, err = run(
+        ["padic", "digits", "--p", "5", "--prec", "4", "--format", "json",
+         '{"p":5,"valuation":0,"digits":[1.5],"abs_prec":2}']
+    )
+    assert code == 2 and err.startswith("usage error:")
+
+
+def test_root_seeds_for_large_primes_are_fast():
+    started = time.perf_counter()
+    code, out, err = run(["hensel", "sqrt", "--p", "2305843009213693951", "--prec", "2", "3"])
+    assert code == 1 and out == "" and err.count("\n") == 1
+    code, out, err = run(
+        ["hensel", "nthroot", "--p", "1000000007", "--n", "3", "--prec", "2", "5"]
+    )
+    assert code == 0 and err == ""
+    assert time.perf_counter() - started < 2.0
+
+
+def test_two_adic_sqrt_delivers_the_proven_precision():
+    code, out, _ = run(["hensel", "sqrt", "--p", "2", "--prec", "64", "--format", "json", "17"])
+    assert code == 0 and json.loads(out)["abs_prec"] == 63
 
 
 def test_prec_cap_env(monkeypatch):

@@ -1,5 +1,8 @@
 """Ball root solving: condition, solver, roots, lifts, image checks."""
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from padicore import (
@@ -13,7 +16,6 @@ from padicore import (
     nth_root,
     solve,
     solve_classical,
-    solve_newton,
     sqrt,
     teichmuller,
 )
@@ -22,7 +24,13 @@ from padicore.errors import (
     EnumerationGuardError,
     IndeterminateConditionError,
 )
-from helpers import brute_force_root, random_unit, rng_for
+from helpers import (
+    brute_force_root,
+    fixed_point_solve,
+    least_residue_root,
+    random_unit,
+    rng_for,
+)
 
 
 def _poly(p, coeffs, prec=12):
@@ -91,19 +99,74 @@ def test_solve_rejects_rhs_outside_image_ball():
         solve(problem, Padic.from_int(3, 7, 6))  # v(z - f(x0)) = 0 < 1
 
 
-def test_newton_route_agrees():
-    rng = rng_for("newton-agrees")
-    for p in (3, 5, 7):
-        for _ in range(20):
-            u = random_unit(rng, p, 10)
-            s = u.residue(1).value
-            target = Padic.from_int(pow(s, 2, p**10), p, 10) * u * u.invert()
-            f = PadicPolynomial(p, [-(u * u), 0, Padic.from_int(1, p, 10)])
-            problem = HenselProblem(f, Padic.from_int(u.residue(1).value, p, 10))
-            z = Padic.zero(p, 10)
-            a = solve(problem, z)
-            b = solve_newton(problem, z)
-            assert (a - b).is_zero
+def _certified_cubic(rng, p, N):
+    """A cubic with v(f'(x0)) = k in {0, 1, 2}, its ball and a target in the image."""
+    k = rng.randrange(3)
+    t_exp = k + 1
+    q = p**N
+    c0, c2, c3 = (rng.randrange(q) for _ in range(3))
+    x0 = rng.randrange(q)
+    c1 = (p**k * rng.choice([u for u in range(1, 2 * p) if u % p]) - 2 * c2 * x0 - 3 * c3 * x0**2) % q
+    coeffs = [c0, c1, c2, c3]
+    root = x0 + p**t_exp * rng.randrange(q)
+    z = sum(c * root**j for j, c in enumerate(coeffs)) % q
+    f = PadicPolynomial(p, [Padic.from_int(c, p, N) for c in coeffs])
+    return HenselProblem(f, Padic.from_int(x0, p, N), m=0, t_exp=t_exp), Padic.from_int(z, p, N)
+
+
+def _fixed_problems():
+    """The Hensel cases of the acceptance suite and of this module, and one
+    with v(f'(x0)) = -2 < 0, where the answer is more precise than the data."""
+    cases = [
+        (7, [-2, 0, 1], 3, 1, 3, 0),
+        (5, [-1, 0, 0, 0, 1], 2, 1, 3, 0),
+        (5, [-6, 0, 0, 1], 1, 1, 2, 0),
+        (7, [-2, 0, 1], 3, 1, 8, 0),
+        (2, [-17, 0, 1], 1, 2, 8, 0),
+        (5, [0, 1], 0, 1, 8, 35),
+        (5, [0, Fraction(1, 25), Fraction(1, 25)], 1, 1, 12, Fraction(86 * 87, 25)),
+    ]
+    for p, coeffs, x0, t_exp, N, z in cases:
+        problem = HenselProblem(_poly(p, coeffs, N), Padic.from_int(x0, p, N), m=0, t_exp=t_exp)
+        yield problem, Padic.from_rational(z, 1, p, N)
+
+
+def _counted_solve(monkeypatch, problem, z):
+    """solve(problem, z) and the number of Newton steps it took."""
+    calls = []
+    evaluate = PadicPolynomial.evaluate
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return evaluate(self, *args, **kwargs)
+
+    monkeypatch.setattr(PadicPolynomial, "evaluate", counting)
+    x = solve(problem, z)
+    monkeypatch.setattr(PadicPolynomial, "evaluate", evaluate)
+    # one evaluation of f and one of f' per step, one of f for the final residual
+    return x, (len(calls) - 1) // 2
+
+
+def test_newton_route_agrees(monkeypatch):
+    """solve against the fixed-point oracle: same root, exactly
+    N - v(f'(x0)) digits, never fewer than the oracle, and at most
+    ceil(N / gap) Newton steps."""
+    rng = rng_for("solve-oracle")
+    problems = list(_fixed_problems())
+    for p in (2, 3, 5, 7, 101):
+        for _ in range(12):
+            problems.append(_certified_cubic(rng, p, rng.randrange(4, 65)))
+    seen = set()
+    for problem, z in problems:
+        vfp = problem.report.derivative_valuation
+        seen.add(vfp)
+        x, steps = _counted_solve(monkeypatch, problem, z)
+        oracle = fixed_point_solve(problem, z)
+        assert (x - oracle).is_zero
+        assert x.abs_prec == z.abs_prec - vfp >= oracle.abs_prec
+        gap = problem.report.gap
+        assert steps <= (1 if gap == math.inf else max(1, -(-z.abs_prec // gap)))
+    assert seen == {-2, 0, 1, 2}
 
 
 def test_solve_classical_wild_cube_root():
@@ -232,6 +295,38 @@ def test_nth_root_postcondition():
             if any(pow(s, n, p) == u0 for s in range(p)):
                 r = nth_root(u, n)
                 assert (r**n - u).is_zero
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 31, 97, 101])
+def test_root_seeds_match_the_residue_scan(p):
+    for n in (2, 3, 5):
+        if n % p == 0:
+            continue
+        for a in range(1, p):
+            u = Padic.from_int(a, p, 4)
+            seed = least_residue_root(a, n, p)
+            if n == 2 and p != 2:
+                if seed is None:
+                    with pytest.raises(NoRootError):
+                        sqrt(u)
+                else:
+                    assert sqrt(u).residue(1).value == seed
+            if seed is None:
+                with pytest.raises(NoRootError):
+                    nth_root(u, n)
+            else:
+                assert nth_root(u, n).residue(1).value == seed
+
+
+def test_root_seeds_for_large_primes():
+    p = 2**61 - 1
+    with pytest.raises(NoRootError):
+        sqrt(Padic.from_int(3, p, 2))
+    r = sqrt(Padic.from_int(4, p, 2))
+    assert r.residue(2).value == 2
+    q = 1000000007  # gcd(3, q - 1) = 1: one cube root mod q
+    c = nth_root(Padic.from_int(5, q, 2), 3)
+    assert pow(c.residue(2).value, 3, q**2) == 5
 
 
 def test_teichmuller_examples():

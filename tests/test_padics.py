@@ -290,3 +290,34 @@ def test_json_round_trip():
     assert Padic.from_json_dict(data) == x
     z = Padic.zero(3, 4)
     assert Padic.from_json_dict(z.to_json_dict()) == z
+
+
+# ------------------------------------------------- exact constants and precision
+
+
+@pytest.mark.parametrize("prec", [64, 200])
+@settings(max_examples=25, deadline=None)
+@given(
+    p=st.sampled_from(PRIMES),
+    m=st.integers(min_value=1, max_value=10**80),
+    shift=st.integers(min_value=0, max_value=3),
+    c=st.integers(min_value=1, max_value=10**6),
+)
+def test_exact_constants_never_bound_precision(prec, p, m, shift, c):
+    """Delivered absolute precision is at least the documented one."""
+    from padicore import PadicPolynomial, log1p, sqrt
+    from padicore.intmath import int_valuation
+
+    vc = int_valuation(c, p)
+    x = Padic.from_int(m, p, prec, cap=prec)
+    n = x.abs_prec
+    assert (x + c).abs_prec >= n and (c - x).abs_prec >= n
+    assert (x * c).abs_prec >= n + vc
+    assert (x / c).abs_prec >= n - vc
+    unit = Padic.from_int(8 * m + 1 if p == 2 else m * m * p + 1, p, prec, cap=prec)
+    assert sqrt(unit * unit).abs_prec >= (prec - 1 if p == 2 else prec)
+    deep = Padic.from_int(p ** (shift + 2) * (m * p + 1), p, prec, cap=prec)
+    assert log1p(deep).abs_prec >= prec
+    f = PadicPolynomial(p, [x, x, x, x])
+    for j, coeff in enumerate(f.derivative().coeffs, start=1):
+        assert coeff.abs_prec >= n + int_valuation(j, p)
