@@ -2,7 +2,6 @@
 lifting, the p-adic logarithm, ball-algebra Haar measure, and finite
 summation checks, with a batch CLI front end."""
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .analytic import (
     PadicPolynomial,
     RadiusReport,
@@ -56,6 +55,9 @@ from .sumlab import (
 )
 
 __version__ = "0.1.0"
+
+# the series kernels are pure Python; benchmark results record this name
+KERNEL_BACKEND = "pure"
 
 __all__ = [
     "Ball",

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, PrimeMismatchError, UnsupportedRuleError
-from .intmath import check_prime
-from .padics import Padic
+from .intmath import check_prime, int_valuation
+from .padics import DEFAULT_PRECISION_CAP, Padic
 
 
 class PadicPolynomial:
@@ -47,8 +47,14 @@ class PadicPolynomial:
                 converted.append(c)
                 literal_zero.append(False)
             elif isinstance(c, (int, Fraction)):
-                converted.append(Padic.from_rational(Fraction(c), 1, p, abs_prec))
-                literal_zero.append(Fraction(c) == 0)
+                # exact data carries abs_prec digits whatever the cap; a
+                # power of p in the denominator needs as many more
+                q = Fraction(c)
+                cap = DEFAULT_PRECISION_CAP
+                if abs_prec is not None:
+                    cap = abs_prec + int_valuation(q.denominator, p)
+                converted.append(Padic.from_rational(q, 1, p, abs_prec, cap=cap))
+                literal_zero.append(q == 0)
             else:
                 raise DomainError(f"cannot use {c!r} as a coefficient")
         # trailing exact (literal) zeros are trimmed; zero-to-precision

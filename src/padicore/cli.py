@@ -341,6 +341,7 @@ def _run_measure(args, cap):
     if cmd == "split":
         try:
             data = json.loads(args.operands[0])
+            textforms.check_ball_level(args.p, data["level"])
             ball = Ball(args.p, data["level"], data["center"])
         except (json.JSONDecodeError, KeyError, TypeError) as e:
             raise ParseError(f"bad ball JSON: {e}") from None

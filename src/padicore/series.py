@@ -5,9 +5,11 @@ the prime field (raw values: reduced ints) or the exact rationals (raw
 values: Fraction).  Everything is an identity modulo T**N, so the
 representation is truncated rather than lazy.
 
-Products over a prime field run through the kernel layer (compiled when
-available); rational products are scaled to integer convolutions so
-Fraction arithmetic happens only once per output coefficient.
+Products and compositions run through the one integer convolution in
+the kernel layer: prime-field coefficients as residues, rational ones
+scaled by a common denominator, so Fraction arithmetic happens only once
+per output coefficient.  Inverses come from Newton's iteration on these
+products.
 
 The T-adic size |f| = r**order(f) is kept symbolically as an RPower pair
 (r, exponent); no real arithmetic is ever done on it.
@@ -188,18 +190,6 @@ def _common_denominator(coeffs):
     return d
 
 
-def _int_convolve(a, b, n):
-    out = [0] * n
-    for i in range(min(len(a), n)):
-        ai = a[i]
-        if ai:
-            for j in range(min(len(b), n - i)):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
 class PowerSeries:
     """A formal power series known modulo T**prec."""
 
@@ -267,7 +257,7 @@ class PowerSeries:
         db = _common_denominator(other.coeffs)
         ia = [int(c * da) for c in self.coeffs]
         ib = [int(c * db) for c in other.coeffs]
-        out = _int_convolve(ia, ib, n)
+        out = _kernels.convolve(ia, ib, n)
         d = da * db
         return PowerSeries(self.field, [Fraction(c, d) for c in out], n)
 
@@ -316,15 +306,24 @@ class PowerSeries:
     # ------------------------------------------------- inversion/composition
 
     def invert_one_minus(self):
-        """Inverse of (1 - a) for this series a with zero constant term.
-
-        Geometric accumulation of the powers of a; a**l contributes
-        nothing below T**l, so the sum stabilises within prec steps.
-        """
+        """Inverse of (1 - a) for this series a with zero constant term."""
         if self.prec > 0 and self.coeffs[0] != self.field.zero:
             raise DomainError("geometric inversion needs zero constant term")
-        ones = PowerSeries(self.field, [self.field.one] * self.prec, self.prec)
-        return ones.compose(self)
+        return (PowerSeries.one(self.field, self.prec) - self)._inverse()
+
+    def _inverse(self):
+        """Inverse of a series with nonzero constant term, to its precision.
+
+        Newton's iteration x <- x + x*(1 - self*x) doubles the number of
+        correct coefficients per step (Brent & Kung, 1978).
+        """
+        field, n = self.field, self.prec
+        x = PowerSeries(field, [field.inv(self.coeffs[0])] if n else [], min(n, 1))
+        while x.prec < n:
+            m = min(2 * x.prec, n)
+            x = PowerSeries(field, x.coeffs, m)
+            x = x + x * (PowerSeries.one(field, m) - self.truncate(m) * x)
+        return x
 
     def compose(self, other):
         """The series self(other(T)); other must have zero constant term."""
@@ -344,29 +343,15 @@ class PowerSeries:
             return PowerSeries(self.field, [], 0)
         df = _common_denominator(self.coeffs)
         dg = _common_denominator(other.coeffs)
-        fi = [int(c * df) for c in self.coeffs]
         gi = [int(c * dg) for c in other.coeffs]
-        ord_g = n
-        for i, c in enumerate(gi[:n]):
-            if c:
-                ord_g = i
-                break
-        # sum_j f_j g^j with g^j = G^j / dg^j, over the common
-        # denominator df * dg^(n-1)
-        acc = [0] * n
-        acc[0] = fi[0] * dg ** (n - 1) if fi else 0
-        power = [0] * n
-        power[0] = 1
-        for j in range(1, min(len(fi), n)):
-            if j * ord_g >= n:
-                break
-            power = _int_convolve(power, gi, n)
-            fj = fi[j]
-            if fj:
-                scale = fj * dg ** (n - 1 - j)
-                for i in range(j, n):
-                    if power[i]:
-                        acc[i] += scale * power[i]
+        # Horner's rule over the common denominator df * dg**(n-1): the
+        # step that adds f_j works mod T**(n-j), with f_j scaled by
+        # df * dg**(n-1-j)
+        acc, scale = [], df
+        for j in reversed(range(n)):
+            acc = _kernels.convolve(gi, acc, n - j)
+            acc[0] += int(self.coeffs[j] * scale)
+            scale *= dg
         d = df * dg ** (n - 1)
         return PowerSeries(self.field, [Fraction(c, d) for c in acc], n)
 
@@ -529,23 +514,12 @@ class LaurentSeries:
     def invert(self):
         """Multiplicative inverse; the tail valuation negates.
 
-        Writes the series as c * T**n * (1 - T*b(T)) and inverts the last
-        factor geometrically.
+        The unit part is inverted by Newton's iteration to its own
+        precision, so the inverse is known to T**(unit.prec - tail).
         """
         if self.is_zero:
             raise DivisionByZeroError("cannot invert a zero-to-order series")
-        field = self.field
-        c = self.unit.coeffs[0]
-        cinv = field.inv(c)
-        # normalised = 1 - a with a = -(unit/c - 1), a has zero constant term
-        scaled = self.unit.scale(cinv)
-        a = PowerSeries(
-            field,
-            [field.zero] + [field.neg(x) for x in scaled.coeffs[1:]],
-            scaled.prec,
-        )
-        inv_unit = a.invert_one_minus().scale(cinv)
-        return LaurentSeries.from_power_series(inv_unit, -self.tail)
+        return LaurentSeries.from_power_series(self.unit._inverse(), -self.tail)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):

@@ -7,6 +7,7 @@ Malformed input raises ParseError, never anything else.
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ParseError
@@ -307,9 +308,29 @@ def clopen_to_json(s):
     return json.dumps(s.to_json_dict(), sort_keys=True)
 
 
+def check_ball_level(p, level):
+    """Reject a ball level whose modulus p**level cannot be printed.
+
+    Outputs print the modulus (a measure's denominator) or centers below
+    it, and CPython refuses to print an int of more digits than its limit.
+    Where there is no limit (0, or Python before 3.10.7) the default 4300
+    still bounds the level.  Past 2**(4*limit) the modulus is too long
+    without computing it, so a huge level is refused at once.
+    """
+    if not isinstance(level, int) or isinstance(level, bool):
+        raise ParseError(f"ball level must be an integer, got {level!r}")
+    if not isinstance(p, int) or p < 2 or level < 0:
+        return  # Ball rejects these
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    if (p.bit_length() - 1) * level > 4 * limit or p**level >= 10**limit:
+        raise ParseError(f"ball modulus {p}^{level} has more than {limit} digits")
+
+
 def parse_clopen(text):
     try:
         data = json.loads(text)
+        for ball in data["balls"]:
+            check_ball_level(data["p"], ball["level"])
         return ClopenSet.from_json_dict(data)
     except (json.JSONDecodeError, KeyError, TypeError) as e:
         raise ParseError(f"bad clopen-set JSON: {e}") from None

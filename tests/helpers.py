@@ -135,12 +135,16 @@ def least_residue_root(a, n, p):
     return next((s for s in range(p) if pow(s, n, p) == a % p), None)
 
 
-def schoolbook_mul(a, b, n, p):
-    """Product oracle: the first n coefficients of a * b mod p, term by term."""
-    return [
-        sum(a[i] * b[k - i] for i in range(k + 1) if i < len(a) and k - i < len(b)) % p
+def schoolbook_mul(a, b, n, p=None):
+    """Product oracle: the first n coefficients of a * b, term by term.
+
+    The coefficients are reduced mod p when p is given.
+    """
+    out = [
+        sum(a[i] * b[k - i] for i in range(k + 1) if i < len(a) and k - i < len(b))
         for k in range(n)
     ]
+    return out if p is None else [c % p for c in out]
 
 
 def schoolbook_compose(f, g, n, p):

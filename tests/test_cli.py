@@ -331,6 +331,31 @@ def test_two_adic_sqrt_delivers_the_proven_precision():
     assert code == 0 and json.loads(out)["abs_prec"] == 63
 
 
+def test_text_polynomials_carry_the_requested_precision(monkeypatch):
+    code, out, _ = run(
+        ["hensel", "solve", "--p", "7", "--prec", "100", "--format", "json",
+         "--poly", "x^2-2", "--x0", "3"],
+        env_cap=200,
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0 and json.loads(out)["abs_prec"] == 100
+
+
+def test_unprintable_ball_levels_exit_2():
+    started = time.perf_counter()
+    for level in (7000, 10**7):
+        for argv in (
+            ["measure", "measure", f'{{"p":5,"balls":[{{"level":{level},"center":3}}]}}'],
+            ["measure", "split", "--p", "5", f'{{"level":{level},"center":3}}'],
+        ):
+            code, out, err = run(argv)
+            assert code == 2 and out == ""
+            assert err.startswith("usage error:") and err.count("\n") == 1
+    assert time.perf_counter() - started < 2.0
+    code, out, _ = run(["measure", "measure", '{"p":5,"balls":[{"level":6000,"center":3}]}'])
+    assert code == 0 and out.strip() == f"1/{5**6000}"
+
+
 def test_prec_cap_env(monkeypatch):
     code, _, err = run(
         ["padic", "add", "--p", "5", "--prec", "40", "1", "1"],
@@ -396,6 +421,9 @@ def test_cli_never_crashes_on_fuzzed_argv():
             "5", "7", "-3", "1/2", "0", "x^2-2", "fp:3", "q", "json",
             "{", "}", "{}", '{"p":5}', "O(5^2)", "1 + O(5^4)", "T + O(T^3)",
             "", "nonsense", "--level", "--n", "--t", "--m", "--help", "-h",
+            "split", '{"level":7000,"center":3}', '{"level":10000000,"center":3}',
+            '{"p":5,"balls":[{"level":7000,"center":3}]}',
+            '{"p":5,"balls":[{"level":10000000,"center":3}]}',
         ]
     )
 

@@ -1,6 +1,4 @@
-"""Kernels: large primes on any backend, and compiled against pure."""
-
-from types import SimpleNamespace
+"""Kernels: the Kronecker-substitution convolution against schoolbook oracles."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,16 +6,23 @@ from hypothesis import strategies as st
 
 import padicore._kernels as kernels
 from padicore import PowerSeries, PrimeFieldCoefficients
-from padicore._kernels import available_backends, get_backend
 from helpers import rng_for, schoolbook_compose, schoolbook_mul
 
-pure = get_backend("pure")
-HAVE_COMPILED = "compiled" in available_backends()
-
-needs_compiled = pytest.mark.skipif(
-    not HAVE_COMPILED, reason="compiled kernel not built; nothing to compare"
-)
 LARGE_PRIMES = [2**61 - 1, 2**64 - 59]
+PRIMES = [2, 3, 5, 65537, 2**31 + 11, 2**61 - 1, 2**64 - 59, 2**89 - 1]
+
+
+@st.composite
+def signed_lists(draw, max_size=24):
+    """Signed integers of one size from 1 to 300 bits, sometimes all zero."""
+    bits = draw(st.integers(min_value=1, max_value=300))
+    xs = draw(st.lists(st.integers(min_value=-(2**bits), max_value=2**bits), max_size=max_size))
+    all_zero = draw(st.integers(min_value=0, max_value=3)) == 0
+    return [0] * len(xs) if all_zero else xs
+
+
+def lengths_past_the_product(a, b):
+    return st.integers(min_value=0, max_value=len(a) + len(b) + 3)
 
 
 def test_square_over_a_prime_above_2_32():
@@ -45,59 +50,48 @@ def test_large_prime_compositions_match_schoolbook(p):
         assert kernels.compose_mod(f, g, n, p) == schoolbook_compose(f, g, n, p)
 
 
-def test_primes_from_2_31_never_reach_the_compiled_kernel(monkeypatch):
-    def overflow(*args):
-        raise OverflowError("int64 overflow")
-
-    int64_kernel = SimpleNamespace(convolve_mod=overflow, compose_mod=overflow)
-    monkeypatch.setattr(kernels, "_impl", int64_kernel)
-    p = 2**31 + 11
-    assert kernels.convolve_mod([p - 1], [p - 1], 1, p) == [1]
-    assert kernels.compose_mod([0, 1], [0, p - 1], 2, p) == [0, p - 1]
-    with pytest.raises(OverflowError):
-        kernels.convolve_mod([1], [1], 1, 2**31 - 1)
-
-
-def _compiled():
-    return get_backend("compiled")
+def test_edge_operands():
+    big = [2**300 - 1, -(2**299), 12345]
+    assert kernels.convolve([], big, 4) == [0, 0, 0, 0]
+    assert kernels.convolve([0, 0], big, 4) == [0, 0, 0, 0]
+    assert kernels.convolve(big, [0], 2) == [0, 0]
+    assert kernels.convolve(big, big, 0) == []
+    assert kernels.convolve([-1], [1, -1], 5) == [-1, 1, 0, 0, 0]
+    assert kernels.compose_mod([3, 1], [], 3, 5) == [3, 0, 0]
+    assert kernels.compose_mod([], [0, 1], 2, 5) == [0, 0]
+    assert kernels.compose_mod([1, 2], [0, 1], 0, 5) == []
 
 
-@needs_compiled
-@settings(max_examples=150)
+@settings(max_examples=300)
+@given(st.data(), signed_lists(), signed_lists())
+def test_convolve_matches_schoolbook(data, a, b):
+    n = data.draw(lengths_past_the_product(a, b))
+    assert kernels.convolve(a, b, n) == schoolbook_mul(a, b, n)
+
+
+@settings(max_examples=300)
+@given(st.data(), st.sampled_from(PRIMES), signed_lists(), signed_lists())
+def test_convolve_mod_matches_schoolbook(data, p, a, b):
+    n = data.draw(lengths_past_the_product(a, b))
+    assert kernels.convolve_mod(a, b, n, p) == schoolbook_mul(a, b, n, p)
+
+
+@settings(max_examples=200)
 @given(
-    st.sampled_from([2, 3, 5, 7, 101, 65537]),
-    st.lists(st.integers(min_value=-50, max_value=10**6), max_size=40),
-    st.lists(st.integers(min_value=-50, max_value=10**6), max_size=40),
-    st.integers(min_value=0, max_value=48),
+    st.sampled_from(PRIMES),
+    signed_lists(max_size=16),
+    signed_lists(max_size=16),
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=0, max_value=20),
 )
-def test_convolve_agreement(p, a, b, n):
-    assert _compiled().convolve_mod(a, b, n, p) == pure.convolve_mod(a, b, n, p)
+def test_compose_mod_matches_schoolbook(p, f, g, k, n):
+    g = [k * p] + g[1:]  # a constant term that is 0 mod p, unreduced
+    assert kernels.compose_mod(f, g, n, p) == schoolbook_compose(f, g, n, p)
 
 
-@needs_compiled
-@settings(max_examples=150)
-@given(
-    st.sampled_from([2, 3, 5, 7, 101, 65537]),
-    st.lists(st.integers(min_value=0, max_value=10**6), max_size=24),
-    st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=24),
-    st.integers(min_value=1, max_value=24),
-)
-def test_compose_agreement(p, f, g, n):
-    g = [0] + g[1:]
-    assert _compiled().compose_mod(f, g, n, p) == pure.compose_mod(f, g, n, p)
-
-
-@needs_compiled
-def test_compose_rejects_nonzero_constant():
-    for mod in (pure, _compiled()):
-        with pytest.raises(ValueError):
-            mod.compose_mod([1, 2], [1, 1], 2, 5)
-
-
-@needs_compiled
-def test_large_prime_reduction_path():
-    # exercises the per-term reduction branch of the compiled kernel
-    p = 2**31 - 1
-    a = [p - 1] * 20
-    b = [p - 2] * 20
-    assert _compiled().convolve_mod(a, b, 20, p) == pure.convolve_mod(a, b, 20, p)
+@pytest.mark.parametrize("p", PRIMES)
+def test_compose_rejects_nonzero_constant(p):
+    with pytest.raises(ValueError):
+        kernels.compose_mod([1, 2], [p + 1, 1], 2, p)
+    with pytest.raises(ValueError):
+        kernels.compose_mod([1, 2], [-1, 1], 2, p)

@@ -203,23 +203,32 @@ def test_derivative_zero_structure(p):
                     assert c == 0
 
 
-@pytest.mark.parametrize("make", ["fp2", "fp5", "q"])
+@pytest.mark.parametrize("make", ["fp2", "fp5", f"fp{2**61 - 1}", "q"])
 def test_inversion_contracts(make):
+    """Inverses multiply back to 1 at exactly the input's precision.
+
+    Every order from 1 to 70 is tried, so Newton's doubling ends on powers
+    of two and between them.
+    """
     rng = rng_for(f"inv-contract-{make}")
-    for _ in range(25):
-        a, _ = _pair(rng, make, 10, zero_constant=True)
+    for order in range(1, 71):
+        a, _ = _pair(rng, make, order, zero_constant=True)
         inv = a.invert_one_minus()
-        one = PowerSeries(a.field, [a.field.one], 10)
+        one = PowerSeries(a.field, [a.field.one], order)
+        assert inv.prec == order
         assert (one - a) * inv == one
         # Laurent inversion multiplies back to 1 as well
-        f, _ = _pair(rng, make, 10)
+        f, _ = _pair(rng, make, order)
         if f.order() is None:
             continue
         tail = rng.randrange(-3, 4)
         laurent = LaurentSeries(f.field, list(f.coeffs), tail, f.prec)
         linv = laurent.invert()
+        assert linv.tail == -laurent.tail
+        assert linv.unit.prec == laurent.unit.prec
         prod = laurent * linv
         assert prod.order() == 0
+        assert prod.unit.prec == laurent.unit.prec
         assert prod.unit.coeffs[0] == f.field.one
         assert all(c == f.field.zero for c in prod.unit.coeffs[1:])
 
