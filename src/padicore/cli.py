@@ -342,6 +342,8 @@ def _run_measure(args, cap):
         try:
             data = json.loads(args.operands[0])
             textforms.check_ball_level(args.p, data["level"])
+            # the sub-ball centers run up to p**(level + 1)
+            textforms.check_ball_level(args.p, data["level"] + 1)
             ball = Ball(args.p, data["level"], data["center"])
         except (json.JSONDecodeError, KeyError, TypeError) as e:
             raise ParseError(f"bad ball JSON: {e}") from None

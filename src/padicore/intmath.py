@@ -29,6 +29,24 @@ def inv_mod(a, m):
         raise DivisionByZeroError(f"{a} is not invertible modulo {m}") from None
 
 
+def newton_lift(step, x, start, n):
+    """Newton's method on integers mod p**k, doubling the precision k.
+
+    x is correct mod p**start, with start >= 2, and step(x, k) takes an x
+    correct mod p**m, for any m with 2m - 1 >= k, to one correct mod
+    p**k.  The steps run at n, n//2 + 1, n//4 + 1, ... read from the
+    bottom, so each needs only what the one before delivers, and the
+    result is correct mod p**n.
+    """
+    ks = []
+    while n > start:
+        ks.append(n)
+        n = n // 2 + 1
+    for k in reversed(ks):
+        x = step(x, k)
+    return x
+
+
 def floor_log(n, base):
     """Largest e >= 0 with base**e <= n, for n >= 1."""
     if n < 1:

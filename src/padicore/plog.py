@@ -10,14 +10,23 @@ p = 2.  That p = 2 special case is hard-coded wherever it matters, since
 p**(-1/(p-1)) itself is not a value of the absolute value; log(-1) = 0
 shows the threshold is sharp at p = 2.
 
-There is no p-adic exponential here: inversion goes through the Hensel
-solver applied to a rigorously truncated polynomial.
+Both directions work on integers mod p**N and build a Padic only at the
+end.  log1p sums the series after argument reduction (Brent 1976):
+log(1 + x) = p**-k log((1 + x)**(p**k)), with the series in the p**k-th
+power summed to N + k digits.  There is no p-adic exponential here:
+log_inverse is Newton's method on log1p itself, whose derivative
+1/(1 + x) inverts exactly, at doubling precision, and the isometry
+v(log(1 + x) - log(1 + y)) = v(x - y) turns one vanishing residual at
+full precision into the certificate that pins x mod p**N.  The
+truncated polynomial of log_series_polynomial serves the plog poly
+command and, with the Hensel solver, the inversion oracle in the tests.
 """
+
+import math
 
 from .analytic import PadicPolynomial
 from .errors import DivergenceError, DomainError
-from .hensel import HenselProblem, solve
-from .intmath import check_prime, floor_log
+from .intmath import check_prime, floor_log, int_valuation, newton_lift
 from .padics import Padic
 
 
@@ -41,6 +50,36 @@ def series_degree(p, abs_prec, domain_valuation):
         last = j
         j += 1
     return last
+
+
+def _log_int(x, p, n):
+    """log(1 + x) mod p**n, for an integer x divisible by p and n >= 1.
+
+    Argument reduction (Brent 1976): y = (1 + x)**(p**k) - 1 has
+    v(y) >= v(x) + k and log(1 + y) = p**k * log(1 + x), so the series in
+    y is summed mod p**(n + k) and divided by p**k.  A p-th power costs
+    about log2(p) squarings, so k ~ sqrt(n / log2(p)) balances the
+    powering against the ~ (n + k) / (v(x) + k) terms of the series.
+    """
+    k = math.isqrt(n // p.bit_length())
+    m = n + k
+    y = pow(1 + x, p**k, p**m) - 1
+    if y == 0:
+        return 0
+    degree = series_degree(p, m, int_valuation(y, p))
+    # y**j / j needs y**j to v_p(j) more digits than the sum
+    top = p ** (m + floor_log(degree, p))
+    modulus = p**m
+    total = 0
+    power = 1
+    for j in range(1, degree + 1):
+        power = power * y % top
+        e, rest = 0, j
+        while rest % p == 0:
+            e, rest = e + 1, rest // p
+        term = power // p**e * pow(rest, -1, modulus)
+        total += term if j % 2 else -term
+    return total % modulus // p**k
 
 
 def log1p(x, abs_prec=None):
@@ -67,15 +106,10 @@ def log1p(x, abs_prec=None):
             witness_index=1,
             witness_valuation=v,
         )
-    x = x.truncate(abs_prec)
-    degree = series_degree(x.p, abs_prec, v)
-    total = Padic.zero(x.p, abs_prec)
-    power = Padic.from_int(1, x.p, cap=max(x.rel, 1))
-    for j in range(1, degree + 1):
-        power = power * x
-        term = power / j
-        total = total + (term if j % 2 == 1 else -term)
-    return total
+    if v >= abs_prec:
+        return Padic.zero(x.p, abs_prec)
+    value = _log_int(x.unit * x.p**v, x.p, abs_prec)
+    return Padic.from_int(value, x.p, abs_prec, cap=abs_prec)
 
 
 def log_series_polynomial(p, abs_prec, domain_valuation):
@@ -104,9 +138,10 @@ def log_series_polynomial(p, abs_prec, domain_valuation):
 def log_inverse(z, abs_prec=None):
     """The x with log(1 + x) = z, for v(z) past the isometry threshold.
 
-    Solves the truncated series polynomial with the Hensel machinery on
-    the ball v >= threshold, then verifies the answer against the full
-    series.  The isometry pins v(x) = v(z), so z = 0 returns 0.
+    Newton's method x -> x - (log(1 + x) - z) * (1 + x) from x = z, at
+    doubling precision; the isometry pins v(x) = v(z), so z = 0 returns
+    0.  The residual log(1 + x) - z is checked at full precision: by the
+    isometry, its vanishing mod p**N proves x mod p**N.
     """
     if not isinstance(z, Padic):
         raise DomainError("log_inverse expects a p-adic value")
@@ -114,17 +149,24 @@ def log_inverse(z, abs_prec=None):
     s = isometry_threshold(p)
     if abs_prec is None:
         abs_prec = z.abs_prec
+    n = min(abs_prec, z.abs_prec)
     if z.is_zero:
-        return Padic.zero(p, min(abs_prec, z.abs_prec))
+        return Padic.zero(p, n)
     if z.valuation() < s:
         raise DomainError(
             f"inversion needs v(z) >= {s} for p = {p}; got v(z) = {z.valuation()}"
         )
-    z = z.truncate(min(abs_prec, z.abs_prec))
-    poly = log_series_polynomial(p, z.abs_prec, s)
-    center = Padic.zero(p, z.abs_prec + s)
-    problem = HenselProblem(poly, center, m=s, t_exp=s)
-    x = solve(problem, z)
-    check = log1p(x) - z
-    assert check.is_zero, "inverted value fails the full-series check"
-    return x
+    if z.v >= n:
+        return Padic.zero(p, n)
+    target = z.unit * p**z.v % p**n
+
+    def step(x, k):
+        modulus = p**k
+        return (x - (_log_int(x, p, k) - target) * (1 + x)) % modulus
+
+    # z - x = -x**2/2 + x**3/3 - ... lies deeper than v(x) = v(z), so the
+    # start x = z is correct to v(z) + 1 digits
+    x = newton_lift(step, target, z.v + 1, n)
+    if _log_int(x, p, n) != target:
+        raise AssertionError("log_inverse: nonzero residual at full precision")
+    return Padic.from_int(x, p, n, cap=n)

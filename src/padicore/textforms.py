@@ -196,7 +196,10 @@ def series_from_json(data):
         prec = data["order_prec"]
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad series JSON: {e}") from None
+    check_term_count(prec, "series order")
+    check_term_count(len(coeffs), "series length")
     if "tail_valuation" in data:
+        check_term_count(data["tail_valuation"], "series exponent")
         return LaurentSeries(field, coeffs, data["tail_valuation"], prec)
     return PowerSeries(field, coeffs, prec)
 
@@ -221,6 +224,7 @@ def parse_series(text, field=None, variable="T"):
     if not om:
         raise ParseError(f"series literal must end with O({variable}^N): {text!r}")
     prec_exp = int(om.group(2))
+    check_term_count(prec_exp, "series order")
     terms = {}
     for part in parts[:-1]:
         tm = _SERIES_TERM_RE.match(part.replace(" ", ""))
@@ -232,6 +236,7 @@ def parse_series(text, field=None, variable="T"):
         else:
             coeff = Fraction(tm.group(1)) if tm.group(1) else Fraction(1)
             exp = int(tm.group(3)) if tm.group(3) is not None else 1
+        check_term_count(exp, "series exponent")
         if exp in terms:
             raise ParseError(f"repeated exponent {exp} in series literal")
         terms[exp] = coeff
@@ -280,6 +285,7 @@ def parse_polynomial_rational_coeffs(text, variable="x"):
         else:
             coeff = Fraction(tm.group(1)) if tm.group(1) else Fraction(1)
             exp = int(tm.group(3)) if tm.group(3) is not None else 1
+        check_term_count(exp, "polynomial degree")
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coeff
     degree = max(coeffs)
     return [coeffs.get(e, Fraction(0)) for e in range(degree + 1)]
@@ -298,6 +304,7 @@ def polynomial_from_json(data, cls):
         coeffs = [Padic.from_json_dict(c) for c in data["coeffs"]]
     except (KeyError, TypeError) as e:
         raise ParseError(f"bad polynomial JSON: {e}") from None
+    check_term_count(len(coeffs) - 1, "polynomial degree")
     return cls(p, coeffs)
 
 
@@ -306,6 +313,21 @@ def polynomial_from_json(data, cls):
 
 def clopen_to_json(s):
     return json.dumps(s.to_json_dict(), sort_keys=True)
+
+
+# Series exponents and polynomial degrees allowed in input.  Series and
+# polynomial commands build and multiply that many coefficients; at this
+# limit the slowest of them, series compose over QQ with one-digit
+# coefficients, takes about 6 s (larger coefficients cost more still).
+MAX_TERMS = 256
+
+
+def check_term_count(n, what):
+    """Reject a series exponent or polynomial degree: not an int, or past MAX_TERMS."""
+    if type(n) is not int:
+        raise ParseError(f"{what} must be an integer, got {n!r}")
+    if abs(n) > MAX_TERMS:
+        raise ParseError(f"{what} {n} exceeds the limit of {MAX_TERMS}")
 
 
 def check_ball_level(p, level):

@@ -1,10 +1,12 @@
 """Shared random generators and tiny oracles for the test suite."""
 
 import random
+import time
 from fractions import Fraction
 
 
-from padicore import Ball, ClopenSet, Padic, PowerSeries
+from padicore import Ball, ClopenSet, HenselProblem, Padic, PowerSeries, solve
+from padicore.plog import isometry_threshold, log_series_polynomial, series_degree
 
 
 def random_unit(rng, p, prec):
@@ -130,6 +132,84 @@ def fixed_point_solve(problem, z):
     raise AssertionError("contraction failed to settle")
 
 
+def log_partial_sum(x, p, n):
+    """log(1 + x) mod p**n for an integer x with p | x, without argument reduction.
+
+    Term j, (-1)**(j+1) x**j / j, is reduced exactly: x**j is kept mod
+    p**(n + e) with e the most any j can need, divided by p**v_p(j) and
+    multiplied by the inverse of the rest of j.  With v = v(x) the terms
+    past (2n + 8) / v vanish mod p**n, since their valuation
+    j*v - log_p(j) reaches n.
+    """
+    mod = p**n
+    if x % mod == 0:
+        return 0
+    v = 0
+    while x % p ** (v + 1) == 0:
+        v += 1
+    terms = (2 * n + 8) // v + 1
+    top = p ** (n + terms.bit_length())
+    total, power = 0, 1
+    for j in range(1, terms + 1):
+        power = power * x % top
+        e, rest = 0, j
+        while rest % p == 0:
+            e, rest = e + 1, rest // p
+        term = power // p**e * pow(rest, -1, mod)
+        total += term if j % 2 else -term
+    return total % mod
+
+
+def log1p_by_terms(x, abs_prec=None):
+    """log1p oracle: the series summed term by term in Padic arithmetic."""
+    if abs_prec is None:
+        abs_prec = x.abs_prec
+    if x.is_zero:
+        return Padic.zero(x.p, abs_prec)
+    v = x.valuation()
+    x = x.truncate(abs_prec)
+    total = Padic.zero(x.p, abs_prec)
+    power = Padic.from_int(1, x.p, cap=max(x.rel, 1))
+    for j in range(1, series_degree(x.p, abs_prec, v) + 1):
+        power = power * x
+        term = power / j
+        total = total + (term if j % 2 == 1 else -term)
+    return total
+
+
+def log_inverse_by_hensel(z, abs_prec=None):
+    """log_inverse oracle: Hensel-solve the truncated series polynomial.
+
+    The polynomial agrees with log(1 + x) mod p**N on the ball
+    v >= threshold, and the certified solver returns its root there.
+    """
+    p = z.p
+    s = isometry_threshold(p)
+    n = z.abs_prec if abs_prec is None else min(abs_prec, z.abs_prec)
+    if z.is_zero:
+        return Padic.zero(p, n)
+    z = z.truncate(n)
+    poly = log_series_polynomial(p, n, s)
+    problem = HenselProblem(poly, Padic.zero(p, n + s), m=s, t_exp=s)
+    return solve(problem, z)
+
+
+def teichmuller_by_p_power(a, p, abs_prec):
+    """Teichmuller oracle: x -> x**p mod p**abs_prec to its fixed point.
+
+    The lift w satisfies w = a**(p**(k-1)) mod p**k, so the iteration
+    gains one digit a step and settles within abs_prec steps.
+    """
+    modulus = p**abs_prec
+    x = a % modulus
+    for _ in range(abs_prec + 1):
+        x_next = pow(x, p, modulus)
+        if x_next == x:
+            return Padic.from_int(x, p, abs_prec, cap=abs_prec)
+        x = x_next
+    raise AssertionError("p-power iteration failed to settle")
+
+
 def least_residue_root(a, n, p):
     """Seed oracle: the least s in [0, p) with s**n = a mod p, or None."""
     return next((s for s in range(p) if pow(s, n, p) == a % p), None)
@@ -200,6 +280,16 @@ def split_tree_leaves(p, level):
         else:
             stack.extend([depth + 1] * p)
     return leaves
+
+
+def best_time(call, repeats=3):
+    """The least wall time of repeats calls, in seconds."""
+    times = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - started)
+    return min(times)
 
 
 def rng_for(name):

@@ -6,6 +6,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 
 from padicore.cli import main
+from padicore.textforms import MAX_TERMS
 
 
 def run(argv, env_cap=None, monkeypatch=None):
@@ -356,6 +357,42 @@ def test_unprintable_ball_levels_exit_2():
     assert code == 0 and out.strip() == f"1/{5**6000}"
 
 
+def test_split_refuses_unprintable_sub_ball_centers():
+    """Sub-ball centers of a level-L ball run up to p**(L + 1)."""
+    started = time.perf_counter()
+    center = 5**6151 - 1
+    code, out, err = run(["measure", "split", "--p", "5", f'{{"level":6151,"center":{center}}}'])
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert time.perf_counter() - started < 2.0
+    center = 5**6150 - 1
+    code, out, _ = run(["measure", "split", "--p", "5", f'{{"level":6150,"center":{center}}}'])
+    expected = ", ".join(f"{center + k * 5**6150} mod 5^6151" for k in range(5))
+    assert code == 0 and out == expected + "\n"
+
+
+def test_series_order_and_polynomial_degree_are_capped():
+    started = time.perf_counter()
+    for argv in (
+        ["series", "invert", "--field", "fp:5", "1+T+O(T^100000000)"],
+        ["series", "invert", "--field", "fp:5", "T^-100000000 + O(T^2)"],
+        ["series", "order", '{"field":"QQ","order_prec":100000000,"coeffs":[]}'],
+        ["series", "order", '{"field":"QQ","order_prec":"5","coeffs":[]}'],
+        ["series", "order", '{"field":"QQ","order_prec":3,"coeffs":[1],"tail_valuation":0.5}'],
+        ["analytic", "eval", "--p", "5", "--prec", "4", "--poly", "x^100000000", "1"],
+        ["series", "derive", "--field", "q", f"1 + O(T^{MAX_TERMS + 1})"],
+        ["analytic", "eval", "--p", "5", "--prec", "4", "--poly", f"x^{MAX_TERMS + 1}", "1"],
+    ):
+        code, out, err = run(argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+    assert time.perf_counter() - started < 2.0
+    code, out, _ = run(["series", "derive", "--field", "q", f"T^{MAX_TERMS} + O(T^{MAX_TERMS})"])
+    assert code == 0 and out.strip() == f"O(T^{MAX_TERMS - 1})"
+    code, out, _ = run(["analytic", "eval", "--p", "5", "--prec", "4", "--poly", f"x^{MAX_TERMS}", "1"])
+    assert code == 0 and out.strip() == "1 + O(5^4)"
+
+
 def test_prec_cap_env(monkeypatch):
     code, _, err = run(
         ["padic", "add", "--p", "5", "--prec", "40", "1", "1"],
@@ -410,7 +447,7 @@ def test_json_outputs_round_trip():
 
 def test_cli_never_crashes_on_fuzzed_argv():
     """Malformed input must map to exit 1 or 2, never an exception."""
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
 
     tokens = st.sampled_from(
@@ -424,11 +461,14 @@ def test_cli_never_crashes_on_fuzzed_argv():
             "split", '{"level":7000,"center":3}', '{"level":10000000,"center":3}',
             '{"p":5,"balls":[{"level":7000,"center":3}]}',
             '{"p":5,"balls":[{"level":10000000,"center":3}]}',
+            "invert", "eval", "--field", "fp:5", "1+T+O(T^100000000)", "x^100000000",
         ]
     )
 
     @settings(max_examples=120, deadline=None)
     @given(st.lists(tokens, max_size=8))
+    @example(["series", "invert", "--field", "fp:5", "1+T+O(T^100000000)"])
+    @example(["analytic", "eval", "--p", "5", "--prec", "4", "--poly", "x^100000000", "1"])
     def run_fuzz(argv):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):

@@ -25,11 +25,13 @@ from padicore.errors import (
     IndeterminateConditionError,
 )
 from helpers import (
+    best_time,
     brute_force_root,
     fixed_point_solve,
     least_residue_root,
     random_unit,
     rng_for,
+    teichmuller_by_p_power,
 )
 
 
@@ -360,6 +362,39 @@ def test_teichmuller_properties(p):
             w = teichmuller(a)
             assert (w ** (p - 1) - Padic.from_int(1, p, prec)).is_zero
             assert w.residue(1) == a.residue(1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 65537, 2**61 - 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 256])
+def test_teichmuller_matches_oracles(p, n):
+    """The Newton lift is the fixed point of x -> x**p above a, in v, unit and rel."""
+    rng = rng_for(f"teich-oracles-{p}-{n}")
+    for _ in range(2):
+        a = rng.randrange(1, p**n)
+        if a % p == 0:
+            a += 1
+        w = teichmuller(Padic.from_int(a, p, n, cap=n))
+        assert w == teichmuller(a, p, n)
+        t = w.unit
+        assert w.v == 0 and w.rel == n
+        assert pow(t, p, p**n) == t and (t - a) % p == 0
+        if n * p.bit_length() <= 4096:  # one digit a step: keep the oracle cheap
+            assert w == teichmuller_by_p_power(a, p, n)
+            below = max(n - 1, 1)
+            assert teichmuller(Padic.from_int(a, p, n, cap=n), abs_prec=below) == (
+                teichmuller_by_p_power(a, p, below)
+            )
+
+
+def test_teichmuller_scaling_budgets():
+    """teichmuller(3, 7, 4096) and teichmuller(3, 65537, 2048).
+
+    Budgets are several times the measured costs (about 2 ms and 70 ms
+    on a 2-vCPU container); the p-power iteration took 7.3 s and 105 s
+    there.
+    """
+    assert best_time(lambda: teichmuller(3, 7, 4096)) <= 0.2
+    assert best_time(lambda: teichmuller(3, 65537, 2048)) <= 2.0
 
 
 # ------------------------------------------------------------- ball images
