@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from . import analytic, hensel, measure, plog, sumlab, textforms
 from .errors import DomainError, ParseError
-from .measure import Ball
 from .padics import DEFAULT_PRECISION_CAP
 from .series import LaurentSeries, PowerSeries
 
@@ -52,13 +51,6 @@ def _check_prec(prec, cap):
     return prec
 
 
-def _padic_operand(text, p, prec, cap):
-    value = textforms.parse_padic(text, p, prec, cap)
-    if p is not None and value.p != p:
-        raise ParseError(f"operand is {value.p}-adic but --p is {p}")
-    return value
-
-
 def _maybe_json(obj):
     """Canonical JSON for report dataclasses and simple values."""
     if isinstance(obj, Fraction):
@@ -66,6 +58,11 @@ def _maybe_json(obj):
     if obj is math.inf:
         return "inf"
     return obj
+
+
+def _value_text(v):
+    """A sum of the summation checks: a rational or a Padic."""
+    return str(v) if isinstance(v, Fraction) else v.pretty()
 
 
 def _emit(args, pretty_text, json_obj):
@@ -82,7 +79,7 @@ def _emit(args, pretty_text, json_obj):
 def _run_padic(args, cap):
     p = args.p
     prec = _check_prec(args.prec, cap)
-    ops = [_padic_operand(t, p, prec, cap) for t in args.operands]
+    ops = [textforms.parse_padic(t, p, prec, cap) for t in args.operands]
 
     def emit(x):
         return _emit(args, x.pretty(), x.to_json_dict())
@@ -187,7 +184,7 @@ def _run_series(args, cap):
             return _emit(args, f">= {bound}", {"at_least": bound})
         return _emit(args, str(n), {"order": n})
     if cmd == "norm":
-        r = Fraction(args.ratio)
+        r = textforms.parse_ratio(args.ratio)
         value = s.norm(r)
         pretty = "0" if value.is_zero else f"({r})^{value.exponent}"
         return _emit(
@@ -201,34 +198,17 @@ def _run_series(args, cap):
 # ---------------------------------------------------------------- analytic
 
 
-def _polynomial_operand(text, p, prec, cap):
-    text = text.strip()
-    if text.startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"bad JSON: {e}") from None
-        poly = textforms.polynomial_from_json(data, analytic.PadicPolynomial)
-        if p is not None and poly.p != p:
-            raise ParseError(f"polynomial is {poly.p}-adic but --p is {p}")
-        return poly
-    coeffs = textforms.parse_polynomial_rational_coeffs(text)
-    if p is None:
-        raise ParseError("text polynomials need --p")
-    return analytic.PadicPolynomial(p, coeffs, abs_prec=prec)
-
-
 def _run_analytic(args, cap):
     p = args.p
     prec = _check_prec(args.prec, cap)
-    poly = _polynomial_operand(args.poly, p, prec, cap)
+    poly = textforms.parse_polynomial(args.poly, p, prec)
     cmd = args.subcommand
     if cmd == "eval":
-        x = _padic_operand(args.operands[0], p, prec, cap)
+        x = textforms.parse_padic(args.operands[0], p, prec, cap)
         out = poly.evaluate(x, min_valuation=args.ball_exp)
         return _emit(args, out.pretty(), out.to_json_dict())
     if cmd == "recenter":
-        x0 = _padic_operand(args.operands[0], p, prec, cap)
+        x0 = textforms.parse_padic(args.operands[0], p, prec, cap)
         out = poly.recenter(x0)
         pretty = ", ".join(c.pretty() for c in out.coeffs)
         return _emit(
@@ -258,16 +238,19 @@ def _run_hensel(args, cap):
         return _emit(args, x.pretty(), x.to_json_dict())
 
     if cmd == "sqrt":
-        u = _padic_operand(args.operands[0], p, prec, cap)
+        u = textforms.parse_padic(args.operands[0], p, prec, cap)
         return emit(hensel.sqrt(u))
     if cmd == "nthroot":
-        u = _padic_operand(args.operands[0], p, prec, cap)
+        u = textforms.parse_padic(args.operands[0], p, prec, cap)
+        # nth_root builds x^n - u densely, so n is a polynomial degree
+        if args.n > textforms.MAX_TERMS:
+            raise ParseError(f"root degree {args.n} exceeds the limit of {textforms.MAX_TERMS}")
         return emit(hensel.nth_root(u, args.n))
     if cmd == "teichmuller":
-        u = _padic_operand(args.operands[0], p, prec, cap)
+        u = textforms.parse_padic(args.operands[0], p, prec, cap)
         return emit(hensel.teichmuller(u))
-    poly = _polynomial_operand(args.poly, p, prec, cap)
-    x0 = _padic_operand(args.x0, p, prec, cap)
+    poly = textforms.parse_polynomial(args.poly, p, prec)
+    x0 = textforms.parse_padic(args.x0, p, prec, cap)
     if cmd == "check":
         report = hensel.check_condition(poly, x0, args.m, args.t)
         obj = {
@@ -285,7 +268,7 @@ def _run_hensel(args, cap):
         )
         return _emit(args, pretty, obj)
     if cmd == "solve":
-        z = _padic_operand(args.z, p, prec, cap)
+        z = textforms.parse_padic(args.z, p, prec, cap)
         problem = hensel.HenselProblem(poly, x0, m=args.m, t_exp=args.t)
         return emit(hensel.solve(problem, z))
     if cmd == "image":
@@ -314,11 +297,11 @@ def _run_plog(args, cap):
     prec = _check_prec(args.prec, cap)
     cmd = args.subcommand
     if cmd == "log":
-        x = _padic_operand(args.x, p, prec, cap)
+        x = textforms.parse_padic(args.x, p, prec, cap)
         out = plog.log1p(x)
         return _emit(args, out.pretty(), out.to_json_dict())
     if cmd == "invert":
-        z = _padic_operand(args.z, p, prec, cap)
+        z = textforms.parse_padic(args.z, p, prec, cap)
         out = plog.log_inverse(z)
         return _emit(args, out.pretty(), out.to_json_dict())
     if cmd == "poly":
@@ -336,18 +319,11 @@ def _run_plog(args, cap):
 def _run_measure(args, cap):
     cmd = args.subcommand
     if cmd == "count":
+        textforms.check_ball_level(args.p, args.level)
         n = measure.residue_count(args.p, args.level)
         return _emit(args, str(n), {"count": n})
     if cmd == "split":
-        try:
-            data = json.loads(args.operands[0])
-            textforms.check_ball_level(args.p, data["level"])
-            # the sub-ball centers run up to p**(level + 1)
-            textforms.check_ball_level(args.p, data["level"] + 1)
-            ball = Ball(args.p, data["level"], data["center"])
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
-            raise ParseError(f"bad ball JSON: {e}") from None
-        parts = ball.split()
+        parts = textforms.parse_ball(args.operands[0], args.p).split()
         obj = [b.to_json_dict() for b in parts]
         pretty = ", ".join(f"{b.center} mod {b.p}^{b.level}" for b in parts)
         return _emit(args, pretty, obj)
@@ -382,27 +358,11 @@ def _run_measure(args, cap):
 def _run_sums(args, cap):
     cmd = args.subcommand
     if cmd == "fubini":
-        try:
-            data = json.loads(args.operands[0])
-            mode = data["mode"]
-            rows_raw = data["rows"]
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
-            raise ParseError(f"bad grid JSON: {e}") from None
-        rows = []
-        for row in rows_raw:
-            if mode == "rational":
-                rows.append([Fraction(str(v)) for v in row])
-            else:
-                rows.append([textforms.padic_from_json(v) for v in row])
-        report = sumlab.fubini_check(rows)
-
-        def render(v):
-            return str(v) if isinstance(v, Fraction) else v.pretty()
-
+        report = sumlab.fubini_check(textforms.parse_grid(args.operands[0]))
         obj = {
-            "row_first": render(report.row_first),
-            "column_first": render(report.column_first),
-            "direct": render(report.direct),
+            "row_first": _value_text(report.row_first),
+            "column_first": _value_text(report.column_first),
+            "direct": _value_text(report.direct),
             "equal": report.equal,
         }
         pretty = (
@@ -415,8 +375,7 @@ def _run_sums(args, cap):
         value = sumlab.bfs_norm(family)
         return _emit(args, str(value), {"bfs": str(value)})
     if cmd == "norms":
-        r = "inf" if args.r == "inf" else int(args.r)
-        report = sumlab.norms(family, r)
+        report = sumlab.norms(family, textforms.parse_norm_exponent(args.r))
         obj = {
             "sup": str(report.sup),
             "r": report.r if report.r == "inf" else int(report.r),
@@ -427,20 +386,11 @@ def _run_sums(args, cap):
             pretty = f"sup {obj['sup']}"
         return _emit(args, pretty, obj)
     if cmd == "partition":
-        try:
-            blocks = json.loads(args.blocks)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"bad blocks JSON: {e}") from None
-        blocks = [[lbl for lbl in block] for block in blocks]
-        report = sumlab.partition_check(family, blocks)
-
-        def render(v):
-            return str(v) if isinstance(v, Fraction) else v.pretty()
-
+        report = sumlab.partition_check(family, textforms.parse_blocks(args.blocks))
         obj = {
-            "block_totals": [render(v) for v in report.block_totals],
-            "total_from_blocks": render(report.total_from_blocks),
-            "direct": render(report.direct),
+            "block_totals": [_value_text(v) for v in report.block_totals],
+            "total_from_blocks": _value_text(report.total_from_blocks),
+            "direct": _value_text(report.direct),
             "equal": report.equal,
         }
         pretty = (

@@ -35,7 +35,7 @@ from .errors import (
     IndeterminateConditionError,
     NoRootError,
 )
-from .intmath import newton_lift, sqrt_mod
+from .intmath import newton_lift, power_prints, sqrt_mod
 from .padics import Padic
 
 _IMAGE_GUARD = 10**6
@@ -324,12 +324,15 @@ def ball_image_check(f, x0, m, t_exp, level):
         raise DomainError(
             f"level {level} too coarse: needs at least {max(t_exp, target_exp)}"
         )
+    # modulus * source_size = p**e, compared before either is built
+    e = 2 * level - t_exp
+    if (p.bit_length() - 1) * e > _IMAGE_GUARD.bit_length() or p**e > _IMAGE_GUARD:
+        raise EnumerationGuardError(
+            f"{_power_text(p, level)} * {_power_text(p, level - t_exp)} "
+            f"residues exceed the guard {_IMAGE_GUARD}"
+        )
     modulus = p**level
     source_size = p ** (level - t_exp)
-    if modulus * source_size > _IMAGE_GUARD:
-        raise EnumerationGuardError(
-            f"{modulus} * {source_size} residues exceed the guard {_IMAGE_GUARD}"
-        )
     coeff_lifts = [c.residue(level).value for c in f.coeffs]
     x0_lift = x0.residue(level).value
     step = p**t_exp
@@ -351,3 +354,8 @@ def ball_image_check(f, x0, m, t_exp, level):
         len(image),
         len(target),
     )
+
+
+def _power_text(p, k):
+    """p**k in decimal where it prints, else as p^k."""
+    return str(p**k) if power_prints(p, k) else f"{p}^{k}"

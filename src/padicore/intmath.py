@@ -1,5 +1,6 @@
 """Small integer helpers used across the package."""
 
+import sys
 from functools import lru_cache
 
 from .errors import DivisionByZeroError, DomainError
@@ -45,6 +46,25 @@ def newton_lift(step, x, start, n):
     for k in reversed(ks):
         x = step(x, k)
     return x
+
+
+def str_digit_limit():
+    """The most digits str() prints of an int.
+
+    CPython refuses to print an int of more digits than its limit.  Where
+    there is no limit (0, or Python before 3.10.7) the default 4300 stands.
+    """
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
+def power_prints(p, k):
+    """Whether str() prints p**k, for p >= 2.
+
+    Past 2**(4*limit) the power is too long without computing it, so a
+    huge k is answered at once.
+    """
+    limit = str_digit_limit()
+    return (p.bit_length() - 1) * k <= 4 * limit and p**k < 10**limit
 
 
 def floor_log(n, base):

@@ -24,7 +24,6 @@ from .errors import DomainError, EnumerationGuardError, PrimeMismatchError
 from .intmath import check_prime
 
 _BALL_GUARD = 10**6
-_COUNT_GUARD = 10**7
 
 
 @dataclass(frozen=True, order=True)
@@ -244,12 +243,8 @@ class ClopenSet:
 
 
 def residue_count(p, level):
-    """The number p**level of residues mod p**level, guarded in size."""
+    """The number p**level of residues mod p**level; none is enumerated."""
     check_prime(p)
     if level < 0:
         raise DomainError("level must be nonnegative")
-    if p**level > _COUNT_GUARD:
-        raise EnumerationGuardError(
-            f"{p}^{level} exceeds the enumeration guard {_COUNT_GUARD}"
-        )
     return p**level

@@ -178,7 +178,7 @@ class Padic:
             raise PrecisionError(
                 f"known only mod p^{self.abs_prec}, cannot reduce mod p^{j}"
             )
-        if self.is_zero:
+        if self.v >= j:  # zero, or a multiple of p**j
             return ResidueClass(self.p, j, 0)
         return ResidueClass(self.p, j, self.unit * self.p**self.v % self.p**j)
 
@@ -217,15 +217,12 @@ class Padic:
         if other is None:
             return NotImplemented
         n = min(self.abs_prec, other.abs_prec)
-        if self.is_zero and other.is_zero:
-            return Padic.zero(self.p, n)
-        if self.is_zero:
+        # an operand that vanishes mod p**n (zero included) adds nothing
+        if self.v >= n:
             return other.truncate(n)
-        if other.is_zero:
+        if other.v >= n:
             return self.truncate(n)
         v = min(self.v, other.v)
-        if n <= v:
-            return Padic.zero(self.p, n)
         s = self.unit * self.p ** (self.v - v) + other.unit * self.p ** (
             other.v - v
         )

@@ -7,11 +7,12 @@ Malformed input raises ParseError, never anything else.
 
 import json
 import re
-import sys
 from fractions import Fraction
 
+from .analytic import PadicPolynomial
 from .errors import ParseError
-from .measure import ClopenSet
+from .intmath import power_prints, str_digit_limit
+from .measure import Ball, ClopenSet
 from .padics import Padic
 from .series import QQ, LaurentSeries, PowerSeries, PrimeFieldCoefficients
 from .sumlab import FiniteFamily
@@ -27,13 +28,48 @@ _SERIES_TERM_RE = re.compile(
 _POLY_TERM_RE = re.compile(r"^(\d+(?:/\d+)?)?\s*\*?\s*([A-Za-z])(?:\^(\d+))?$|^(\d+(?:/\d+)?)$")
 
 
+def _json(text, what="JSON"):
+    """The JSON value in text; undecodable text is a ParseError naming what."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:  # ValueError: too many int digits
+        raise ParseError(f"bad {what}: {e}") from None
+
+
+def _items(data, what):
+    """The items of a JSON value that stands for a list.
+
+    Arrays are meant; strings and objects iterate as Python does.
+    Numbers, booleans and null are refused.
+    """
+    if not isinstance(data, (list, str, dict)):
+        raise ParseError(f"bad {what}: expected an array, got {json.dumps(data)}")
+    return list(data)
+
+
+def _labels(data, what):
+    """Index labels: the items of data, none an array or an object."""
+    labels = _items(data, what)
+    if any(isinstance(label, (list, dict)) for label in labels):
+        raise ParseError(f"bad {what}: a label is an array or an object")
+    return labels
+
+
+def _int(digits):
+    """int() of a matched digit run; an empty or overlong one is a ParseError."""
+    try:
+        return int(digits)
+    except ValueError:  # CPython converts at most str_digit_limit() digits
+        raise ParseError(f"bad integer literal of {len(digits)} digits") from None
+
+
 def parse_rational(text):
     """An exact rational from "a" or "a/b"."""
     m = _RATIONAL_RE.match(text.strip())
     if not m:
         raise ParseError(f"not a rational literal: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    num = _int(m.group(1))
+    den = _int(m.group(2)) if m.group(2) else 1
     if den == 0:
         raise ParseError("zero denominator")
     return Fraction(num, den)
@@ -43,38 +79,41 @@ def parse_rational(text):
 
 
 def parse_padic(text, p=None, abs_prec=None, cap=None):
-    """A Padic from JSON, compact, pretty, or rational literal text."""
+    """A Padic from JSON, compact, pretty, or rational literal text.
+
+    A rational literal is read at prime p and precision abs_prec; any
+    other form must be p-adic for that p when p is given.
+    """
     text = text.strip()
     if text.startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"bad JSON: {e}") from None
-        return padic_from_json(data)
-    m = _PADIC_COMPACT_RE.match(text.replace(" ", ""))
-    if m:
-        return _padic_from_compact(m)
-    if "O(" in text:
-        return _padic_from_pretty(text)
-    # plain rational literal: needs the ambient prime and precision
-    value = parse_rational(text)
-    if p is None or abs_prec is None:
-        raise ParseError(
-            f"rational literal {text!r} needs --p and --prec context"
-        )
-    kwargs = {"cap": cap} if cap is not None else {}
-    return Padic.from_rational(value, 1, p, abs_prec, **kwargs)
+        value = padic_from_json(_json(text))
+    elif m := _PADIC_COMPACT_RE.match(text.replace(" ", "")):
+        value = _padic_from_compact(m)
+    elif "O(" in text:
+        value = _padic_from_pretty(text)
+    else:
+        # plain rational literal: needs the ambient prime and precision
+        rational = parse_rational(text)
+        if p is None or abs_prec is None:
+            raise ParseError(
+                f"rational literal {text!r} needs --p and --prec context"
+            )
+        kwargs = {"cap": cap} if cap is not None else {}
+        return Padic.from_rational(rational, 1, p, abs_prec, **kwargs)
+    if p is not None and value.p != p:
+        raise ParseError(f"operand is {value.p}-adic but --p is {p}")
+    return value
 
 
 def _padic_from_compact(m):
-    p = int(m.group(1))
-    v = int(m.group(2))
+    p = _int(m.group(1))
+    v = _int(m.group(2))
     digit_text = m.group(3)
-    base = int(m.group(4))
-    n = int(m.group(5))
+    base = _int(m.group(4))
+    n = _int(m.group(5))
     if base != p:
         raise ParseError("mismatched primes in compact form")
-    digits = [int(d) for d in digit_text.split(",")] if digit_text else []
+    digits = [_int(d) for d in digit_text.split(",")] if digit_text else []
     return Padic.from_json_dict(
         {"p": p, "valuation": v, "digits": digits, "abs_prec": n}
         if digits
@@ -89,21 +128,22 @@ def _padic_from_pretty(text):
     om = _PADIC_O_RE.match(parts[-1].replace(" ", ""))
     if not om:
         raise ParseError(f"p-adic literal must end with O(p^N): {text!r}")
-    p = int(om.group(1))
-    abs_prec = int(om.group(2))
+    p = _int(om.group(1))
+    abs_prec = _int(om.group(2))
     total = Fraction(0)
     for part in parts[:-1]:
         tm = _PADIC_TERM_RE.match(part.replace(" ", ""))
         if not tm:
             raise ParseError(f"bad p-adic term: {part!r}")
-        digit = int(tm.group(1))
+        digit = _int(tm.group(1))
         if tm.group(2) is None:
             exp = 0
         else:
-            if int(tm.group(2)) != p:
+            if _int(tm.group(2)) != p:
                 raise ParseError("mismatched primes in p-adic literal")
-            exp = int(tm.group(3)) if tm.group(3) is not None else 1
-        total += Fraction(digit) * Fraction(p) ** exp
+            exp = _int(tm.group(3)) if tm.group(3) is not None else 1
+        if exp < abs_prec:  # a term in p**abs_prec vanishes; never build it
+            total += Fraction(digit) * Fraction(p) ** exp
     if total == 0:
         return Padic.zero(p, abs_prec)
     return Padic.from_rational(total, 1, p, abs_prec, cap=10**6)
@@ -130,7 +170,7 @@ def parse_field(text):
         return QQ
     m = re.match(r"^(?:fp?|gf):?(\d+)$", text)
     if m:
-        return PrimeFieldCoefficients(int(m.group(1)))
+        return PrimeFieldCoefficients(_int(m.group(1)))
     raise ParseError(f"unknown coefficient field {text!r}")
 
 
@@ -194,7 +234,7 @@ def series_from_json(data):
         field = _field_from_json(data["field"])
         coeffs = [_coeff_from_json(field, c) for c in data["coeffs"]]
         prec = data["order_prec"]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise ParseError(f"bad series JSON: {e}") from None
     check_term_count(prec, "series order")
     check_term_count(len(coeffs), "series length")
@@ -212,18 +252,14 @@ def parse_series(text, field=None, variable="T"):
     """
     text = text.strip()
     if text.startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"bad JSON: {e}") from None
-        return series_from_json(data)
+        return series_from_json(_json(text))
     if field is None:
         raise ParseError("pretty series text needs a --field context")
     parts = [part.strip() for part in text.split("+")]
     om = _SERIES_O_RE.match(parts[-1].replace(" ", ""))
     if not om:
         raise ParseError(f"series literal must end with O({variable}^N): {text!r}")
-    prec_exp = int(om.group(2))
+    prec_exp = _int(om.group(2))
     check_term_count(prec_exp, "series order")
     terms = {}
     for part in parts[:-1]:
@@ -232,10 +268,10 @@ def parse_series(text, field=None, variable="T"):
             raise ParseError(f"bad series term: {part!r}")
         if tm.group(4) is not None:
             exp = 0
-            coeff = Fraction(tm.group(4))
+            coeff = parse_rational(tm.group(4))
         else:
-            coeff = Fraction(tm.group(1)) if tm.group(1) else Fraction(1)
-            exp = int(tm.group(3)) if tm.group(3) is not None else 1
+            coeff = parse_rational(tm.group(1)) if tm.group(1) else Fraction(1)
+            exp = _int(tm.group(3)) if tm.group(3) is not None else 1
         check_term_count(exp, "series exponent")
         if exp in terms:
             raise ParseError(f"repeated exponent {exp} in series literal")
@@ -260,6 +296,24 @@ def parse_laurent(text, field=None):
 # -------------------------------------------------------------- polynomials
 
 
+def parse_polynomial(text, p, abs_prec):
+    """A PadicPolynomial from JSON, or from text like ``x^2 - 2``.
+
+    Text coefficients are read at prime p and precision abs_prec; a JSON
+    polynomial must be p-adic for that p when p is given.
+    """
+    text = text.strip()
+    if text.startswith("{"):
+        poly = polynomial_from_json(_json(text), PadicPolynomial)
+        if p is not None and poly.p != p:
+            raise ParseError(f"polynomial is {poly.p}-adic but --p is {p}")
+        return poly
+    coeffs = parse_polynomial_rational_coeffs(text)
+    if p is None:
+        raise ParseError("text polynomials need --p")
+    return PadicPolynomial(p, coeffs, abs_prec=abs_prec)
+
+
 def parse_polynomial_rational_coeffs(text, variable="x"):
     """Coefficient list (rationals) from a grammar like ``x^2 - 2``.
 
@@ -281,10 +335,10 @@ def parse_polynomial_rational_coeffs(text, variable="x"):
             raise ParseError(f"bad polynomial term: {part!r}")
         if tm.group(4) is not None:
             exp = 0
-            coeff = Fraction(tm.group(4))
+            coeff = parse_rational(tm.group(4))
         else:
-            coeff = Fraction(tm.group(1)) if tm.group(1) else Fraction(1)
-            exp = int(tm.group(3)) if tm.group(3) is not None else 1
+            coeff = parse_rational(tm.group(1)) if tm.group(1) else Fraction(1)
+            exp = _int(tm.group(3)) if tm.group(3) is not None else 1
         check_term_count(exp, "polynomial degree")
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coeff
     degree = max(coeffs)
@@ -315,8 +369,9 @@ def clopen_to_json(s):
     return json.dumps(s.to_json_dict(), sort_keys=True)
 
 
-# Series exponents and polynomial degrees allowed in input.  Series and
-# polynomial commands build and multiply that many coefficients; at this
+# Series exponents and polynomial degrees allowed in input (an n-th root
+# builds x^n - u, so n counts too).  Series and polynomial commands build
+# and multiply that many coefficients; at this
 # limit the slowest of them, series compose over QQ with one-digit
 # coefficients, takes about 6 s (larger coefficients cost more still).
 MAX_TERMS = 256
@@ -334,28 +389,40 @@ def check_ball_level(p, level):
     """Reject a ball level whose modulus p**level cannot be printed.
 
     Outputs print the modulus (a measure's denominator) or centers below
-    it, and CPython refuses to print an int of more digits than its limit.
-    Where there is no limit (0, or Python before 3.10.7) the default 4300
-    still bounds the level.  Past 2**(4*limit) the modulus is too long
-    without computing it, so a huge level is refused at once.
+    it; see ``intmath.power_prints`` for the limit.
     """
     if not isinstance(level, int) or isinstance(level, bool):
         raise ParseError(f"ball level must be an integer, got {level!r}")
     if not isinstance(p, int) or p < 2 or level < 0:
         return  # Ball rejects these
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-    if (p.bit_length() - 1) * level > 4 * limit or p**level >= 10**limit:
+    if not power_prints(p, level):
+        limit = str_digit_limit()
         raise ParseError(f"ball modulus {p}^{level} has more than {limit} digits")
 
 
 def parse_clopen(text):
+    data = _json(text, "clopen-set JSON")
     try:
-        data = json.loads(text)
         for ball in data["balls"]:
             check_ball_level(data["p"], ball["level"])
         return ClopenSet.from_json_dict(data)
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
+    except (KeyError, TypeError) as e:
         raise ParseError(f"bad clopen-set JSON: {e}") from None
+
+
+def parse_ball(text, p):
+    """A Ball from {"level": L, "center": c} at prime p, to be split.
+
+    The p sub-balls have centers up to p**(L + 1), so that modulus must
+    print as well.
+    """
+    data = _json(text, "ball JSON")
+    try:
+        check_ball_level(p, data["level"])
+        check_ball_level(p, data["level"] + 1)
+        return Ball(p, data["level"], data["center"])
+    except (KeyError, TypeError) as e:
+        raise ParseError(f"bad ball JSON: {e}") from None
 
 
 # ----------------------------------------------------------------- families
@@ -368,30 +435,74 @@ def parse_family(text):
     P-adic:   {"mode": "padic", "labels": [...], "values": [<padic json>...]}.
     Labels default to 0..n-1.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"bad JSON: {e}") from None
-    return family_from_json(data)
+    return family_from_json(_json(text))
 
 
 def family_from_json(data):
     try:
         mode = data["mode"]
-        raw_values = data["values"]
+        raw_values = _items(data["values"], "family JSON")
     except (KeyError, TypeError) as e:
         raise ParseError(f"bad family JSON: {e}") from None
-    labels = data.get("labels", list(range(len(raw_values))))
-    if mode == "rational":
-        try:
-            values = [Fraction(str(v)) for v in raw_values]
-        except ValueError as e:
-            raise ParseError(f"bad rational value: {e}") from None
-    elif mode == "padic":
-        values = [padic_from_json(v) for v in raw_values]
-    else:
+    if mode not in ("rational", "padic"):
         raise ParseError(f"unknown family mode {mode!r}")
+    values = _values(mode, raw_values)
+    if "labels" in data:
+        labels = _labels(data["labels"], "family JSON")
+    else:
+        labels = range(len(values))
     return FiniteFamily(labels, values)
+
+
+def _values(mode, raw_values):
+    """Rationals in mode "rational"; p-adic JSON in any other mode."""
+    if mode != "rational":
+        return [padic_from_json(v) for v in raw_values]
+    try:
+        return [Fraction(str(v)) for v in raw_values]
+    except (ValueError, ZeroDivisionError) as e:
+        raise ParseError(f"bad rational value: {e}") from None
+
+
+def parse_grid(text):
+    """The rows of a grid: {"mode": "rational", "rows": [["1", "2"], ...]}.
+
+    Values are read as in a family, except that every mode other than
+    "rational" reads p-adic JSON.
+    """
+    data = _json(text, "grid JSON")
+    try:
+        mode = data["mode"]
+        rows = data["rows"]
+    except (KeyError, TypeError) as e:
+        raise ParseError(f"bad grid JSON: {e}") from None
+    return [_values(mode, _items(row, "grid JSON")) for row in _items(rows, "grid JSON")]
+
+
+def parse_blocks(text):
+    """A partition of a family's labels: an array of arrays of labels."""
+    blocks = _items(_json(text, "blocks JSON"), "blocks JSON")
+    return [_labels(block, "blocks JSON") for block in blocks]
+
+
+def parse_norm_exponent(text):
+    """The r of an l^r norm: "inf" or an integer (the norm checks r >= 1)."""
+    if text == "inf":
+        return "inf"
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"r must be an integer or 'inf', got {text!r}") from None
+
+
+def parse_ratio(text):
+    """The ratio r of a series norm r**order, such as 1/2 or 0.5."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise ParseError(f"not a rational literal: {text!r}") from None
+    except ZeroDivisionError:
+        raise ParseError("zero denominator") from None
 
 
 def family_to_json(fam):

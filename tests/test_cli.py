@@ -2,9 +2,13 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
+import padicore
 from padicore.cli import main
 from padicore.textforms import MAX_TERMS
 
@@ -393,6 +397,93 @@ def test_series_order_and_polynomial_degree_are_capped():
     assert code == 0 and out.strip() == "1 + O(5^4)"
 
 
+def _usage_error(code, out, err):
+    return code == 2 and out == "" and err.startswith("usage error:") and err.count("\n") == 1
+
+
+_F1 = '{"mode":"rational","values":["1"]}'
+
+# inputs that reached a parser of the CLI's own and ended in a traceback
+MALFORMED_OPTION_AND_SHAPE_REPROS = [
+    ["sums", "fubini", '{"mode":"rational","rows":[["x"]]}'],
+    ["sums", "fubini", '{"mode":"rational","rows":5}'],
+    ["sums", "partition", "--blocks", "5", _F1],
+    ["sums", "partition", "--blocks", "[5]", _F1],
+    ["sums", "partition", "--blocks", "[[[0]]]", _F1],
+    ["sums", "norms", "--r", "x", _F1],
+    ["sums", "norms", "--r", "1.5", _F1],
+    ["series", "norm", "--field", "q", "--ratio", "x", "1+O(T^2)"],
+    ["series", "norm", "--field", "q", "--ratio", "1/0", "1+O(T^2)"],
+    ["sums", "bfs", '{"mode":"rational","values":["1"],"labels":[[1]]}'],
+    ["sums", "bfs", '{"mode":"rational","values":["1","2"],"labels":5}'],
+]
+
+_FAR = '{"p":7,"valuation":100000000,"digits":[1],"abs_prec":100000001}'
+_IMAGE = ["hensel", "image", "--p", "7", "--prec", "4", "--poly", "x^2-2", "--x0", "3", "--t", "1"]
+
+# inputs that built a power p**e they then discarded: (argv, exit code, stdout)
+DISCARDED_POWER_REPROS = [
+    (["padic", "add", "--p", "7", "--prec", "8", _FAR, "1"], 0, "1 + O(7^8)\n"),
+    (["padic", "add", "--p", "7", "--prec", "8", "7^100000000*[1]+O(7^100000001)", "1"], 0, "1 + O(7^8)\n"),
+    (["padic", "add", "--p", "7", "--prec", "8", "1*7^1000000 + O(7^3)", "1"], 0, "1 + O(7^3)\n"),
+    (["padic", "reduce", "--p", "7", "--prec", "8", "--level", "2", _FAR], 0, "0 mod 7^2\n"),
+    (["measure", "count", "--p", "11", "--level", "100000000"], 2, ""),
+    (_IMAGE + ["--level", "100000000"], 1, ""),
+    (["hensel", "nthroot", "--p", "7", "--prec", "8", "--n", "100001", "1"], 2, ""),
+]
+
+
+def test_malformed_options_and_shapes_exit_2():
+    for argv in MALFORMED_OPTION_AND_SHAPE_REPROS:
+        assert _usage_error(*run(argv)), argv
+    # accepted before, and still: a decimal ratio, string labels
+    code, out, _ = run(["series", "norm", "--field", "q", "--ratio", "0.5", "T + O(T^3)"])
+    assert code == 0 and out == "(1/2)^1\n"
+    code, out, err = run(["sums", "bfs", '{"mode":"rational","values":["1"],"labels":"ab"}'])
+    assert code == 1 and out == "" and err == "error: labels and values must have equal length\n"
+
+
+def test_discarded_power_repros_finish_as_processes():
+    src = os.path.dirname(os.path.dirname(padicore.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, expected_code, expected_out in DISCARDED_POWER_REPROS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "padicore.cli", *argv],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (expected_code, expected_out), argv
+        assert proc.stderr.count("\n") == (expected_code != 0), argv
+
+
+def test_measure_count_prints_every_printable_level():
+    code, out, _ = run(["measure", "count", "--p", "11", "--level", "8"])
+    assert code == 0 and out == "214358881\n"
+    code, out, _ = run(["measure", "count", "--p", "5", "--level", "6000", "--format", "json"])
+    assert code == 0 and json.loads(out) == {"count": 5**6000}
+    assert _usage_error(*run(["measure", "count", "--p", "5", "--level", "7000"]))
+    code, out, err = run(["measure", "count", "--p", "4", "--level", "1"])
+    assert code == 1 and err == "error: 4 is not prime\n"
+
+
+def test_ball_image_guard_compares_exponents():
+    code, out, err = run(_IMAGE + ["--level", "9"])
+    assert code == 1 and out == ""
+    assert err == "error: 40353607 * 5764801 residues exceed the guard 1000000\n"
+    code, out, err = run(_IMAGE + ["--level", "100000000"])
+    assert code == 1 and out == ""
+    assert err == "error: 7^100000000 * 7^99999999 residues exceed the guard 1000000\n"
+
+
+def test_nthroot_degree_is_capped():
+    base = ["hensel", "nthroot", "--p", "7", "--prec", "8"]
+    assert _usage_error(*run(base + ["--n", str(MAX_TERMS + 1), "1"]))
+    code, out, _ = run(base + ["--n", str(MAX_TERMS), "1"])
+    assert code == 0 and out == "1 + O(7^8)\n"
+    for n in ("0", "-1", "-300"):
+        code, out, err = run(base + ["--n", n, "1"])
+        assert code == 1 and err == "error: root degree must be a positive integer\n"
+
+
 def test_prec_cap_env(monkeypatch):
     code, _, err = run(
         ["padic", "add", "--p", "5", "--prec", "40", "1", "1"],
@@ -462,18 +553,31 @@ def test_cli_never_crashes_on_fuzzed_argv():
             '{"p":5,"balls":[{"level":7000,"center":3}]}',
             '{"p":5,"balls":[{"level":10000000,"center":3}]}',
             "invert", "eval", "--field", "fp:5", "1+T+O(T^100000000)", "x^100000000",
+            "norm", "--ratio", "norms", "--r", "fubini", "partition", "--blocks",
+            "count", "nthroot", "image",
         ]
     )
+
+    repros = MALFORMED_OPTION_AND_SHAPE_REPROS + [argv for argv, _, _ in DISCARDED_POWER_REPROS]
+
+    def with_repros(test):
+        for argv in repros:
+            test = example(argv)(test)
+        return test
 
     @settings(max_examples=120, deadline=None)
     @given(st.lists(tokens, max_size=8))
     @example(["series", "invert", "--field", "fp:5", "1+T+O(T^100000000)"])
     @example(["analytic", "eval", "--p", "5", "--prec", "4", "--poly", "x^100000000", "1"])
+    @with_repros
     def run_fuzz(argv):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
         assert code in (0, 1, 2)
+        if code != 0:
+            assert out.getvalue() == ""
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
     run_fuzz()
 

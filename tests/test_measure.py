@@ -167,9 +167,11 @@ def test_residue_count_values():
             assert residue_count(p, j) == split_tree_leaves(p, j) == p**j
 
 
-def test_residue_count_guard():
-    with pytest.raises(EnumerationGuardError):
-        residue_count(11, 8)
+def test_residue_count_has_no_guard():
+    # the count is the power p**level; nothing is enumerated, so nothing
+    # bounds it (the CLI refuses only levels whose count cannot print)
+    assert residue_count(11, 8) == 214358881
+    assert residue_count(7, 1000) == 7**1000
     with pytest.raises(DomainError):
         residue_count(2, -1)
 

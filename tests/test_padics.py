@@ -1,5 +1,6 @@
 """Truncated p-adic arithmetic: representation, precision rules, laws."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,42 @@ def test_exact_cancellation_gives_zero():
     b = Padic.from_rational(-1, 2, 5, 4)
     assert (a + b).is_zero
     assert (a + b).abs_prec == 4
+
+
+def _parts(x):
+    return (x.p, x.v, x.unit, x.rel)
+
+
+def test_operand_vanishing_at_the_sum_precision_builds_no_power():
+    """With v(x) >= N = min(N_x, N_y), x + y is y to N, and p**v(x) is never built.
+
+    Building 7**(10**7) takes seconds, so the time bound fails, not hangs,
+    if the power comes back.
+    """
+    huge = Padic.from_json_dict({"p": 7, "valuation": 10**7, "digits": [1], "abs_prec": 10**7 + 1})
+    one = Padic.from_int(1, 7, 8)
+    started = time.perf_counter()
+    assert _parts(huge + one) == _parts(one + huge) == _parts(one)
+    assert _parts(one - huge) == _parts(one)
+    assert _parts(huge - one) == _parts(-one)
+    r = huge.residue(2)
+    assert (r.p, r.level, r.value) == (7, 2, 0)
+    assert time.perf_counter() - started < 0.5
+
+
+@pytest.mark.parametrize("p", [2, 7])
+def test_sum_and_residue_agree_with_the_lifts(p):
+    """Every valuation against the precision: the sum is the lifts' sum reduced."""
+    for v in range(-2, 10):
+        x = Padic.from_json_dict({"p": p, "valuation": v, "digits": [1, 1], "abs_prec": v + 2})
+        for y in (Padic.from_int(3, p, 6), Padic.from_rational(1, p, p, 5), Padic.zero(p, 4)):
+            n = min(x.abs_prec, y.abs_prec)
+            expected = Padic.from_rational(x.lift() + y.lift(), 1, p, n, cap=100)
+            assert _parts(x + y) == _parts(y + x) == _parts(expected)
+        for j in range(0, min(x.abs_prec, 8) + 1):
+            if v >= 0:
+                r = x.residue(j)
+                assert r.value == x.lift() % p**j
 
 
 def test_add_sub_mul_precision_rules():

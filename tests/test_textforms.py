@@ -1,6 +1,7 @@
 """Serialization round-trips: pretty, compact, and JSON forms."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,31 @@ def test_padic_rational_literal_needs_context():
     assert tf.parse_padic("1/2", 5, 4) == Padic.from_rational(1, 2, 5, 4)
     with pytest.raises(ParseError):
         tf.parse_padic("1/2")
+
+
+def test_pretty_terms_at_or_past_the_precision_build_no_power():
+    """A term d*p^e with e >= N vanishes mod p^N and is dropped unbuilt.
+
+    Reading a built 7^100000 took seconds, so the time bound fails, not
+    hangs, if the term comes back.
+    """
+    started = time.perf_counter()
+    x = tf.parse_padic("1*7^100000 + O(7^3)")
+    assert (x.p, x.v, x.unit, x.rel) == (7, 3, 0, 0)
+    y = tf.parse_padic("1*7^100000 + 2 + 3*7^-1 + O(7^3)")
+    z = Padic.from_rational(Fraction(2) + Fraction(3, 7), 1, 7, 3)
+    assert (y.p, y.v, y.unit, y.rel) == (z.p, z.v, z.unit, z.rel)
+    assert time.perf_counter() - started < 0.5
+    for e in range(0, 6):
+        w = tf.parse_padic(f"4 + 1*5^{e} + O(5^3)")
+        u = Padic.from_int(4 + 5**e, 5, 3)
+        assert (w.v, w.unit, w.rel) == (u.v, u.unit, u.rel)
+
+
+def test_padic_operand_must_match_the_given_prime():
+    assert tf.parse_padic("1 + O(5^3)", 5, 3) == Padic.from_int(1, 5, 3)
+    with pytest.raises(ParseError, match="operand is 7-adic but --p is 5"):
+        tf.parse_padic("1 + O(7^3)", 5, 3)
 
 
 def test_padic_parse_rejects_garbage():
@@ -165,3 +191,93 @@ def test_family_parse_rejects_bad_modes():
         tf.parse_family("[]")
     with pytest.raises(ParseError):
         tf.parse_family("{bad json")
+
+
+def test_grid_and_blocks_check_the_shapes_they_index():
+    for bad in (
+        '{"mode": "rational", "rows": 5}',
+        '{"mode": "rational", "rows": [5]}',
+        '{"mode": "rational", "rows": [["x"]]}',
+        '{"mode": "rational", "rows": [[null]]}',
+        '{"mode": "rational", "rows": [["1/0"]]}',
+        '{"mode": "padic", "rows": [[5]]}',
+        '{"rows": []}',
+    ):
+        with pytest.raises(ParseError):
+            tf.parse_grid(bad)
+    assert tf.parse_grid('{"mode": "rational", "rows": [["1", 2], ["1/2", 0.5]]}') == [
+        [1, 2],
+        [Fraction(1, 2), Fraction(1, 2)],
+    ]
+    # strings iterate as before: each row "12" is the row [1, 2]
+    assert tf.parse_grid('{"mode": "rational", "rows": ["12", "34"]}') == [[1, 2], [3, 4]]
+    for bad in ("5", "null", "[5]", "[null]", "[[[0]]]", '[[{"a": 1}]]', "[", "{"):
+        with pytest.raises(ParseError):
+            tf.parse_blocks(bad)
+    assert tf.parse_blocks('[[0, 1], ["a"]]') == [[0, 1], ["a"]]
+    assert tf.parse_blocks('"ab"') == [["a"], ["b"]]
+
+
+def test_family_labels_and_values_are_checked():
+    for bad in (
+        '{"mode": "rational", "values": ["1"], "labels": [[1]]}',
+        '{"mode": "rational", "values": ["1"], "labels": [{"a": 1}]}',
+        '{"mode": "rational", "values": ["1", "2"], "labels": 5}',
+        '{"mode": "rational", "values": ["1"], "labels": null}',
+        '{"mode": "rational", "values": 5}',
+        '{"mode": "rational", "values": ["1/0"]}',
+    ):
+        with pytest.raises(ParseError):
+            tf.parse_family(bad)
+    assert tf.parse_family('{"mode": "rational", "values": ["1", "2"], "labels": "ab"}').labels == (
+        "a",
+        "b",
+    )
+
+
+def test_one_json_decoder_names_what_it_read():
+    parsers = {
+        "JSON": [tf.parse_padic, tf.parse_family, lambda t: tf.parse_polynomial(t, 5, 4)],
+        "clopen-set JSON": [tf.parse_clopen],
+        "ball JSON": [lambda t: tf.parse_ball(t, 5)],
+        "grid JSON": [tf.parse_grid],
+        "blocks JSON": [tf.parse_blocks],
+    }
+    # undecodable, an int past CPython's digit limit, nesting past the recursion limit
+    for bad in ("{", '{"p": ' + "1" * 5000 + "}", '{"p": ' + "[" * 100000):
+        for what, fns in parsers.items():
+            for parse in fns:
+                with pytest.raises(ParseError, match=f"^bad {what}: "):
+                    parse(bad)
+
+
+def test_ratio_and_norm_exponent_literals():
+    assert tf.parse_ratio("1/2") == tf.parse_ratio("0.5") == tf.parse_ratio(" 1/2") == Fraction(1, 2)
+    assert tf.parse_ratio("1e-1") == Fraction(1, 10)
+    for bad in ("x", "1/0", "", "1" * 5000):
+        with pytest.raises(ParseError):
+            tf.parse_ratio(bad)
+    assert tf.parse_norm_exponent("inf") == "inf"
+    assert tf.parse_norm_exponent("2") == tf.parse_norm_exponent(" 2") == 2
+    assert tf.parse_norm_exponent("0") == 0  # sumlab.norms refuses it
+    for bad in ("x", "1.5", "", "1" * 5000):
+        with pytest.raises(ParseError):
+            tf.parse_norm_exponent(bad)
+
+
+def test_overlong_and_empty_digit_runs_are_parse_errors():
+    long = "1" * 5000
+    for parse, text in (
+        (tf.parse_padic, f"5^0*[1]+O(5^{long})"),
+        (tf.parse_padic, "5^0*[1,,2]+O(5^3)"),
+        (tf.parse_padic, f"1*5^{long} + O(5^3)"),
+        (lambda t: tf.parse_padic(t, 5, 3), long),
+        (lambda t: tf.parse_series(t, tf.parse_field("q")), f"{long} + O(T^3)"),
+        (lambda t: tf.parse_series(t, tf.parse_field("q")), "1/0 + O(T^3)"),
+        (tf.parse_field, f"fp:{long}"),
+        (tf.parse_polynomial_rational_coeffs, f"x^{long}"),
+        (tf.parse_polynomial_rational_coeffs, "1/0"),
+        (tf.parse_series, '{"field": "QQ", "order_prec": 3, "coeffs": ["1/0"]}'),
+    ):
+        with pytest.raises(ParseError):
+            parse(text)
