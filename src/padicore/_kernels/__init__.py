@@ -1,4 +1,4 @@
-"""Truncated series products by Kronecker substitution.
+"""Truncated series products and compositions by Kronecker substitution.
 
 Every series product and composition runs through ``convolve``: the
 coefficients of each operand go into fixed-width byte slots of one
@@ -9,8 +9,48 @@ wide enough for every input and output coefficient, and each value is
 stored biased by half the slot's range, so signed coefficients pack and
 unpack without borrows between slots.
 
+``compose`` is Brent and Kung's baby-step/giant-step composition
+(*Fast algorithms for manipulating formal power series*, 1978, Alg. 2.1),
+over the integers or mod p.  With m = ceil(sqrt(k)) for k coefficients of
+f, it computes g**2, ..., g**m by ``convolve`` (baby steps), forms each
+chunk C_j = sum of f[j*m + i] * g**i over i < m, and sums
+f(g) = sum of C_j * (g**m)**j by Horner's rule in g**m (giant steps).
+The chunks are linear combinations, not products: every g**i with i < m
+is packed once into one integer, a chunk is m scalar-times-packed
+multiplications, and only its first n - j*m slots, the ones that survive
+the factor (g**m)**j, are read back.  A composition to order n thus
+makes at most 2*ceil(sqrt(n)) - 2 calls of ``convolve``, where Horner's
+rule in g makes n.
+
 Coefficient lists are little-endian (index = exponent).
 """
+
+from math import isqrt
+from operator import mul
+
+
+def _slots(bits):
+    """Byte width and bias of slots for values of at most `bits` bits."""
+    width = bits // 8 + 1  # every value lies strictly inside (-bias, bias)
+    return width, 1 << (8 * width - 1)
+
+
+def _biases(m, width, bias):
+    """The bias in each of the first m slots."""
+    return int.from_bytes(bias.to_bytes(width, "little") * m, "little")
+
+
+def _pack(xs, width, bias):
+    """The integer sum of xs[i] * 2**(8 * width * i)."""
+    packed = b"".join((x + bias).to_bytes(width, "little") for x in xs)
+    return int.from_bytes(packed, "little") - _biases(len(xs), width, bias)
+
+
+def _unpack(v, m, width, bias):
+    """The first m slot values of a packed integer v."""
+    low = (v + _biases(m, width, bias)) & ((1 << (8 * width * m)) - 1)
+    raw = low.to_bytes(width * m, "little")
+    return [int.from_bytes(raw[i : i + width], "little") - bias for i in range(0, width * m, width)]
 
 
 def convolve(a, b, n):
@@ -20,22 +60,8 @@ def convolve(a, b, n):
         return [0] * n
     ma, mb = max(map(abs, a)), max(map(abs, b))
     bound = ma * mb * min(len(a), len(b))  # on every product coefficient
-    bits = max(ma.bit_length(), mb.bit_length(), bound.bit_length())
-    width = bits // 8 + 1  # every value lies strictly inside (-bias, bias)
-    bias = 1 << (8 * width - 1)
-    slot = bias.to_bytes(width, "little")
-
-    def biases(m):  # bias in each of the first m slots
-        return int.from_bytes(slot * m, "little")
-
-    def pack(xs):
-        packed = b"".join((x + bias).to_bytes(width, "little") for x in xs)
-        return int.from_bytes(packed, "little") - biases(len(xs))
-
-    low = (pack(a) * pack(b) + biases(n)) & ((1 << (8 * width * n)) - 1)
-    raw = low.to_bytes(width * n, "little")
-    slots = range(0, width * n, width)
-    return [int.from_bytes(raw[i : i + width], "little") - bias for i in slots]
+    width, bias = _slots(max(ma.bit_length(), mb.bit_length(), bound.bit_length()))
+    return _unpack(_pack(a, width, bias) * _pack(b, width, bias), n, width, bias)
 
 
 def convolve_mod(a, b, n, p):
@@ -43,20 +69,45 @@ def convolve_mod(a, b, n, p):
     return [c % p for c in convolve([x % p for x in a[:n]], [x % p for x in b[:n]], n)]
 
 
-def compose_mod(f, g, n, p):
-    """First n coefficients of f(g) mod p; requires g[0] == 0.
+def compose(f, g, n, p=None, d=1):
+    """First n coefficients of d**(k-1) * f(g/d), k = len(f[:n]); g[0] must be 0.
 
-    Horner's rule from the top: g**j contributes nothing below T**j, so
-    the step that adds f_j works modulo T**(n - j).
+    Over the integers, or mod p when p is given; then g[0] need only
+    vanish mod p.  d = 1 gives f(g).  For a rational composition, f and g
+    are integer numerators and d the common denominator of g: the term
+    f_j * g**j then carries d**(k-1-j), and the powers of d enter chunk
+    by chunk, so no coefficient of f is scaled by more than d**(m-1).
     """
-    if n == 0:
-        return []
-    g = [x % p for x in g[:n]]
+    reduce = (lambda xs: xs) if p is None else (lambda xs: [x % p for x in xs])
+    f, g = reduce(f[:n]), reduce(g[:n])
     if g and g[0]:
         raise ValueError("composition requires zero constant term")
-    acc = []
-    for j in reversed(range(min(len(f), n))):
-        acc = convolve(g, acc, n - j)
-        acc[0] += f[j]
-        acc = [c % p for c in acc]
-    return acc or [0] * n
+    if not f:
+        return [0] * n
+    m = isqrt(len(f) - 1) + 1  # ceil(sqrt(len(f)))
+    powers = [[1] + [0] * (n - 1), g + [0] * (n - len(g))]
+    while len(powers) < m + (len(f) > m):  # baby steps; g**m only for giant steps
+        powers.append(reduce(convolve(powers[-1], g, n)))
+    dpowers = [d**i for i in range(m + 1)]
+    top = max(max(map(abs, power)) for power in powers[:m])
+    bound = max(map(abs, f)) * abs(dpowers[m - 1]) * top * m  # on every chunk coefficient
+    width, bias = _slots(max(top.bit_length(), bound.bit_length()))
+    packed = [_pack(power, width, bias) for power in powers[:m]]
+    acc = None
+    for j in reversed(range(0, len(f), m)):  # giant steps in g**m, from the top
+        keep = n - j  # (g**m)**(j/m) vanishes below T**j
+        part = f[j : j + m]
+        scaled = map(mul, part, dpowers[len(part) - 1 :: -1])  # f[j+i] * d**(len(part)-1-i)
+        chunk = _unpack(sum(map(mul, scaled, packed)), keep, width, bias)
+        if acc is None:
+            scale = dpowers[len(part)]  # the power of d the next chunk carries beyond acc
+        else:
+            chunk = [scale * c + s for c, s in zip(chunk, convolve(acc, powers[m], keep))]
+            scale *= dpowers[m]
+        acc = reduce(chunk)
+    return acc
+
+
+def compose_mod(f, g, n, p):
+    """``compose`` mod p, under the name the benchmark's tracer wraps."""
+    return compose(f, g, n, p)

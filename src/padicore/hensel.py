@@ -35,7 +35,7 @@ from .errors import (
     IndeterminateConditionError,
     NoRootError,
 )
-from .intmath import newton_lift, power_prints, sqrt_mod
+from .intmath import newton_lift, power_prints, root_mod
 from .padics import Padic
 
 _IMAGE_GUARD = 10**6
@@ -198,18 +198,6 @@ def _unit_root(u, n, seed, t_exp):
     return solve(problem, Padic.zero(p, prec))
 
 
-def _residue_root(a, n, p):
-    """The least s in [0, p) with s**n = a mod p, or None."""
-    if math.gcd(n, p - 1) == 1:
-        return pow(a, pow(n, -1, p - 1), p)
-    if n == 2:
-        if pow(a, (p - 1) // 2, p) != 1:
-            return None
-        s = sqrt_mod(a, p)
-        return min(s, p - s)
-    return next((s for s in range(p) if pow(s, n, p) == a), None)
-
-
 def sqrt(u):
     """A square root of the unit u, canonical mod-p branch.
 
@@ -225,7 +213,7 @@ def sqrt(u):
             raise NoRootError("2-adic units have square roots only when u = 1 mod 8")
         return _unit_root(u, 2, 1, 2)
     u0 = u.residue(1).value
-    seed = _residue_root(u0, 2, p)
+    seed = root_mod(u0, 2, p)
     if seed is None:
         raise NoRootError(f"{u0} is not a quadratic residue mod {p}")
     return _unit_root(u, 2, seed, 1)
@@ -243,7 +231,7 @@ def nth_root(u, n):
     if n == 1:
         return u
     u0 = u.residue(1).value
-    seed = _residue_root(u0, n, p)
+    seed = root_mod(u0, n, p)
     if seed is None:
         raise NoRootError(f"{u0} is not an {n}-th power residue mod {p}")
     return _unit_root(u, n, seed, 1)

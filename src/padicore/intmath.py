@@ -1,5 +1,6 @@
 """Small integer helpers used across the package."""
 
+import math
 import sys
 from functools import lru_cache
 
@@ -108,29 +109,85 @@ def check_prime(p):
     return p
 
 
-def sqrt_mod(a, p):
-    """A square root of the quadratic residue a modulo the odd prime p.
+def _prime_factors(n):
+    """The distinct prime factors of n >= 1, by trial division."""
+    primes, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return primes + [n] if n > 1 else primes
 
-    Tonelli-Shanks: write p - 1 = q * 2**s with q odd; a non-residue c
-    generates the 2-Sylow subgroup, and each pass halves the order of the
-    remaining error t until it is 1.
+
+def _discrete_log(x, h, order, primes, p):
+    """The k in [0, order) with h**k = x mod p, for x a power of h.
+
+    Pohlig-Hellman: h has the given order, whose prime factors are
+    `primes`; the log is found mod each prime power r**e of the order, one
+    base-r digit at a time against a table of the r-th roots of unity,
+    and the residues are joined by the Chinese remainder theorem.
+    """
+    k, modulus = 0, 1
+    for r in primes:
+        e, rest = 0, order
+        while rest % r == 0:
+            e, rest = e + 1, rest // r
+        hr, residual = pow(h, rest, p), pow(x, rest, p)  # order r**e
+        gamma = pow(hr, r ** (e - 1), p)  # order r
+        table, power = {}, 1
+        for digit in range(r):
+            table[power] = digit
+            power = power * gamma % p
+        kr, step = 0, pow(hr, -1, p)  # residual = x**rest * hr**-kr, step = hr**-(r**i)
+        for i in range(e):
+            digit = table[pow(residual, r ** (e - 1 - i), p)]
+            kr += digit * r**i
+            residual = residual * pow(step, digit, p) % p
+            step = pow(step, r, p)
+        k += modulus * ((kr - k) * pow(modulus, -1, r**e) % r**e)
+        modulus *= r**e
+    return k
+
+
+def root_mod(a, n, p):
+    """The least s in [0, p) with s**n = a mod p, for prime p; None if none.
+
+    Adleman-Manders-Miller, in the form of a discrete logarithm in one
+    Sylow subgroup.  With q = p - 1 and d = gcd(n, q), a nonzero a is an
+    n-th power exactly when a**(q/d) = 1.  Split q = qd * q' with qd built
+    from the primes of d and q' prime to d, and let h generate the
+    subgroup H of order qd.  Then y = a**(d**-1 mod q') is a d-th root of
+    a up to an error y**d / a in H, and the discrete log of that error
+    base h, a multiple of d, removes it.  x = y**((n/d)**-1 mod q/d) is an
+    n-th root, and the n-th roots are x * zeta**i, i < d, for zeta of
+    order d: the least is returned.  The cost is polylog(p) products plus
+    O(d) for the candidates and the discrete-log tables, with d <= n.
     """
     a %= p
     if a == 0:
         return 0
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    c = 2
-    while pow(c, (p - 1) // 2, p) != p - 1:
-        c += 1
-    c, t, r = pow(c, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (s - i - 1), p)
-        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
+    q = p - 1
+    d = math.gcd(n, q)
+    primes = _prime_factors(d)
+    qd, rest = 1, q
+    for r in primes:
+        while rest % r == 0:
+            qd, rest = qd * r, rest // r
+    y = pow(a, pow(d, -1, rest), p)
+    unity = [1]  # the d-th roots of unity
+    if d > 1:
+        if pow(a, q // d, p) != 1:
+            return None
+        c = 2  # h = c**rest generates H when c is no r-th power for any prime r | d
+        while any(pow(c, q // r, p) == 1 for r in primes):
+            c += 1
+        h = pow(c, rest, p)
+        error = pow(y, d, p) * pow(a, -1, p) % p
+        y = y * pow(h, -(_discrete_log(error, h, qd, primes, p) // d), p) % p
+        zeta = pow(c, q // d, p)
+        for _ in range(d - 1):
+            unity.append(unity[-1] * zeta % p)
+    x = pow(y, pow(n // d, -1, q // d), p)
+    return min(x * z % p for z in unity)

@@ -332,28 +332,17 @@ class PowerSeries:
         if n > 0 and other.coeffs[0] != other.field.zero:
             raise DomainError("composition requires zero constant term")
         if self.field.kind == "fp":
-            out = _kernels.compose_mod(
-                list(self.coeffs), list(other.coeffs), n, self.field.p
-            )
+            out = _kernels.compose(list(self.coeffs), list(other.coeffs), n, self.field.p)
             return PowerSeries(self.field, out, n)
-        return self._compose_rational(other, n)
-
-    def _compose_rational(self, other, n):
-        if n == 0:
-            return PowerSeries(self.field, [], 0)
-        df = _common_denominator(self.coeffs)
-        dg = _common_denominator(other.coeffs)
-        gi = [int(c * dg) for c in other.coeffs]
-        # Horner's rule over the common denominator df * dg**(n-1): the
-        # step that adds f_j works mod T**(n-j), with f_j scaled by
-        # df * dg**(n-1-j)
-        acc, scale = [], df
-        for j in reversed(range(n)):
-            acc = _kernels.convolve(gi, acc, n - j)
-            acc[0] += int(self.coeffs[j] * scale)
-            scale *= dg
-        d = df * dg ** (n - 1)
-        return PowerSeries(self.field, [Fraction(c, d) for c in acc], n)
+        # F = df*f and G = dg*g have integer coefficients, and the kernel
+        # returns dg**(n-1) * F(G/dg) = df * dg**(n-1) * f(g)
+        df = _common_denominator(self.coeffs[:n])
+        dg = _common_denominator(other.coeffs[:n])
+        fi = [c.numerator * (df // c.denominator) for c in self.coeffs[:n]]
+        gi = [c.numerator * (dg // c.denominator) for c in other.coeffs[:n]]
+        d = df * dg ** (n - 1) if n else 1
+        out = _kernels.compose(fi, gi, n, d=dg)
+        return PowerSeries(self.field, [Fraction(c, d) for c in out], n)
 
     # -------------------------------------------------------------- calculus
 

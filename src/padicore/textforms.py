@@ -13,7 +13,7 @@ from .analytic import PadicPolynomial
 from .errors import ParseError
 from .intmath import power_prints, str_digit_limit
 from .measure import Ball, ClopenSet
-from .padics import Padic
+from .padics import DEFAULT_PRECISION_CAP, Padic
 from .series import QQ, LaurentSeries, PowerSeries, PrimeFieldCoefficients
 from .sumlab import FiniteFamily
 
@@ -25,6 +25,7 @@ _SERIES_O_RE = re.compile(r"^O\(([A-Za-z])\^(-?\d+)\)$")
 _SERIES_TERM_RE = re.compile(
     r"^(?:(-?\d+(?:/\d+)?)\*)?([A-Za-z])(?:\^(-?\d+))?$|^(-?\d+(?:/\d+)?)$"
 )
+_DECIMAL_EXPONENT_RE = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 _POLY_TERM_RE = re.compile(r"^(\d+(?:/\d+)?)?\s*\*?\s*([A-Za-z])(?:\^(\d+))?$|^(\d+(?:/\d+)?)$")
 
 
@@ -63,6 +64,24 @@ def _int(digits):
         raise ParseError(f"bad integer literal of {len(digits)} digits") from None
 
 
+def _fraction(text, what):
+    """Fraction(text) for a literal such as "-3", "1/2", "0.5" or "1e-3".
+
+    Fraction builds 10**e for an exponent e, so an exponent of
+    str_digit_limit() or more in size, whose power has more digits than
+    an int prints, is refused first.
+    """
+    m, limit = _DECIMAL_EXPONENT_RE.search(text), str_digit_limit()
+    if m and abs(_int(m.group(1).replace("_", ""))) >= limit:
+        raise ParseError(f"bad {what}: decimal exponent {m.group(1)} exceeds the limit of {limit}")
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise ParseError(f"bad {what}: not a rational literal: {text!r}") from None
+    except ZeroDivisionError:
+        raise ParseError(f"bad {what}: zero denominator") from None
+
+
 def parse_rational(text):
     """An exact rational from "a" or "a/b"."""
     m = _RATIONAL_RE.match(text.strip())
@@ -82,7 +101,8 @@ def parse_padic(text, p=None, abs_prec=None, cap=None):
     """A Padic from JSON, compact, pretty, or rational literal text.
 
     A rational literal is read at prime p and precision abs_prec; any
-    other form must be p-adic for that p when p is given.
+    other form must be p-adic for that p when p is given.  A pretty term
+    exponent below -cap (default: the default precision cap) is refused.
     """
     text = text.strip()
     if text.startswith("{"):
@@ -90,7 +110,7 @@ def parse_padic(text, p=None, abs_prec=None, cap=None):
     elif m := _PADIC_COMPACT_RE.match(text.replace(" ", "")):
         value = _padic_from_compact(m)
     elif "O(" in text:
-        value = _padic_from_pretty(text)
+        value = _padic_from_pretty(text, DEFAULT_PRECISION_CAP if cap is None else cap)
     else:
         # plain rational literal: needs the ambient prime and precision
         rational = parse_rational(text)
@@ -121,7 +141,13 @@ def _padic_from_compact(m):
     )
 
 
-def _padic_from_pretty(text):
+def _padic_from_pretty(text, cap):
+    """A Padic from ``d*p^e + ... + O(p^N)``; no term exponent below -cap.
+
+    A term d*p^e with e < 0 is summed as the rational d / p**-e, so an
+    exponent far below zero would build a huge power and a value of as
+    many digits; past the precision cap it is refused.
+    """
     parts = [part.strip() for part in text.split("+")]
     if not parts:
         raise ParseError("empty p-adic literal")
@@ -142,6 +168,8 @@ def _padic_from_pretty(text):
             if _int(tm.group(2)) != p:
                 raise ParseError("mismatched primes in p-adic literal")
             exp = _int(tm.group(3)) if tm.group(3) is not None else 1
+        if exp < -cap:
+            raise ParseError(f"p-adic term exponent {exp} is below -{cap}, the precision cap")
         if exp < abs_prec:  # a term in p**abs_prec vanishes; never build it
             total += Fraction(digit) * Fraction(p) ** exp
     if total == 0:
@@ -201,7 +229,7 @@ def _coeff_from_json(field, raw):
         return raw
     if isinstance(raw, int):
         return Fraction(raw)
-    return Fraction(str(raw))
+    return _fraction(str(raw), "series coefficient")
 
 
 def series_to_json(s):
@@ -371,9 +399,9 @@ def clopen_to_json(s):
 
 # Series exponents and polynomial degrees allowed in input (an n-th root
 # builds x^n - u, so n counts too).  Series and polynomial commands build
-# and multiply that many coefficients; at this
-# limit the slowest of them, series compose over QQ with one-digit
-# coefficients, takes about 6 s (larger coefficients cost more still).
+# and multiply that many coefficients; at this limit the slowest of them,
+# series compose over QQ with one-digit numerators and denominators,
+# takes about 0.6 s on a 2-vCPU host (larger coefficients cost more still).
 MAX_TERMS = 256
 
 
@@ -458,10 +486,7 @@ def _values(mode, raw_values):
     """Rationals in mode "rational"; p-adic JSON in any other mode."""
     if mode != "rational":
         return [padic_from_json(v) for v in raw_values]
-    try:
-        return [Fraction(str(v)) for v in raw_values]
-    except (ValueError, ZeroDivisionError) as e:
-        raise ParseError(f"bad rational value: {e}") from None
+    return [_fraction(str(v), "rational value") for v in raw_values]
 
 
 def parse_grid(text):
@@ -485,24 +510,31 @@ def parse_blocks(text):
     return [_labels(block, "blocks JSON") for block in blocks]
 
 
+# The largest finite r of an l^r norm.  The norm sums |v|**r exactly, and
+# |v|**r has r times the digits of |v|: at this limit a value of 16
+# digits still gives an answer that prints.
+MAX_NORM_EXPONENT = 256
+
+
 def parse_norm_exponent(text):
-    """The r of an l^r norm: "inf" or an integer (the norm checks r >= 1)."""
+    """The r of an l^r norm: "inf" or an integer up to MAX_NORM_EXPONENT.
+
+    The norm itself checks r >= 1.
+    """
     if text == "inf":
         return "inf"
     try:
-        return int(text)
+        r = int(text)
     except ValueError:
         raise ParseError(f"r must be an integer or 'inf', got {text!r}") from None
+    if r > MAX_NORM_EXPONENT:
+        raise ParseError(f"r {r} exceeds the limit of {MAX_NORM_EXPONENT}")
+    return r
 
 
 def parse_ratio(text):
     """The ratio r of a series norm r**order, such as 1/2 or 0.5."""
-    try:
-        return Fraction(text)
-    except ValueError:
-        raise ParseError(f"not a rational literal: {text!r}") from None
-    except ZeroDivisionError:
-        raise ParseError("zero denominator") from None
+    return _fraction(text, "ratio")
 
 
 def family_to_json(fam):

@@ -1,5 +1,6 @@
 """Shared random generators and tiny oracles for the test suite."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -227,14 +228,41 @@ def schoolbook_mul(a, b, n, p=None):
     return out if p is None else [c % p for c in out]
 
 
-def schoolbook_compose(f, g, n, p):
-    """Composition oracle: sum of f_j * g**j mod T**n, powers by schoolbook_mul."""
+def schoolbook_compose(f, g, n, p=None):
+    """Composition oracle: sum of f_j * g**j mod T**n, powers by schoolbook_mul.
+
+    Over the integers, or mod p when p is given.
+    """
     out = [0] * n
     power = [1] + [0] * (n - 1)
     for fj in f[:n]:
-        out = [(o + fj * q) % p for o, q in zip(out, power)]
+        out = [o + fj * q for o, q in zip(out, power)]
+        if p is not None:
+            out = [c % p for c in out]
         power = schoolbook_mul(power, g, n, p)
     return out
+
+
+def horner_compose_rational(f, g):
+    """QQ composition oracle: Horner's rule in g on the integer numerators.
+
+    Over the common denominator df * dg**(n-1): the step that adds f_j
+    works mod T**(n-j), with f_j scaled by df * dg**(n-1-j) and g by dg.
+    """
+    from padicore import QQ
+    from padicore._kernels import convolve
+
+    n = min(f.prec, g.prec)
+    df = math.lcm(*(c.denominator for c in f.coeffs[:n]))
+    dg = math.lcm(*(c.denominator for c in g.coeffs[:n]))
+    gi = [int(c * dg) for c in g.coeffs[:n]]
+    acc, scale = [], df
+    for j in reversed(range(n)):
+        acc = convolve(gi, acc, n - j)
+        acc[0] += int(f.coeffs[j] * scale)
+        scale *= dg
+    d = scale // dg  # df * dg**(n-1)
+    return PowerSeries(QQ, [Fraction(c, d) for c in acc], n)
 
 
 def _residues(s, level):

@@ -10,7 +10,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import padicore
 from padicore.cli import main
-from padicore.textforms import MAX_TERMS
+from padicore.padics import DEFAULT_PRECISION_CAP
+from padicore.textforms import MAX_NORM_EXPONENT, MAX_TERMS
 
 
 def run(argv, env_cap=None, monkeypatch=None):
@@ -433,6 +434,33 @@ DISCARDED_POWER_REPROS = [
 ]
 
 
+# inputs that hung or ended in a traceback: an n-th root seed that scanned
+# range(p), decimal exponents and pretty p-adic terms that built a huge
+# power, and an l^r norm that built 2**(10**8): (argv, exit code, stdout)
+UNBOUNDED_INPUT_REPROS = [
+    (["hensel", "nthroot", "--p", "1000000009", "--n", "3", "--prec", "2", "5"], 1, ""),
+    (["hensel", "nthroot", "--p", "1000000009", "--n", "3", "--prec", "2", "8"], 0, "2 + O(1000000009^2)\n"),
+    (["sums", "bfs", '{"mode":"rational","values":["1e100000000"]}'], 2, ""),
+    (["sums", "bfs", '{"mode":"rational","values":["1e-100000000"]}'], 2, ""),
+    (["series", "order", '{"field":"QQ","order_prec":3,"coeffs":["1e5000"]}'], 2, ""),
+    (["series", "norm", "--field", "q", "--ratio", "1e-100000000", "T + O(T^3)"], 2, ""),
+    (["sums", "norms", "--r", "100000000", '{"mode":"rational","values":["2"]}'], 2, ""),
+    (["padic", "add", "--p", "7", "--prec", "8", "1*7^-1000000+O(7^3)", "1"], 2, ""),
+]
+
+
+def _finish_as_processes(repros):
+    src = os.path.dirname(os.path.dirname(padicore.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, expected_code, expected_out in repros:
+        proc = subprocess.run(
+            [sys.executable, "-m", "padicore.cli", *argv],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (expected_code, expected_out), argv
+        assert proc.stderr.count("\n") == (expected_code != 0), argv
+
+
 def test_malformed_options_and_shapes_exit_2():
     for argv in MALFORMED_OPTION_AND_SHAPE_REPROS:
         assert _usage_error(*run(argv)), argv
@@ -444,15 +472,27 @@ def test_malformed_options_and_shapes_exit_2():
 
 
 def test_discarded_power_repros_finish_as_processes():
-    src = os.path.dirname(os.path.dirname(padicore.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    for argv, expected_code, expected_out in DISCARDED_POWER_REPROS:
-        proc = subprocess.run(
-            [sys.executable, "-m", "padicore.cli", *argv],
-            capture_output=True, text=True, timeout=10, env=env,
-        )
-        assert (proc.returncode, proc.stdout) == (expected_code, expected_out), argv
-        assert proc.stderr.count("\n") == (expected_code != 0), argv
+    _finish_as_processes(DISCARDED_POWER_REPROS)
+
+
+def test_unbounded_input_repros_finish_as_processes():
+    _finish_as_processes(UNBOUNDED_INPUT_REPROS)
+
+
+def test_bounded_literals_keep_what_they_accepted():
+    """Exponents and r inside the limits answer as before."""
+    code, out, _ = run(["sums", "bfs", '{"mode":"rational","values":["1.5e3","-2E-1"]}'])
+    assert code == 0 and out == "1500\n"
+    code, out, _ = run(["series", "order", '{"field":"QQ","order_prec":3,"coeffs":["0","1e4000"]}'])
+    assert code == 0 and out == "1\n"
+    r, ones = MAX_NORM_EXPONENT, '{"mode":"rational","values":["1","-1"]}'
+    code, out, _ = run(["sums", "norms", "--r", str(r), ones])
+    assert code == 0 and out == f"sup 1, ||f||_{r}^{r} = 2\n"
+    assert _usage_error(*run(["sums", "norms", "--r", str(r + 1), ones]))
+    e = -DEFAULT_PRECISION_CAP
+    code, out, _ = run(["padic", "add", "--p", "7", "--prec", "8", f"1*7^{e} + O(7^3)", "1"])
+    assert code == 0 and out == f"1*7^{e} + 1 + O(7^3)\n"
+    assert _usage_error(*run(["padic", "add", "--p", "7", "--prec", "8", f"1*7^{e - 1} + O(7^3)", "1"]))
 
 
 def test_measure_count_prints_every_printable_level():
@@ -558,7 +598,9 @@ def test_cli_never_crashes_on_fuzzed_argv():
         ]
     )
 
-    repros = MALFORMED_OPTION_AND_SHAPE_REPROS + [argv for argv, _, _ in DISCARDED_POWER_REPROS]
+    repros = MALFORMED_OPTION_AND_SHAPE_REPROS + [
+        argv for argv, _, _ in DISCARDED_POWER_REPROS + UNBOUNDED_INPUT_REPROS
+    ]
 
     def with_repros(test):
         for argv in repros:

@@ -1,6 +1,7 @@
 """Ball root solving: condition, solver, roots, lifts, image checks."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from padicore.errors import (
     EnumerationGuardError,
     IndeterminateConditionError,
 )
+from padicore.intmath import root_mod
 from helpers import (
     best_time,
     brute_force_root,
@@ -329,6 +331,44 @@ def test_root_seeds_for_large_primes():
     q = 1000000007  # gcd(3, q - 1) = 1: one cube root mod q
     c = nth_root(Padic.from_int(5, q, 2), 3)
     assert pow(c.residue(2).value, 3, q**2) == 5
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 31, 37, 41, 61, 73, 97, 181, 193, 257, 433, 577, 641, 1009])
+def test_root_mod_matches_the_residue_scan(p):
+    """Every n up to 26, gcd(n, p - 1) from 1 to 24; every residue below 200."""
+    rng = rng_for(f"root-mod-scan-{p}")
+    residues = range(p) if p < 200 else [0, 1, p - 1] + rng.sample(range(2, p - 1), 40)
+    for n in range(1, 27):
+        for a in residues:
+            assert root_mod(a, n, p) == least_residue_root(a, n, p), (a, n, p)
+
+
+@pytest.mark.parametrize("p", [1000000009, 2**61 - 1, 2**64 - 59, 3 * 2**30 + 1, 2**89 - 1])
+def test_root_mod_for_large_primes_with_many_roots(p):
+    """gcd(n, p - 1) > 1 with n > 2 at primes no scan can cover.
+
+    For a = s**n with a small s, the least root is at most s, so the scan
+    of the oracle stops early.
+    """
+    rng = rng_for(f"root-mod-large-{p}")
+    for n in (3, 4, 5, 6, 12, 30, 60, 240, 256):
+        for s in rng.sample(range(2, 500), 6):
+            a = pow(s, n, p)
+            assert root_mod(a, n, p) == least_residue_root(a, n, p) <= s, (a, n, p)
+        d = math.gcd(n, p - 1)
+        a = rng.randrange(2, p)
+        expect_none = pow(a, (p - 1) // d, p) != 1
+        assert (root_mod(a, n, p) is None) == expect_none, (a, n, p)
+
+
+def test_nth_root_seed_at_a_large_prime_is_the_least_branch():
+    q = 1000000009  # gcd(3, q - 1) = 3: three cube roots mod q
+    started = time.perf_counter()
+    with pytest.raises(NoRootError):
+        nth_root(Padic.from_int(5, q, 2), 3)
+    c = nth_root(Padic.from_int(8, q, 2), 3)
+    assert c.residue(1).value == 2 and pow(c.residue(2).value, 3, q**2) == 8
+    assert time.perf_counter() - started < 1
 
 
 def test_teichmuller_examples():

@@ -1,11 +1,14 @@
-"""Kernels: the Kronecker-substitution convolution against schoolbook oracles."""
+"""Kernels: the Kronecker-substitution convolution and the baby-step/giant-step
+composition against schoolbook oracles."""
 
 import pytest
+from math import isqrt
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import padicore._kernels as kernels
-from padicore import PowerSeries, PrimeFieldCoefficients
+from padicore import QQ, PowerSeries, PrimeFieldCoefficients
 from helpers import rng_for, schoolbook_compose, schoolbook_mul
 
 LARGE_PRIMES = [2**61 - 1, 2**64 - 59]
@@ -47,7 +50,72 @@ def test_large_prime_compositions_match_schoolbook(p):
     for n in (1, 2, 7, 16):
         f = [rng.randrange(p) for _ in range(n)]
         g = [0] + [rng.randrange(p) for _ in range(n - 1)]
-        assert kernels.compose_mod(f, g, n, p) == schoolbook_compose(f, g, n, p)
+        assert kernels.compose(f, g, n, p) == schoolbook_compose(f, g, n, p)
+
+
+COMPOSE_ORDERS = list(range(12)) + [16, 17, 37, 64, 100, 128, 256]
+
+
+@pytest.mark.parametrize("n", COMPOSE_ORDERS)
+def test_compose_matches_schoolbook_at_each_order(n):
+    """Orders 0-256, over the integers and mod p; f longer than n, g shorter."""
+    rng = rng_for(f"kernel-compose-order-{n}")
+    p = rng.choice(PRIMES[:5]) if n > 100 else rng.choice(PRIMES)
+    f = [rng.randrange(p) for _ in range(n + rng.randrange(3))]
+    g = [rng.randrange(-2, 3) * p] + [rng.randrange(p) for _ in range(max(n - rng.randrange(3), 0))]
+    assert kernels.compose(f, g, n, p) == schoolbook_compose(f, g, n, p)
+    if n <= 128:
+        f = [rng.randrange(-(2**40), 2**40) for _ in range(n + rng.randrange(3))]
+        g = [0] + [rng.randrange(-9, 10) for _ in range(max(n - 1, 0))]
+        assert kernels.compose(f, g, n) == schoolbook_compose(f, g, n)
+
+
+@settings(max_examples=100)
+@given(
+    signed_lists(max_size=20),
+    signed_lists(max_size=20),
+    st.integers(min_value=-10**6, max_value=10**6).filter(bool),
+    st.integers(min_value=0, max_value=24),
+)
+def test_compose_with_a_denominator_is_the_homogenised_composition(f, g, d, n):
+    """compose(f, g, n, d=d) sums f_j * g**j * d**(k-1-j), k = len(f[:n])."""
+    g = [0] + g[1:]
+    k = len(f[:n])
+    scaled = [c * d ** (k - 1 - j) for j, c in enumerate(f[:n])]
+    assert kernels.compose(f, g, n, d=d) == schoolbook_compose(scaled, g, n)
+
+
+def test_compose_slots_hold_a_full_chunk():
+    """Chunk coefficients reach m * max|f| * max|g**i|, past one slot's byte slack.
+
+    With g = T + T**2 and equal coefficients of f, a chunk coefficient sums
+    several binomials; f = (2**B - 1) // c for B = 7 mod 8 puts
+    max|f| * max|g**i| just under a byte boundary for some c.
+    """
+    g = [0, 1, 1]
+    for n in (9, 16, 30):
+        for bits in (23, 63, 127):
+            for c in range(1, 40):
+                f = [(2**bits - 1) // c] * n
+                assert kernels.compose(f, g, n) == schoolbook_compose(f, g, n), (n, bits, c)
+
+
+def test_compose_makes_about_2_sqrt_n_products(monkeypatch):
+    """Baby and giant steps: at most 2*ceil(sqrt(n)) + 1 convolutions per call."""
+    calls = []
+    convolve = kernels.convolve
+    monkeypatch.setattr(kernels, "convolve", lambda *args: calls.append(1) or convolve(*args))
+    rng = rng_for("kernel-compose-count")
+    for n in list(range(40)) + [64, 128, 256]:
+        bound = 2 * (isqrt(max(n - 1, 0)) + 1) + 1  # 2*ceil(sqrt(n)) + 1
+        for field in (PrimeFieldCoefficients(2**61 - 1), QQ):
+            f = PowerSeries(field, [rng.randrange(1, 9) for _ in range(n)], n)
+            g = PowerSeries(field, [0] + [rng.randrange(1, 9) for _ in range(n - 1)], n)
+            calls.clear()
+            f.compose(g)
+            assert len(calls) <= bound, (n, field, len(calls))
+            if n >= 16:
+                assert len(calls) >= isqrt(n)  # the count is not trivially zero
 
 
 def test_edge_operands():
@@ -57,9 +125,11 @@ def test_edge_operands():
     assert kernels.convolve(big, [0], 2) == [0, 0]
     assert kernels.convolve(big, big, 0) == []
     assert kernels.convolve([-1], [1, -1], 5) == [-1, 1, 0, 0, 0]
-    assert kernels.compose_mod([3, 1], [], 3, 5) == [3, 0, 0]
-    assert kernels.compose_mod([], [0, 1], 2, 5) == [0, 0]
-    assert kernels.compose_mod([1, 2], [0, 1], 0, 5) == []
+    assert kernels.compose([3, 1], [], 3, 5) == [3, 0, 0]
+    assert kernels.compose([], [0, 1], 2, 5) == [0, 0]
+    assert kernels.compose([1, 2], [0, 1], 0, 5) == []
+    assert kernels.compose([-3, 1], [], 3) == [-3, 0, 0]
+    assert kernels.compose([7], [0, 5], 3) == [7, 0, 0]
 
 
 @settings(max_examples=300)
@@ -84,14 +154,23 @@ def test_convolve_mod_matches_schoolbook(data, p, a, b):
     st.integers(min_value=-3, max_value=3),
     st.integers(min_value=0, max_value=20),
 )
-def test_compose_mod_matches_schoolbook(p, f, g, k, n):
+def test_compose_matches_schoolbook_mod_p(p, f, g, k, n):
     g = [k * p] + g[1:]  # a constant term that is 0 mod p, unreduced
-    assert kernels.compose_mod(f, g, n, p) == schoolbook_compose(f, g, n, p)
+    assert kernels.compose(f, g, n, p) == schoolbook_compose(f, g, n, p)
+
+
+@settings(max_examples=200)
+@given(signed_lists(max_size=16), signed_lists(max_size=16), st.integers(min_value=0, max_value=20))
+def test_compose_matches_schoolbook_over_the_integers(f, g, n):
+    g = [0] + g[1:]
+    assert kernels.compose(f, g, n) == schoolbook_compose(f, g, n)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_compose_rejects_nonzero_constant(p):
     with pytest.raises(ValueError):
-        kernels.compose_mod([1, 2], [p + 1, 1], 2, p)
+        kernels.compose([1, 2], [p + 1, 1], 2, p)
     with pytest.raises(ValueError):
-        kernels.compose_mod([1, 2], [-1, 1], 2, p)
+        kernels.compose([1, 2], [-1, 1], 2, p)
+    with pytest.raises(ValueError):
+        kernels.compose([1, 2], [p, 1], 2)  # over the integers g[0] must be 0

@@ -14,7 +14,13 @@ from padicore import (
     PrimeFieldCoefficients,
     RPower,
 )
-from helpers import compose_by_monomials, random_fp_series, random_q_series, rng_for
+from helpers import (
+    compose_by_monomials,
+    horner_compose_rational,
+    random_fp_series,
+    random_q_series,
+    rng_for,
+)
 
 F2 = PrimeFieldCoefficients(2)
 F3 = PrimeFieldCoefficients(3)
@@ -180,6 +186,21 @@ def test_compose_matches_monomial_enumeration(make):
         f, _ = _pair(rng, make, 7)
         g, _ = _pair(rng, make, 7, zero_constant=True)
         assert f.compose(g) == compose_by_monomials(f, g)
+
+
+@pytest.mark.parametrize("n", list(range(20)) + [33, 64, 128])
+def test_rational_compose_matches_horner(n):
+    """QQ composition against Horner's rule on the same integer problem."""
+    rng = rng_for(f"compose-horner-{n}")
+    for denominators, size in (((1, 1, 2, 3), 9), (tuple(range(1, 30)), 10**6)):
+        if n > 64 and size > 9:
+            continue
+        draw = lambda: Fraction(rng.randint(-size, size), rng.choice(denominators))
+        f = PowerSeries(QQ, [draw() for _ in range(n)], n)
+        g = PowerSeries(QQ, [0] + [draw() for _ in range(n - 1)], n)
+        assert f.compose(g) == horner_compose_rational(f, g)
+        longer = PowerSeries(QQ, list(f.coeffs) + [Fraction(1, 7)], n + 1)  # only the first n count
+        assert longer.compose(g) == horner_compose_rational(f, g)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

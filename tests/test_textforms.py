@@ -19,6 +19,8 @@ from padicore import (
     PrimeFieldCoefficients,
 )
 from padicore import textforms as tf
+from padicore.intmath import str_digit_limit
+from padicore.padics import DEFAULT_PRECISION_CAP
 from helpers import random_padic, rng_for
 
 F3 = PrimeFieldCoefficients(3)
@@ -281,3 +283,39 @@ def test_overlong_and_empty_digit_runs_are_parse_errors():
     ):
         with pytest.raises(ParseError):
             parse(text)
+
+
+def test_decimal_exponents_are_bounded_before_the_power_is_built():
+    """Fraction("1e<e>") builds 10**e; past the int digit limit it is refused."""
+    limit = str_digit_limit()
+    started = time.perf_counter()
+    assert tf.parse_ratio(f"1e-{limit - 1}") == Fraction(1, 10 ** (limit - 1))
+    assert tf.family_from_json({"mode": "rational", "values": [f"2E+{limit - 1}"]}).values == (2 * 10 ** (limit - 1),)
+    for e in (f"{limit}", f"-{limit}", "100000000", "-1_000_000_000", "9" * 5000):
+        with pytest.raises(ParseError):
+            tf.parse_ratio(f"1e{e}")
+        with pytest.raises(ParseError):
+            tf.family_from_json({"mode": "rational", "values": [f"1.5e{e}"]})
+        with pytest.raises(ParseError):
+            tf.series_from_json({"field": "QQ", "order_prec": 1, "coeffs": [f"1e{e}"]})
+    assert time.perf_counter() - started < 1
+
+
+def test_pretty_padic_terms_stop_at_minus_the_cap():
+    cap = DEFAULT_PRECISION_CAP
+    x = tf.parse_padic(f"1*7^-{cap} + O(7^3)")
+    assert (x.v, x.abs_prec) == (-cap, 3)
+    with pytest.raises(ParseError, match="below"):
+        tf.parse_padic(f"1*7^-{cap + 1} + O(7^3)")
+    assert tf.parse_padic(f"1*7^-{cap + 1} + O(7^3)", cap=cap + 1).v == -cap - 1
+    started = time.perf_counter()
+    with pytest.raises(ParseError):
+        tf.parse_padic("1*7^-1000000 + O(7^3)", 7, 8, cap)
+    assert time.perf_counter() - started < 0.5
+
+
+def test_norm_exponent_is_capped():
+    assert tf.parse_norm_exponent(str(tf.MAX_NORM_EXPONENT)) == tf.MAX_NORM_EXPONENT
+    for bad in (str(tf.MAX_NORM_EXPONENT + 1), "100000000"):
+        with pytest.raises(ParseError, match="exceeds the limit"):
+            tf.parse_norm_exponent(bad)
