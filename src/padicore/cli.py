@@ -15,10 +15,13 @@ import os
 import sys
 from fractions import Fraction
 
-from . import analytic, hensel, measure, plog, sumlab, textforms
+from . import textforms
 from .errors import DomainError, ParseError
+from .intmath import int_prints, str_digit_limit
 from .padics import DEFAULT_PRECISION_CAP
-from .series import LaurentSeries, PowerSeries
+
+# Each command group builds its own subcommands and imports its own
+# modules inside its runner, so that one call loads only its group.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,8 +64,16 @@ def _maybe_json(obj):
 
 
 def _value_text(v):
-    """A sum of the summation checks: a rational or a Padic."""
-    return str(v) if isinstance(v, Fraction) else v.pretty()
+    """A sum or norm of the summation checks: a rational or a Padic.
+
+    A rational whose numerator or denominator has more digits than str()
+    prints is a DomainError.
+    """
+    if not isinstance(v, Fraction):
+        return v.pretty()
+    if not (int_prints(v.numerator) and int_prints(v.denominator)):
+        raise DomainError(f"the answer has more than {str_digit_limit()} digits")
+    return str(v)
 
 
 def _emit(args, pretty_text, json_obj):
@@ -71,6 +82,16 @@ def _emit(args, pretty_text, json_obj):
     else:
         print(pretty_text)
     return 0
+
+
+def _format(sp):
+    sp.add_argument("--format", choices=("pretty", "json"), default="pretty")
+
+
+def _common(sp):
+    sp.add_argument("--p", type=int, help="prime of the ambient field")
+    sp.add_argument("--prec", type=int, help="absolute precision in digits")
+    _format(sp)
 
 
 # ------------------------------------------------------------------- padic
@@ -126,10 +147,23 @@ def _run_padic(args, cap):
     raise ParseError(f"unknown padic subcommand {cmd!r}")
 
 
+def _padic_commands(sub):
+    for name in ("add", "sub", "mul", "div", "invert", "valuation", "digits"):
+        sp = sub.add_parser(name)
+        _common(sp)
+        sp.add_argument("operands", nargs="+")
+    sp = sub.add_parser("reduce")
+    _common(sp)
+    sp.add_argument("--level", type=int, required=True)
+    sp.add_argument("operands", nargs="+")
+
+
 # ------------------------------------------------------------------ series
 
 
 def _series_operand(text, args):
+    from .series import PowerSeries
+
     field = textforms.parse_field(args.field) if args.field else None
     s = textforms.parse_series(text, field)
     if args.order is not None:
@@ -145,6 +179,8 @@ def _emit_series(args, s):
 
 
 def _run_series(args, cap):
+    from .series import LaurentSeries, PowerSeries
+
     cmd = args.subcommand
     ops = [_series_operand(t, args) for t in args.operands]
     if cmd in ("add", "sub", "mul", "compose"):
@@ -195,10 +231,27 @@ def _run_series(args, cap):
     raise ParseError(f"unknown series subcommand {cmd!r}")
 
 
+def _series_commands(sub):
+    for name in ("add", "sub", "mul", "compose", "derive", "invert", "order"):
+        sp = sub.add_parser(name)
+        sp.add_argument("--field", help="coefficient field, e.g. fp:3 or q")
+        sp.add_argument("--order", type=int, help="truncate operands to this order")
+        _format(sp)
+        sp.add_argument("operands", nargs="+")
+    sp = sub.add_parser("norm")
+    sp.add_argument("--field", help="coefficient field, e.g. fp:3 or q")
+    sp.add_argument("--order", type=int)
+    sp.add_argument("--ratio", default="1/2", help="the ratio r in (0,1)")
+    _format(sp)
+    sp.add_argument("operands", nargs="+")
+
+
 # ---------------------------------------------------------------- analytic
 
 
 def _run_analytic(args, cap):
+    from . import analytic
+
     p = args.p
     prec = _check_prec(args.prec, cap)
     poly = textforms.parse_polynomial(args.poly, p, prec)
@@ -226,10 +279,28 @@ def _run_analytic(args, cap):
     raise ParseError(f"unknown analytic subcommand {cmd!r}")
 
 
+def _analytic_commands(sub):
+    sp = sub.add_parser("eval")
+    _common(sp)
+    sp.add_argument("--poly", required=True)
+    sp.add_argument("--ball-exp", type=int, default=None)
+    sp.add_argument("operands", nargs=1)
+    sp = sub.add_parser("recenter")
+    _common(sp)
+    sp.add_argument("--poly", required=True)
+    sp.add_argument("operands", nargs=1)
+    sp = sub.add_parser("bounds")
+    _common(sp)
+    sp.add_argument("--poly", required=True)
+    sp.add_argument("--radius-exp", type=int, default=0)
+
+
 # ------------------------------------------------------------------ hensel
 
 
 def _run_hensel(args, cap):
+    from . import hensel
+
     p = args.p
     prec = _check_prec(args.prec, cap)
     cmd = args.subcommand
@@ -289,20 +360,60 @@ def _run_hensel(args, cap):
     raise ParseError(f"unknown hensel subcommand {cmd!r}")
 
 
+def _hensel_commands(sub):
+    for name in ("sqrt", "teichmuller"):
+        sp = sub.add_parser(name)
+        _common(sp)
+        sp.add_argument("operands", nargs=1)
+    sp = sub.add_parser("nthroot")
+    _common(sp)
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("operands", nargs=1)
+    sp = sub.add_parser("solve")
+    _common(sp)
+    sp.add_argument("--poly", required=True)
+    sp.add_argument("--x0", required=True)
+    sp.add_argument("--z", default="0")
+    sp.add_argument("--m", type=int, default=0)
+    sp.add_argument("--t", type=int, default=None)
+    sp = sub.add_parser("check")
+    _common(sp)
+    sp.add_argument("--poly", required=True)
+    sp.add_argument("--x0", required=True)
+    sp.add_argument("--m", type=int, default=0)
+    sp.add_argument("--t", type=int, required=True)
+    sp = sub.add_parser("image")
+    _common(sp)
+    sp.add_argument("--poly", required=True)
+    sp.add_argument("--x0", required=True)
+    sp.add_argument("--m", type=int, default=0)
+    sp.add_argument("--t", type=int, required=True)
+    sp.add_argument("--level", type=int, required=True)
+
+
 # -------------------------------------------------------------------- plog
 
 
+def _plog_operand(args):
+    """The operand of log or invert, given positionally or by flag."""
+    flag = args.x_flag if args.subcommand == "log" else args.z_flag
+    if flag is not None and args.operands:
+        raise ParseError("give the operand once: positionally or by flag")
+    if flag is None and not args.operands:
+        raise ParseError("an operand is required")
+    return flag if flag is not None else args.operands[0]
+
+
 def _run_plog(args, cap):
+    from . import plog
+
+    cmd = args.subcommand
+    operand = _plog_operand(args) if cmd in ("log", "invert") else None
     p = args.p
     prec = _check_prec(args.prec, cap)
-    cmd = args.subcommand
-    if cmd == "log":
-        x = textforms.parse_padic(args.x, p, prec, cap)
-        out = plog.log1p(x)
-        return _emit(args, out.pretty(), out.to_json_dict())
-    if cmd == "invert":
-        z = textforms.parse_padic(args.z, p, prec, cap)
-        out = plog.log_inverse(z)
+    if cmd in ("log", "invert"):
+        x = textforms.parse_padic(operand, p, prec, cap)
+        out = plog.log1p(x) if cmd == "log" else plog.log_inverse(x)
         return _emit(args, out.pretty(), out.to_json_dict())
     if cmd == "poly":
         poly = plog.log_series_polynomial(p, prec, args.domain_val)
@@ -313,10 +424,26 @@ def _run_plog(args, cap):
     raise ParseError(f"unknown plog subcommand {cmd!r}")
 
 
+def _plog_commands(sub):
+    sp = sub.add_parser("log")
+    _common(sp)
+    sp.add_argument("--x", dest="x_flag", default=None)
+    sp.add_argument("operands", nargs="*")
+    sp = sub.add_parser("invert")
+    _common(sp)
+    sp.add_argument("--z", dest="z_flag", default=None)
+    sp.add_argument("operands", nargs="*")
+    sp = sub.add_parser("poly")
+    _common(sp)
+    sp.add_argument("--domain-val", type=int, default=1)
+
+
 # ----------------------------------------------------------------- measure
 
 
 def _run_measure(args, cap):
+    from . import measure
+
     cmd = args.subcommand
     if cmd == "count":
         textforms.check_ball_level(args.p, args.level)
@@ -352,10 +479,37 @@ def _run_measure(args, cap):
     )
 
 
+def _measure_commands(sub):
+    for name, arity in (
+        ("measure", 1),
+        ("complement", 1),
+        ("union", 2),
+        ("intersect", 2),
+        ("diff", 2),
+    ):
+        sp = sub.add_parser(name)
+        _format(sp)
+        sp.add_argument("operands", nargs=arity)
+    sp = sub.add_parser("translate")
+    _format(sp)
+    sp.add_argument("--shift", type=int, required=True)
+    sp.add_argument("operands", nargs=1)
+    sp = sub.add_parser("split")
+    sp.add_argument("--p", type=int, required=True)
+    _format(sp)
+    sp.add_argument("operands", nargs=1)
+    sp = sub.add_parser("count")
+    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--level", type=int, required=True)
+    _format(sp)
+
+
 # -------------------------------------------------------------------- sums
 
 
 def _run_sums(args, cap):
+    from . import sumlab
+
     cmd = args.subcommand
     if cmd == "fubini":
         report = sumlab.fubini_check(textforms.parse_grid(args.operands[0]))
@@ -372,14 +526,14 @@ def _run_sums(args, cap):
         return _emit(args, pretty, obj)
     family = textforms.parse_family(args.operands[0])
     if cmd == "bfs":
-        value = sumlab.bfs_norm(family)
-        return _emit(args, str(value), {"bfs": str(value)})
+        text = _value_text(sumlab.bfs_norm(family))
+        return _emit(args, text, {"bfs": text})
     if cmd == "norms":
         report = sumlab.norms(family, textforms.parse_norm_exponent(args.r))
         obj = {
-            "sup": str(report.sup),
+            "sup": _value_text(report.sup),
             "r": report.r if report.r == "inf" else int(report.r),
-            "lr_power": str(report.lr_power),
+            "lr_power": _value_text(report.lr_power),
         }
         pretty = f"sup {obj['sup']}, ||f||_{report.r}^{report.r} = {obj['lr_power']}"
         if report.r == "inf":
@@ -401,181 +555,58 @@ def _run_sums(args, cap):
     raise ParseError(f"unknown sums subcommand {cmd!r}")
 
 
+def _sums_commands(sub):
+    for name in ("bfs", "fubini"):
+        sp = sub.add_parser(name)
+        _format(sp)
+        sp.add_argument("operands", nargs=1)
+    sp = sub.add_parser("norms")
+    sp.add_argument("--r", default="1")
+    _format(sp)
+    sp.add_argument("operands", nargs=1)
+    sp = sub.add_parser("partition")
+    sp.add_argument("--blocks", required=True)
+    _format(sp)
+    sp.add_argument("operands", nargs=1)
+
+
 # ------------------------------------------------------------------ parser
 
+# group name: (help text, subcommand builder, runner)
+_GROUPS = {
+    "padic": ("p-adic arithmetic", _padic_commands, _run_padic),
+    "series": ("formal power and Laurent series", _series_commands, _run_series),
+    "analytic": ("p-adic polynomials on balls", _analytic_commands, _run_analytic),
+    "hensel": ("ball root solving", _hensel_commands, _run_hensel),
+    "plog": ("the p-adic logarithm", _plog_commands, _run_plog),
+    "measure": ("clopen ball algebra and measure", _measure_commands, _run_measure),
+    "sums": ("finite summation laboratory", _sums_commands, _run_sums),
+}
 
-def _build_parser():
+
+def _build_parser(groups):
+    """The top-level parser; it lists every group, and the groups named
+    in ``groups`` get their subcommands."""
     parser = _Parser(prog="padicore", description=__doc__)
     top = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, p=True, prec=True):
-        if p:
-            sp.add_argument("--p", type=int, help="prime of the ambient field")
-        if prec:
-            sp.add_argument("--prec", type=int, help="absolute precision in digits")
-        sp.add_argument(
-            "--format", choices=("pretty", "json"), default="pretty"
-        )
-
-    padic_cmd = top.add_parser("padic", help="p-adic arithmetic")
-    padic_sub = padic_cmd.add_subparsers(dest="subcommand", required=True)
-    for name in ("add", "sub", "mul", "div", "invert", "valuation", "digits"):
-        sp = padic_sub.add_parser(name)
-        common(sp)
-        sp.add_argument("operands", nargs="+")
-    sp = padic_sub.add_parser("reduce")
-    common(sp)
-    sp.add_argument("--level", type=int, required=True)
-    sp.add_argument("operands", nargs="+")
-
-    series_cmd = top.add_parser("series", help="formal power and Laurent series")
-    series_sub = series_cmd.add_subparsers(dest="subcommand", required=True)
-    for name in ("add", "sub", "mul", "compose", "derive", "invert", "order"):
-        sp = series_sub.add_parser(name)
-        sp.add_argument("--field", help="coefficient field, e.g. fp:3 or q")
-        sp.add_argument("--order", type=int, help="truncate operands to this order")
-        sp.add_argument("--format", choices=("pretty", "json"), default="pretty")
-        sp.add_argument("operands", nargs="+")
-    sp = series_sub.add_parser("norm")
-    sp.add_argument("--field", help="coefficient field, e.g. fp:3 or q")
-    sp.add_argument("--order", type=int)
-    sp.add_argument("--ratio", default="1/2", help="the ratio r in (0,1)")
-    sp.add_argument("--format", choices=("pretty", "json"), default="pretty")
-    sp.add_argument("operands", nargs="+")
-
-    analytic_cmd = top.add_parser("analytic", help="p-adic polynomials on balls")
-    analytic_sub = analytic_cmd.add_subparsers(dest="subcommand", required=True)
-    sp = analytic_sub.add_parser("eval")
-    common(sp)
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--ball-exp", type=int, default=None)
-    sp.add_argument("operands", nargs=1)
-    sp = analytic_sub.add_parser("recenter")
-    common(sp)
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("operands", nargs=1)
-    sp = analytic_sub.add_parser("bounds")
-    common(sp)
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--radius-exp", type=int, default=0)
-
-    hensel_cmd = top.add_parser("hensel", help="ball root solving")
-    hensel_sub = hensel_cmd.add_subparsers(dest="subcommand", required=True)
-    for name in ("sqrt", "teichmuller"):
-        sp = hensel_sub.add_parser(name)
-        common(sp)
-        sp.add_argument("operands", nargs=1)
-    sp = hensel_sub.add_parser("nthroot")
-    common(sp)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("operands", nargs=1)
-    sp = hensel_sub.add_parser("solve")
-    common(sp)
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--x0", required=True)
-    sp.add_argument("--z", default="0")
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--t", type=int, default=None)
-    sp = hensel_sub.add_parser("check")
-    common(sp)
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--x0", required=True)
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--t", type=int, required=True)
-    sp = hensel_sub.add_parser("image")
-    common(sp)
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--x0", required=True)
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--level", type=int, required=True)
-
-    plog_cmd = top.add_parser("plog", help="the p-adic logarithm")
-    plog_sub = plog_cmd.add_subparsers(dest="subcommand", required=True)
-    sp = plog_sub.add_parser("log")
-    common(sp)
-    sp.add_argument("--x", dest="x_flag", default=None)
-    sp.add_argument("operands", nargs="*")
-    sp = plog_sub.add_parser("invert")
-    common(sp)
-    sp.add_argument("--z", dest="z_flag", default=None)
-    sp.add_argument("operands", nargs="*")
-    sp = plog_sub.add_parser("poly")
-    common(sp)
-    sp.add_argument("--domain-val", type=int, default=1)
-
-    measure_cmd = top.add_parser("measure", help="clopen ball algebra and measure")
-    measure_sub = measure_cmd.add_subparsers(dest="subcommand", required=True)
-    for name, arity in (
-        ("measure", 1),
-        ("complement", 1),
-        ("union", 2),
-        ("intersect", 2),
-        ("diff", 2),
-    ):
-        sp = measure_sub.add_parser(name)
-        sp.add_argument("--format", choices=("pretty", "json"), default="pretty")
-        sp.add_argument("operands", nargs=arity)
-    sp = measure_sub.add_parser("translate")
-    sp.add_argument("--format", choices=("pretty", "json"), default="pretty")
-    sp.add_argument("--shift", type=int, required=True)
-    sp.add_argument("operands", nargs=1)
-    sp = measure_sub.add_parser("split")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--format", choices=("pretty", "json"), default="pretty")
-    sp.add_argument("operands", nargs=1)
-    sp = measure_sub.add_parser("count")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--level", type=int, required=True)
-    sp.add_argument("--format", choices=("pretty", "json"), default="pretty")
-
-    sums_cmd = top.add_parser("sums", help="finite summation laboratory")
-    sums_sub = sums_cmd.add_subparsers(dest="subcommand", required=True)
-    for name in ("bfs", "fubini"):
-        sp = sums_sub.add_parser(name)
-        sp.add_argument("--format", choices=("pretty", "json"), default="pretty")
-        sp.add_argument("operands", nargs=1)
-    sp = sums_sub.add_parser("norms")
-    sp.add_argument("--r", default="1")
-    sp.add_argument("--format", choices=("pretty", "json"), default="pretty")
-    sp.add_argument("operands", nargs=1)
-    sp = sums_sub.add_parser("partition")
-    sp.add_argument("--blocks", required=True)
-    sp.add_argument("--format", choices=("pretty", "json"), default="pretty")
-    sp.add_argument("operands", nargs=1)
-
+    for name, (help_text, commands, _) in _GROUPS.items():
+        group = top.add_parser(name, help=help_text)
+        if name in groups:
+            commands(group.add_subparsers(dest="subcommand", required=True))
     return parser
-
-
-_RUNNERS = {
-    "padic": _run_padic,
-    "series": _run_series,
-    "analytic": _run_analytic,
-    "hensel": _run_hensel,
-    "plog": _run_plog,
-    "measure": _run_measure,
-    "sums": _run_sums,
-}
 
 
 def main(argv=None):
     """Run one command; returns the exit code instead of exiting."""
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
         cap = _precision_cap()
-        parser = _build_parser()
-        args = parser.parse_args(argv)
-        if args.command == "plog" and args.subcommand in ("log", "invert"):
-            flag = args.x_flag if args.subcommand == "log" else args.z_flag
-            if flag is not None and args.operands:
-                raise ParseError("give the operand once: positionally or by flag")
-            if flag is None and not args.operands:
-                raise ParseError("an operand is required")
-            value = flag if flag is not None else args.operands[0]
-            if args.subcommand == "log":
-                args.x = value
-            else:
-                args.z = value
-        return _RUNNERS[args.command](args, cap)
+        # argparse runs the group named by the first positional token, and
+        # the top level has no option that takes a value: the first group
+        # name in argv is the only group that can run
+        named = next((token for token in argv if token in _GROUPS), None)
+        args = _build_parser({named}).parse_args(argv)
+        return _GROUPS[args.command][2](args, cap)
     except ParseError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

@@ -58,6 +58,13 @@ def str_digit_limit():
     return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
+def int_prints(n):
+    """Whether str() prints the integer n; 8**limit < 10**limit decides most n at once."""
+    limit = str_digit_limit()
+    n = abs(n)
+    return n.bit_length() <= 3 * limit or n < 10**limit
+
+
 def power_prints(p, k):
     """Whether str() prints p**k, for p >= 2.
 

@@ -9,13 +9,13 @@ import json
 import re
 from fractions import Fraction
 
-from .analytic import PadicPolynomial
 from .errors import ParseError
 from .intmath import power_prints, str_digit_limit
-from .measure import Ball, ClopenSet
 from .padics import DEFAULT_PRECISION_CAP, Padic
-from .series import QQ, LaurentSeries, PowerSeries, PrimeFieldCoefficients
-from .sumlab import FiniteFamily
+
+# The series, polynomial, clopen-set and family forms import their modules
+# inside the functions that build them: a command then loads only the
+# modules of its own group.
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 _PADIC_TERM_RE = re.compile(r"^(\d+)(?:\*(\d+)(?:\^(-?\d+))?)?$")
@@ -193,6 +193,8 @@ def padic_to_json(x):
 
 def parse_field(text):
     """A coefficient field from "fp:5" / "q" style descriptors."""
+    from .series import QQ, PrimeFieldCoefficients
+
     text = text.strip().lower()
     if text in ("q", "qq", "rational", "rationals"):
         return QQ
@@ -209,6 +211,8 @@ def _field_to_json(field):
 
 
 def _field_from_json(data):
+    from .series import QQ, PrimeFieldCoefficients
+
     if data == "QQ":
         return QQ
     if isinstance(data, dict) and "Fp" in data:
@@ -233,6 +237,8 @@ def _coeff_from_json(field, raw):
 
 
 def series_to_json(s):
+    from .series import LaurentSeries
+
     if isinstance(s, LaurentSeries):
         if s.is_zero:
             data = {
@@ -258,6 +264,8 @@ def series_to_json(s):
 
 
 def series_from_json(data):
+    from .series import LaurentSeries, PowerSeries
+
     try:
         field = _field_from_json(data["field"])
         coeffs = [_coeff_from_json(field, c) for c in data["coeffs"]]
@@ -278,6 +286,8 @@ def parse_series(text, field=None, variable="T"):
     Pretty text with any negative exponent yields a LaurentSeries,
     otherwise a PowerSeries.
     """
+    from .series import LaurentSeries, PowerSeries
+
     text = text.strip()
     if text.startswith("{"):
         return series_from_json(_json(text))
@@ -315,6 +325,8 @@ def parse_series(text, field=None, variable="T"):
 
 def parse_laurent(text, field=None):
     """Like parse_series, but always a LaurentSeries."""
+    from .series import LaurentSeries, PowerSeries
+
     s = parse_series(text, field)
     if isinstance(s, PowerSeries):
         return LaurentSeries.from_power_series(s)
@@ -330,6 +342,8 @@ def parse_polynomial(text, p, abs_prec):
     Text coefficients are read at prime p and precision abs_prec; a JSON
     polynomial must be p-adic for that p when p is given.
     """
+    from .analytic import PadicPolynomial
+
     text = text.strip()
     if text.startswith("{"):
         poly = polynomial_from_json(_json(text), PadicPolynomial)
@@ -429,6 +443,8 @@ def check_ball_level(p, level):
 
 
 def parse_clopen(text):
+    from .measure import ClopenSet
+
     data = _json(text, "clopen-set JSON")
     try:
         for ball in data["balls"]:
@@ -444,6 +460,8 @@ def parse_ball(text, p):
     The p sub-balls have centers up to p**(L + 1), so that modulus must
     print as well.
     """
+    from .measure import Ball
+
     data = _json(text, "ball JSON")
     try:
         check_ball_level(p, data["level"])
@@ -467,6 +485,8 @@ def parse_family(text):
 
 
 def family_from_json(data):
+    from .sumlab import FiniteFamily
+
     try:
         mode = data["mode"]
         raw_values = _items(data["values"], "family JSON")

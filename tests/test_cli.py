@@ -434,9 +434,21 @@ DISCARDED_POWER_REPROS = [
 ]
 
 
+_HUGE_PAIR = '["9e4299","9e4299"]'
+
+# sums whose answer has more digits than str() prints
+UNPRINTABLE_SUMS = [
+    ["sums", "norms", "--r", "2", '{"mode":"rational","values":["1e3000"]}'],
+    ["sums", "norms", "--r", "256", '{"mode":"rational","values":["1e17"]}'],
+    ["sums", "bfs", f'{{"mode":"rational","values":{_HUGE_PAIR}}}'],
+    ["sums", "fubini", f'{{"mode":"rational","rows":[{_HUGE_PAIR}]}}'],
+    ["sums", "partition", "--blocks", "[[0],[1]]", f'{{"mode":"rational","values":{_HUGE_PAIR}}}'],
+]
+
 # inputs that hung or ended in a traceback: an n-th root seed that scanned
 # range(p), decimal exponents and pretty p-adic terms that built a huge
-# power, and an l^r norm that built 2**(10**8): (argv, exit code, stdout)
+# power, an l^r norm that built 2**(10**8), and unprintable sums:
+# (argv, exit code, stdout)
 UNBOUNDED_INPUT_REPROS = [
     (["hensel", "nthroot", "--p", "1000000009", "--n", "3", "--prec", "2", "5"], 1, ""),
     (["hensel", "nthroot", "--p", "1000000009", "--n", "3", "--prec", "2", "8"], 0, "2 + O(1000000009^2)\n"),
@@ -446,7 +458,7 @@ UNBOUNDED_INPUT_REPROS = [
     (["series", "norm", "--field", "q", "--ratio", "1e-100000000", "T + O(T^3)"], 2, ""),
     (["sums", "norms", "--r", "100000000", '{"mode":"rational","values":["2"]}'], 2, ""),
     (["padic", "add", "--p", "7", "--prec", "8", "1*7^-1000000+O(7^3)", "1"], 2, ""),
-]
+] + [(argv, 1, "") for argv in UNPRINTABLE_SUMS]
 
 
 def _finish_as_processes(repros):
@@ -477,6 +489,17 @@ def test_discarded_power_repros_finish_as_processes():
 
 def test_unbounded_input_repros_finish_as_processes():
     _finish_as_processes(UNBOUNDED_INPUT_REPROS)
+
+
+def test_unprintable_sums_are_domain_errors():
+    for argv in UNPRINTABLE_SUMS:
+        code, out, err = run(argv + ["--format", "json"])
+        assert (code, out) == (1, "") and err == "error: the answer has more than 4300 digits\n"
+    # the largest answers that print still answer
+    code, out, _ = run(["sums", "norms", "--r", "256", '{"mode":"rational","values":["1e16"]}'])
+    assert code == 0 and out == f"sup {10**16}, ||f||_256^256 = {10**4096}\n"
+    code, out, _ = run(["sums", "bfs", '{"mode":"rational","values":["4e4299","5e4299"]}'])
+    assert code == 0 and out == f"{9 * 10**4299}\n"
 
 
 def test_bounded_literals_keep_what_they_accepted():
@@ -576,8 +599,49 @@ def test_json_outputs_round_trip():
     assert json.loads(out3)["coeffs"] == [1, 0, 2, 0]
 
 
+# primes: the least past 2**31, 2**61 - 1, and the greatest below 2**64
+P31, P61, P64 = "2147483659", "2305843009213693951", "18446744073709551557"
+_S256 = " + ".join(f"{k % 9 + 1}*T^{k}" for k in range(1, 256)) + " + 1 + O(T^256)"
+
+# well-formed commands at the edges of what the CLI accepts: primes from
+# 2**31 to 2**64, digits >= p, huge levels, orders and degrees, and n-th roots
+# with gcd(n, p - 1) > 1
+EDGE_VALUE_CASES = [
+    ["padic", "div", "--p", P61, "--prec", "64", "1/3", "2/7"],
+    ["padic", "digits", "--p", P64, "--prec", "64", "2/3"],
+    ["padic", "add", "--p", "5", "--prec", "4", "7 + 9*5 + O(5^4)", "1"],
+    ["padic", "add", "--p", "5", "--prec", "4", "5^0*[7,9]+O(5^2)", "1"],
+    ["padic", "reduce", "--p", "7", "--prec", "8", "--level", "100000000", "3"],
+    ["hensel", "sqrt", "--p", P64, "--prec", "64", "3"],
+    ["hensel", "teichmuller", "--p", P61, "--prec", "64", "2"],
+    ["hensel", "solve", "--p", P61, "--prec", "64", "--poly", "x^2-4", "--x0", "2", "--t", "1"],
+    ["hensel", "solve", "--p", "7", "--prec", "64", "--poly", "x^256-2", "--x0", "1", "--t", "1"],
+    ["hensel", "check", "--p", P61, "--prec", "64", "--poly", "x^256-2", "--x0", "1", "--t", "100000000"],
+    ["hensel", "image", "--p", P31, "--prec", "64", "--poly", "x^2-2", "--x0", "3", "--t", "1", "--level", "2"],
+    ["hensel", "nthroot", "--p", P61, "--prec", "64", "--n", "256", "2"],
+    ["hensel", "nthroot", "--p", P61, "--prec", "64", "--n", "6", "64"],
+    ["hensel", "nthroot", "--p", "13", "--prec", "8", "--n", "12", "1"],
+    ["hensel", "nthroot", "--p", "7", "--prec", "8", "--n", "6", "2"],
+    ["hensel", "nthroot", "--p", "2", "--prec", "64", "--n", "256", "1"],
+    ["plog", "log", "--p", P31, "--prec", "64", P31],
+    ["plog", "invert", "--p", P61, "--prec", "64", P61],
+    ["plog", "poly", "--p", P61, "--prec", "64", "--domain-val", "100000000"],
+    ["analytic", "recenter", "--p", P61, "--prec", "64", "--poly", "x^256+x+1", "3"],
+    ["analytic", "bounds", "--p", P61, "--prec", "64", "--poly", "x^256+x+1", "--radius-exp", "100000000"],
+    ["series", "invert", "--field", f"fp:{P61}", _S256],
+    ["series", "compose", "--field", "q", _S256, "T + T^2 + O(T^256)"],
+    ["series", "mul", "--field", "q", "--order", "100000000", _S256, _S256],
+    ["measure", "count", "--p", P31, "--level", "300"],
+    ["measure", "split", "--p", "2", '{"level":14000,"center":1}'],
+    ["measure", "translate", "--shift", P64, '{"p":2,"balls":[{"level":4000,"center":1}]}'],
+]
+
+# the slowest edge case above takes under a second on a 2-vCPU host
+FUZZ_CALL_SECONDS = 10
+
+
 def test_cli_never_crashes_on_fuzzed_argv():
-    """Malformed input must map to exit 1 or 2, never an exception."""
+    """Every input exits 0, 1 or 2 in bounded time, never with an exception."""
     from hypothesis import example, given, settings
     from hypothesis import strategies as st
 
@@ -595,10 +659,12 @@ def test_cli_never_crashes_on_fuzzed_argv():
             "invert", "eval", "--field", "fp:5", "1+T+O(T^100000000)", "x^100000000",
             "norm", "--ratio", "norms", "--r", "fubini", "partition", "--blocks",
             "count", "nthroot", "image",
+            P31, P61, P64, "7 + 9*5 + O(5^4)", "100000000", "256", "12", "x^256+x+1",
+            "--order", "reduce", "digits", "teichmuller", "recenter", "--domain-val",
         ]
     )
 
-    repros = MALFORMED_OPTION_AND_SHAPE_REPROS + [
+    repros = MALFORMED_OPTION_AND_SHAPE_REPROS + EDGE_VALUE_CASES + [
         argv for argv, _, _ in DISCARDED_POWER_REPROS + UNBOUNDED_INPUT_REPROS
     ]
 
@@ -614,8 +680,10 @@ def test_cli_never_crashes_on_fuzzed_argv():
     @with_repros
     def run_fuzz(argv):
         out, err = io.StringIO(), io.StringIO()
+        started = time.perf_counter()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
+        assert time.perf_counter() - started < FUZZ_CALL_SECONDS, argv
         assert code in (0, 1, 2)
         if code != 0:
             assert out.getvalue() == ""
