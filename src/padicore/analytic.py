@@ -23,7 +23,7 @@ lower bound, which can only weaken (never falsify) the guarantees.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError, PrimeMismatchError, UnsupportedRuleError
@@ -161,35 +161,30 @@ def quadratic_bound(f, radius_exp):
     )
 
 
-@dataclass(frozen=True)
-class ValuationGrowthRule:
+class ValuationGrowthRule(namedtuple("ValuationGrowthRule", "slope logflag offset")):
     """Certified lower bound v(a_j) >= slope*j - logflag*floor(log_p j) - offset.
 
     Describes the coefficient decay of the two infinite-tail shapes this
     package needs: geometric tails (logflag = 0) and the logarithm tail
     (logflag = 1).  The bound is treated as tight when deciding boundary
-    behaviour.
+    behaviour.  The slope is kept as a Fraction.
     """
 
-    slope: Fraction
-    logflag: int = 0
-    offset: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "slope", Fraction(self.slope))
-        if self.slope < 0:
+    def __new__(cls, slope, logflag=0, offset=0):
+        slope = Fraction(slope)
+        if slope < 0:
             raise UnsupportedRuleError("negative slope is not a supported shape")
-        if self.logflag not in (0, 1):
+        if logflag not in (0, 1):
             raise UnsupportedRuleError("logflag must be 0 or 1")
+        return super().__new__(cls, slope, logflag, offset)
 
 
-@dataclass(frozen=True)
-class RadiusReport:
+class RadiusReport(namedtuple("RadiusReport", "rho_exponent terms_vanish_on_boundary witness")):
     """Radius of convergence p**rho_exponent plus boundary behaviour."""
 
-    rho_exponent: Fraction
-    terms_vanish_on_boundary: bool
-    witness: str
+    __slots__ = ()
 
 
 def radius_of_convergence(rule):

@@ -55,7 +55,7 @@ def _check_prec(prec, cap):
 
 
 def _maybe_json(obj):
-    """Canonical JSON for report dataclasses and simple values."""
+    """Canonical JSON for report fields and simple values."""
     if isinstance(obj, Fraction):
         return str(obj)
     if obj is math.inf:
@@ -63,16 +63,18 @@ def _maybe_json(obj):
     return obj
 
 
-def _value_text(v):
-    """A sum or norm of the summation checks: a rational or a Padic.
+def _check_prints(q):
+    """A rational or int answer whose numerator or denominator has more
+    digits than str() prints is a DomainError."""
+    if not (int_prints(q.numerator) and int_prints(q.denominator)):
+        raise DomainError(f"the answer has more than {str_digit_limit()} digits")
 
-    A rational whose numerator or denominator has more digits than str()
-    prints is a DomainError.
-    """
+
+def _value_text(v):
+    """A sum or norm of the summation checks: a rational or a Padic."""
     if not isinstance(v, Fraction):
         return v.pretty()
-    if not (int_prints(v.numerator) and int_prints(v.denominator)):
-        raise DomainError(f"the answer has more than {str_digit_limit()} digits")
+    _check_prints(v)
     return str(v)
 
 
@@ -175,6 +177,9 @@ def _series_operand(text, args):
 
 
 def _emit_series(args, s):
+    unit = getattr(s, "unit", s)  # a LaurentSeries is T**tail * unit
+    for c in unit.coeffs if unit is not None else ():
+        _check_prints(c)
     return _emit(args, s.pretty(), json.loads(textforms.series_to_json(s)))
 
 

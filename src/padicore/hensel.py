@@ -25,7 +25,7 @@ lifts, and an exhaustive ball-image verifier for small moduli.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .analytic import PadicPolynomial, quadratic_bound
 from .errors import (
@@ -41,21 +41,19 @@ from .padics import Padic
 _IMAGE_GUARD = 10**6
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(
+    namedtuple("ConditionReport", "ok ok_nonstrict derivative_valuation mu2 gap")
+):
     """Outcome of the contraction-condition check.
 
     ``ok`` is the strict inequality needed for the closed-ball statement;
     ``ok_nonstrict`` is the relaxed form that still yields the open-ball
     conclusions.  ``gap`` = t_exp + mu2 - v(f'(x0)) is the per-step
-    valuation gain of the iteration when positive.
+    valuation gain of the iteration when positive.  ``mu2`` and ``gap``
+    are ints or math.inf.
     """
 
-    ok: bool
-    ok_nonstrict: bool
-    derivative_valuation: int
-    mu2: object  # int or math.inf
-    gap: object  # int or math.inf
+    __slots__ = ()
 
 
 def check_condition(f, x0, m, t_exp):
@@ -233,8 +231,19 @@ def nth_root(u, n):
     u0 = u.residue(1).value
     seed = root_mod(u0, n, p)
     if seed is None:
-        raise NoRootError(f"{u0} is not an {n}-th power residue mod {p}")
+        raise NoRootError(f"{u0} is not {_an_nth(n)} power residue mod {p}")
     return _unit_root(u, n, seed, 1)
+
+
+def _an_nth(n):
+    """The ordinal of n with its article: "a 2nd", "an 8th", "an 11th", "a 21st"."""
+    suffix = {1: "st", 2: "nd", 3: "rd"}.get(n % 10, "th")
+    if n % 100 in (11, 12, 13):
+        suffix = "th"
+    digits = str(n)
+    lead = digits[: (len(digits) - 1) % 3 + 1]  # as read: eight..., eleven..., eighteen...
+    article = "an" if lead[0] == "8" or lead in ("11", "18") else "a"
+    return f"{article} {n}{suffix}"
 
 
 def teichmuller(a, p=None, abs_prec=None):
@@ -273,16 +282,18 @@ def teichmuller(a, p=None, abs_prec=None):
     return Padic.from_int(x, p, abs_prec, cap=abs_prec)
 
 
-@dataclass(frozen=True)
-class BallImageReport:
-    """Exhaustive comparison of f(source ball) with the predicted image."""
+class BallImageReport(
+    namedtuple(
+        "BallImageReport", "status equal level source_size image_size target_size"
+    )
+):
+    """Exhaustive comparison of f(source ball) with the predicted image.
 
-    status: str  # "verified" or "condition-not-met"
-    equal: bool
-    level: int
-    source_size: int
-    image_size: int
-    target_size: int
+    ``status`` is "verified" or "condition-not-met"; the report is true
+    when the image was verified equal to the target.
+    """
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.status == "verified" and self.equal

@@ -17,7 +17,7 @@ holding holes splits only along the paths down to them.  A result of more
 than 10**6 balls is refused before it is built, which bounds the time.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError, EnumerationGuardError, PrimeMismatchError
@@ -26,27 +26,36 @@ from .intmath import check_prime
 _BALL_GUARD = 10**6
 
 
-@dataclass(frozen=True, order=True)
-class Ball:
-    """The congruence class center + p**level Z_p inside Z_p."""
+class Ball(namedtuple("Ball", "p level center")):
+    """The congruence class center + p**level Z_p inside Z_p.
 
-    p: int
-    level: int
-    center: int
+    An immutable (p, level, center) tuple: equality, hashing and ordering
+    are the tuple's.  The center is reduced mod p**level; a nonnegative
+    int center too short to reach p**level is kept as it is, so a huge
+    level costs nothing.
+    """
 
-    def __post_init__(self):
-        check_prime(self.p)
-        if self.level < 0:
+    __slots__ = ()
+
+    def __new__(cls, p, level, center):
+        check_prime(p)
+        if level < 0:
             raise DomainError("ball level must be nonnegative")
-        object.__setattr__(self, "center", self.center % self.p**self.level)
+        # a nonnegative int of at most level * (bit_length(p) - 1) bits is
+        # below 2**(level * (bit_length(p) - 1)) <= p**level, so reduced
+        if (
+            type(center) is not int
+            or center < 0
+            or center.bit_length() > level * (p.bit_length() - 1)
+        ):
+            center %= p**level
+        return tuple.__new__(cls, (p, level, center))
 
     def split(self):
         """The p disjoint sub-balls one level down, partitioning this ball."""
-        step = self.p**self.level
-        return tuple(
-            Ball(self.p, self.level + 1, self.center + i * step)
-            for i in range(self.p)
-        )
+        p, level, center = self
+        step = p**level
+        return tuple(_ball(p, level + 1, center + i * step) for i in range(p))
 
     def contains(self, other):
         """Ball containment; in an ultrametric this is the only overlap."""
@@ -60,7 +69,7 @@ class Ball:
     def parent(self):
         if self.level == 0:
             raise DomainError("the unit ball has no parent")
-        return Ball(self.p, self.level - 1, self.center % self.p ** (self.level - 1))
+        return _ball(self.p, self.level - 1, self.center % self.p ** (self.level - 1))
 
     def measure(self, branching=None):
         """Exact measure (1/branching)**level; branching defaults to p."""
@@ -87,25 +96,37 @@ def _cover(p, index, level, center):
     return None
 
 
-def _canonicalise(p, by_level):
-    """Canonical balls of reduced centers by level, in centers x levels time."""
-    # drop any center covered by a coarser kept ball
+def _ball(p, level, center):
+    """A Ball of a checked prime and a center already reduced mod p**level."""
+    return tuple.__new__(Ball, (p, level, center))
+
+
+def _disjoint(p, by_level):
+    """The centers by level that no coarser indexed ball covers."""
     kept = {}
     for lvl in sorted(by_level):
         centers = {c for c in by_level[lvl] if _cover(p, kept, lvl, c) is None}
         if centers:
             kept[lvl] = centers
-    # merge complete p-sibling families, deepest level first so that a
-    # merge can complete a family one level up
+    return kept
+
+
+def _canonicalise(p, kept):
+    """Canonical balls of disjoint reduced centers by level.
+
+    Complete p-sibling families merge, deepest level first so that a merge
+    can complete a family one level up; one reduction per center.
+    """
     for lvl in range(max(kept, default=0), 0, -1):
+        step = p ** (lvl - 1)
         parents = {}
         for c in kept.get(lvl, ()):
-            parents.setdefault(c % p ** (lvl - 1), []).append(c)
+            parents.setdefault(c % step, []).append(c)
         for parent, children in parents.items():
             if len(children) == p:
                 kept[lvl].difference_update(children)
                 kept.setdefault(lvl - 1, set()).add(parent)
-    return tuple(Ball(p, lvl, c) for lvl in sorted(kept) for c in sorted(kept[lvl]))
+    return tuple(_ball(p, lvl, c) for lvl in sorted(kept) for c in sorted(kept[lvl]))
 
 
 class ClopenSet:
@@ -120,11 +141,11 @@ class ClopenSet:
             if b.p != p:
                 raise PrimeMismatchError("ball from a different prime")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "balls", _canonicalise(p, _index(balls)))
+        object.__setattr__(self, "balls", _canonicalise(p, _disjoint(p, _index(balls))))
 
     @classmethod
     def _from_index(cls, p, by_level):
-        """The set of the centers indexed by level, for a checked prime p."""
+        """The set of disjoint centers indexed by level, for a checked prime p."""
         s = object.__new__(cls)
         object.__setattr__(s, "p", p)
         object.__setattr__(s, "balls", _canonicalise(p, by_level))

@@ -15,7 +15,7 @@ executable.
 """
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 
@@ -94,13 +94,14 @@ class FiniteFamily:
         return max(_abs_exact(v) for v in self.values)
 
 
-@dataclass(frozen=True)
-class NormReport:
-    """Exact norms: the sup norm, and the r-th power of the l^r norm."""
+class NormReport(namedtuple("NormReport", "sup r lr_power")):
+    """Exact norms: the sup norm, and the r-th power of the l^r norm.
 
-    sup: Fraction
-    r: object  # positive int, or the string "inf"
-    lr_power: Fraction  # sum of |f(x)|**r; equals sup for r = "inf"
+    ``r`` is a positive int or the string "inf"; ``lr_power`` is the sum
+    of |f(x)|**r, and equals ``sup`` for r = "inf".
+    """
+
+    __slots__ = ()
 
 
 def norms(family, r):
@@ -157,14 +158,10 @@ def bfs_norm(family):
     return best
 
 
-@dataclass(frozen=True)
-class FubiniReport:
+class FubiniReport(namedtuple("FubiniReport", "row_first column_first direct equal")):
     """Row-first, column-first, and direct totals of a finite grid."""
 
-    row_first: object
-    column_first: object
-    direct: object
-    equal: bool
+    __slots__ = ()
 
 
 def fubini_check(rows):
@@ -191,14 +188,12 @@ def fubini_check(rows):
     )
 
 
-@dataclass(frozen=True)
-class PartitionReport:
+class PartitionReport(
+    namedtuple("PartitionReport", "block_totals total_from_blocks direct equal")
+):
     """Block sums against the direct total over the whole index set."""
 
-    block_totals: tuple
-    total_from_blocks: object
-    direct: object
-    equal: bool
+    __slots__ = ()
 
 
 def partition_check(family, blocks):

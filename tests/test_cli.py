@@ -445,9 +445,19 @@ UNPRINTABLE_SUMS = [
     ["sums", "partition", "--blocks", "[[0],[1]]", f'{{"mode":"rational","values":{_HUGE_PAIR}}}'],
 ]
 
+_BIG_QQ = '{"field":"QQ","order_prec":3,"coeffs":["1e4000"]}'
+_BIG_QQ_LAURENT = '{"field":"QQ","order_prec":3,"coeffs":["1e4000"],"tail_valuation":-1}'
+
+# QQ series answers with a coefficient of more digits than str() prints
+UNPRINTABLE_SERIES = [
+    ["series", "mul", "--field", "q", _BIG_QQ, _BIG_QQ],
+    ["series", "mul", _BIG_QQ_LAURENT, _BIG_QQ_LAURENT],
+    ["series", "invert", '{"field":"QQ","order_prec":3,"coeffs":["2e-3000","1"]}'],
+]
+
 # inputs that hung or ended in a traceback: an n-th root seed that scanned
 # range(p), decimal exponents and pretty p-adic terms that built a huge
-# power, an l^r norm that built 2**(10**8), and unprintable sums:
+# power, an l^r norm that built 2**(10**8), and unprintable answers:
 # (argv, exit code, stdout)
 UNBOUNDED_INPUT_REPROS = [
     (["hensel", "nthroot", "--p", "1000000009", "--n", "3", "--prec", "2", "5"], 1, ""),
@@ -458,7 +468,7 @@ UNBOUNDED_INPUT_REPROS = [
     (["series", "norm", "--field", "q", "--ratio", "1e-100000000", "T + O(T^3)"], 2, ""),
     (["sums", "norms", "--r", "100000000", '{"mode":"rational","values":["2"]}'], 2, ""),
     (["padic", "add", "--p", "7", "--prec", "8", "1*7^-1000000+O(7^3)", "1"], 2, ""),
-] + [(argv, 1, "") for argv in UNPRINTABLE_SUMS]
+] + [(argv, 1, "") for argv in UNPRINTABLE_SUMS + UNPRINTABLE_SERIES]
 
 
 def _finish_as_processes(repros):
@@ -500,6 +510,19 @@ def test_unprintable_sums_are_domain_errors():
     assert code == 0 and out == f"sup {10**16}, ||f||_256^256 = {10**4096}\n"
     code, out, _ = run(["sums", "bfs", '{"mode":"rational","values":["4e4299","5e4299"]}'])
     assert code == 0 and out == f"{9 * 10**4299}\n"
+
+
+def test_unprintable_series_are_domain_errors():
+    for argv in UNPRINTABLE_SERIES:
+        for fmt in ("pretty", "json"):
+            code, out, err = run(argv + ["--format", fmt])
+            assert (code, out) == (1, "") and err == "error: the answer has more than 4300 digits\n"
+    # the largest coefficients that print still answer, and a zero Laurent series
+    a, b = ('{"field":"QQ","order_prec":2,"coeffs":["%s"]}' % c for c in ("1e2150", "1e2149"))
+    code, out, _ = run(["series", "mul", a, b])
+    assert code == 0 and out == f"{10**4299} + O(T^2)\n"
+    code, out, _ = run(["series", "mul", "--field", "q", "T^-1 + O(T^2)", "O(T^3)"])
+    assert code == 0 and out == "O(T^2)\n"
 
 
 def test_bounded_literals_keep_what_they_accepted():

@@ -290,6 +290,22 @@ def test_nth_root_examples():
         nth_root(Padic.from_int(2, 5, 4), 10)  # 10 not prime to 5
 
 
+@pytest.mark.parametrize(
+    "n, ordinal",
+    [(2, "a 2nd"), (3, "a 3rd"), (6, "a 6th"), (8, "an 8th"), (11, "an 11th"), (12, "a 12th"),
+     (13, "a 13th"), (18, "an 18th"), (21, "a 21st"), (22, "a 22nd")],
+)
+def test_no_root_message_names_the_ordinal(n, ordinal):
+    p = next(q for q in range(n + 1, 10**4, n) if all(q % d for d in range(2, math.isqrt(q) + 1)))
+    u0 = next(a for a in range(2, p) if least_residue_root(a, n, p) is None)
+    with pytest.raises(NoRootError) as caught:
+        nth_root(Padic.from_int(u0, p, 4), n)
+    assert str(caught.value) == f"{u0} is not {ordinal} power residue mod {p}"
+    if n == 2:
+        with pytest.raises(NoRootError, match=f"^{u0} is not a quadratic residue mod {p}$"):
+            sqrt(Padic.from_int(u0, p, 4))
+
+
 def test_nth_root_postcondition():
     rng = rng_for("nthroot-post")
     for p, n in ((7, 3), (5, 3), (3, 2)):

@@ -12,6 +12,7 @@ from padicore.errors import (
 )
 from padicore.textforms import clopen_to_json
 from helpers import (
+    best_time,
     enumerated_complement,
     enumerated_difference,
     enumerated_intersect,
@@ -44,6 +45,21 @@ def test_split_then_merge_is_identity():
     for p in (2, 3, 5):
         b = Ball(p, 2, p + 1)
         assert ClopenSet(p, b.split()) == ClopenSet(p, [b])
+
+
+def test_ball_center_is_reduced():
+    for p in (2, 3, 5, 7, 11):
+        for level in range(5):
+            for c in range(-2 * p ** (level + 1), 2 * p ** (level + 1)):
+                assert Ball(p, level, c).center == c % p**level, (p, level, c)
+
+
+def test_a_huge_level_builds_no_power():
+    # a nonnegative center of at most level * (bit_length(p) - 1) bits is
+    # below p**level and kept as it is; building 3**(10**8) takes minutes
+    assert best_time(lambda: Ball(3, 10**8, 5)) < 0.01
+    assert Ball(3, 10**8, 5).center == 5
+    assert best_time(lambda: Ball(2**61 - 1, 10**8, 2**61)) < 0.01
 
 
 def test_ball_measure():
@@ -223,3 +239,26 @@ def test_many_ball_sets_match_enumeration():
             (b.complement(), enumerated_complement(b)),
         ):
             assert clopen_to_json(got) == clopen_to_json(want)
+
+
+def test_difference_results_match_the_checked_constructor(monkeypatch):
+    """difference (and so complement) hands disjoint centers to
+    _from_index, which skips the cover check of the public constructor."""
+    rng = rng_for("trusted-index")
+    cases = [
+        (random_clopen(rng, p, max_level), random_clopen(rng, p, max_level))
+        for p, max_level in ((2, 9), (3, 6), (5, 4), (7, 3), (31, 2))
+        for _ in range(200)
+    ]
+
+    def results():
+        return [(a.difference(b), b.difference(a), a.complement()) for a, b in cases]
+
+    trusted = results()
+
+    def checked(cls, p, by_level):
+        return cls(p, [Ball(p, lvl, c) for lvl, centers in by_level.items() for c in centers])
+
+    monkeypatch.setattr(ClopenSet, "_from_index", classmethod(checked))
+    assert results() == trusted
+    assert sum(len(s.balls) for triple in trusted for s in triple) > 10_000
