@@ -9,6 +9,14 @@ wide enough for every input and output coefficient, and each value is
 stored biased by half the slot's range, so signed coefficients pack and
 unpack without borrows between slots.
 
+Slots of at most 8 bytes are machine words: their width rounds up to 1,
+2, 4 or 8 bytes, and ``array`` with a signed typecode packs and unpacks
+all of them in C.  A signed word differs from the biased one only in its
+top bit, so the packed integer is the words' bytes XOR the bias pattern,
+minus that pattern; unpacking adds the pattern, masks and XORs it back.
+Wider slots (coefficients mod 2**61 - 1, large rationals) go through
+``int.to_bytes``/``int.from_bytes`` one coefficient at a time.
+
 ``compose`` is Brent and Kung's baby-step/giant-step composition
 (*Fast algorithms for manipulating formal power series*, 1978, Alg. 2.1),
 over the integers or mod p.  With m = ceil(sqrt(k)) for k coefficients of
@@ -25,13 +33,22 @@ rule in g makes n.
 Coefficient lists are little-endian (index = exponent).
 """
 
+import sys
+from array import array
 from math import isqrt
 from operator import mul
+
+_WORDS = {1: "b", 2: "h", 4: "i", 8: "q"}  # slot width in bytes -> signed typecode
+if any(array(code).itemsize != width for width, code in _WORDS.items()):
+    raise ImportError("array typecodes b, h, i and q must be 1, 2, 4 and 8 bytes wide")
+_SWAP = sys.byteorder == "big"  # array words are native-endian, slots little-endian
 
 
 def _slots(bits):
     """Byte width and bias of slots for values of at most `bits` bits."""
     width = bits // 8 + 1  # every value lies strictly inside (-bias, bias)
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()  # the machine word that holds it
     return width, 1 << (8 * width - 1)
 
 
@@ -42,15 +59,29 @@ def _biases(m, width, bias):
 
 def _pack(xs, width, bias):
     """The integer sum of xs[i] * 2**(8 * width * i)."""
-    packed = b"".join((x + bias).to_bytes(width, "little") for x in xs)
-    return int.from_bytes(packed, "little") - _biases(len(xs), width, bias)
+    biases = _biases(len(xs), width, bias)
+    code = _WORDS.get(width)
+    if code is None:
+        packed = b"".join((x + bias).to_bytes(width, "little") for x in xs)
+        return int.from_bytes(packed, "little") - biases
+    words = array(code, xs)
+    if _SWAP:
+        words.byteswap()
+    return (int.from_bytes(words, "little") ^ biases) - biases
 
 
 def _unpack(v, m, width, bias):
     """The first m slot values of a packed integer v."""
-    low = (v + _biases(m, width, bias)) & ((1 << (8 * width * m)) - 1)
-    raw = low.to_bytes(width * m, "little")
-    return [int.from_bytes(raw[i : i + width], "little") - bias for i in range(0, width * m, width)]
+    biases = _biases(m, width, bias)
+    low = (v + biases) & ((1 << (8 * width * m)) - 1)
+    code = _WORDS.get(width)
+    if code is None:
+        raw = low.to_bytes(width * m, "little")
+        return [int.from_bytes(raw[i : i + width], "little") - bias for i in range(0, width * m, width)]
+    words = array(code, (low ^ biases).to_bytes(width * m, "little"))
+    if _SWAP:
+        words.byteswap()
+    return words.tolist()
 
 
 def convolve(a, b, n):

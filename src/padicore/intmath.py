@@ -40,6 +40,8 @@ def newton_lift(step, x, start, n):
     bottom, so each needs only what the one before delivers, and the
     result is correct mod p**n.
     """
+    if start < 2:  # n//2 + 1 never falls below 2, so the schedule would not end
+        raise ValueError(f"newton_lift needs start >= 2, got {start}")
     ks = []
     while n > start:
         ks.append(n)

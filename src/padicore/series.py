@@ -211,6 +211,21 @@ class PowerSeries:
         raise AttributeError("PowerSeries is immutable")
 
     @classmethod
+    def _raw(cls, field, coeffs, prec):
+        """A series of a list or tuple of exactly prec raw field values.
+
+        Nothing is coerced or checked: the results of series arithmetic are
+        already raw values.  (A sized sequence also gives ``tuple`` the exact
+        length; built from an iterator, small tuples would drift between
+        CPython's per-length free lists.)
+        """
+        series = object.__new__(cls)
+        object.__setattr__(series, "field", field)
+        object.__setattr__(series, "prec", prec)
+        object.__setattr__(series, "coeffs", tuple(coeffs))
+        return series
+
+    @classmethod
     def one(cls, field, prec):
         return cls(field, [field.one], prec)
 
@@ -231,16 +246,10 @@ class PowerSeries:
     def __add__(self, other):
         self._check(other)
         n = min(self.prec, other.prec)
-        add = self.field.add
-        return PowerSeries(
-            self.field,
-            [add(self.coeffs[i], other.coeffs[i]) for i in range(n)],
-            n,
-        )
+        return PowerSeries._raw(self.field, list(map(self.field.add, self.coeffs, other.coeffs)), n)
 
     def __neg__(self):
-        neg = self.field.neg
-        return PowerSeries(self.field, [neg(c) for c in self.coeffs], self.prec)
+        return PowerSeries._raw(self.field, list(map(self.field.neg, self.coeffs)), self.prec)
 
     def __sub__(self, other):
         return self + (-other)
@@ -252,14 +261,14 @@ class PowerSeries:
             out = _kernels.convolve_mod(
                 list(self.coeffs), list(other.coeffs), n, self.field.p
             )
-            return PowerSeries(self.field, out, n)
+            return PowerSeries._raw(self.field, out, n)
         da = _common_denominator(self.coeffs)
         db = _common_denominator(other.coeffs)
-        ia = [int(c * da) for c in self.coeffs]
-        ib = [int(c * db) for c in other.coeffs]
+        ia = [c.numerator * (da // c.denominator) for c in self.coeffs]
+        ib = [c.numerator * (db // c.denominator) for c in other.coeffs]
         out = _kernels.convolve(ia, ib, n)
         d = da * db
-        return PowerSeries(self.field, [Fraction(c, d) for c in out], n)
+        return PowerSeries._raw(self.field, [Fraction(c, d) for c in out], n)
 
     def scale(self, a):
         a = self.field.coerce(a)
@@ -274,7 +283,9 @@ class PowerSeries:
             raise DomainError(
                 f"cannot raise series precision from {self.prec} to {prec}"
             )
-        return PowerSeries(self.field, self.coeffs[:prec], prec)
+        if prec < 0:
+            raise DomainError("order precision must be nonnegative")
+        return PowerSeries._raw(self.field, self.coeffs[:prec], prec)
 
     def order(self):
         """Index of the first nonzero stored coefficient, or None.
@@ -318,11 +329,12 @@ class PowerSeries:
         correct coefficients per step (Brent & Kung, 1978).
         """
         field, n = self.field, self.prec
-        x = PowerSeries(field, [field.inv(self.coeffs[0])] if n else [], min(n, 1))
+        x = PowerSeries._raw(field, [field.inv(self.coeffs[0])] if n else [], min(n, 1))
         while x.prec < n:
             m = min(2 * x.prec, n)
-            x = PowerSeries(field, x.coeffs, m)
-            x = x + x * (PowerSeries.one(field, m) - self.truncate(m) * x)
+            x = PowerSeries._raw(field, x.coeffs + (field.zero,) * (m - x.prec), m)
+            one = PowerSeries._raw(field, (field.one,) + (field.zero,) * (m - 1), m)
+            x = x + x * (one - self.truncate(m) * x)
         return x
 
     def compose(self, other):
@@ -333,7 +345,7 @@ class PowerSeries:
             raise DomainError("composition requires zero constant term")
         if self.field.kind == "fp":
             out = _kernels.compose(list(self.coeffs), list(other.coeffs), n, self.field.p)
-            return PowerSeries(self.field, out, n)
+            return PowerSeries._raw(self.field, out, n)
         # F = df*f and G = dg*g have integer coefficients, and the kernel
         # returns dg**(n-1) * F(G/dg) = df * dg**(n-1) * f(g)
         df = _common_denominator(self.coeffs[:n])
@@ -342,7 +354,7 @@ class PowerSeries:
         gi = [c.numerator * (dg // c.denominator) for c in other.coeffs[:n]]
         d = df * dg ** (n - 1) if n else 1
         out = _kernels.compose(fi, gi, n, d=dg)
-        return PowerSeries(self.field, [Fraction(c, d) for c in out], n)
+        return PowerSeries._raw(self.field, [Fraction(c, d) for c in out], n)
 
     # -------------------------------------------------------------- calculus
 
@@ -350,7 +362,7 @@ class PowerSeries:
         """Formal derivative; output precision drops by one."""
         n = max(self.prec - 1, 0)
         mul_int = self.field.mul_int
-        return PowerSeries(
+        return PowerSeries._raw(
             self.field,
             [mul_int(j, self.coeffs[j]) for j in range(1, self.prec)],
             n,
@@ -422,6 +434,16 @@ class LaurentSeries:
     @classmethod
     def from_power_series(cls, ps, tail=0):
         return cls(ps.field, list(ps.coeffs), tail, ps.prec)
+
+    @classmethod
+    def _of_unit(cls, unit, tail):
+        """T**tail times a PowerSeries with nonzero constant term, kept as it is."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "field", unit.field)
+        object.__setattr__(series, "unit", unit)
+        object.__setattr__(series, "tail", tail)
+        object.__setattr__(series, "order_bound", None)
+        return series
 
     @property
     def is_zero(self):
@@ -508,7 +530,7 @@ class LaurentSeries:
         """
         if self.is_zero:
             raise DivisionByZeroError("cannot invert a zero-to-order series")
-        return LaurentSeries.from_power_series(self.unit._inverse(), -self.tail)
+        return LaurentSeries._of_unit(self.unit._inverse(), -self.tail)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):

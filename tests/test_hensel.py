@@ -25,7 +25,7 @@ from padicore.errors import (
     EnumerationGuardError,
     IndeterminateConditionError,
 )
-from padicore.intmath import root_mod
+from padicore.intmath import newton_lift, root_mod
 from helpers import (
     best_time,
     brute_force_root,
@@ -385,6 +385,19 @@ def test_nth_root_seed_at_a_large_prime_is_the_least_branch():
     c = nth_root(Padic.from_int(8, q, 2), 3)
     assert c.residue(1).value == 2 and pow(c.residue(2).value, 3, q**2) == 8
     assert time.perf_counter() - started < 1
+
+
+
+def test_newton_lift_rejects_a_start_below_two():
+    """From start 1 the schedule n -> n//2 + 1 stops at 2, and the step list would grow forever."""
+    started = time.perf_counter()
+    for start in (1, 0, -3):
+        with pytest.raises(ValueError):
+            newton_lift(lambda x, k: x, 1, start, 10)
+    assert time.perf_counter() - started < 1
+    ks = []
+    assert newton_lift(lambda x, k: ks.append(k) or x, 1, 2, 10) == 1
+    assert ks == [3, 4, 6, 10]
 
 
 def test_teichmuller_examples():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import padicore._kernels as kernels
 from padicore import QQ, PowerSeries, PrimeFieldCoefficients
+from padicore.intmath import check_prime
 from helpers import rng_for, schoolbook_compose, schoolbook_mul
 
 LARGE_PRIMES = [2**61 - 1, 2**64 - 59]
@@ -51,6 +52,65 @@ def test_large_prime_compositions_match_schoolbook(p):
         f = [rng.randrange(p) for _ in range(n)]
         g = [0] + [rng.randrange(p) for _ in range(n - 1)]
         assert kernels.compose(f, g, n, p) == schoolbook_compose(f, g, n, p)
+
+
+# slot width in bytes -> the least prime above the slot's largest value 2**(8w - 1) - 1
+SLOT_PRIMES = {1: 131, 2: 32771, 4: 2147483659, 8: 9223372036854775837, 9: 2361183241434822606859}
+
+
+def test_slot_widths_round_up_to_machine_words():
+    """Natural widths 1-8 round up to 1, 2, 4 or 8 bytes; wider slots keep their width."""
+    rounded = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8, 9: 9, 10: 10, 17: 17}
+    for natural, width in rounded.items():
+        for bits in (8 * natural - 8, 8 * natural - 1):  # the natural width's first and last bit counts
+            assert kernels._slots(bits) == (width, 1 << (8 * width - 1)), bits
+    assert sorted(kernels._WORDS) == [1, 2, 4, 8]
+
+
+@pytest.mark.parametrize("width", sorted(SLOT_PRIMES))
+def test_products_fill_each_slot_width(width):
+    """Product coefficients of +-(2**(8w-1) - 1) fill a slot of w bytes: words, then bytes at 9."""
+    top = 2 ** (8 * width - 1) - 1
+    assert kernels._slots(top.bit_length())[0] == width < kernels._slots(top.bit_length() + 1)[0]
+    rng = rng_for(f"kernel-slot-{width}")
+    a = [top * rng.choice((-1, 0, 1)) for _ in range(40)] + [top, -top]
+    for b in ([1], [-1], [0, 1], [-1, 0, 0]):
+        assert kernels.convolve(a, b, len(a) + 3) == schoolbook_mul(a, b, len(a) + 3)
+        assert kernels.convolve(b, a, 45) == schoolbook_mul(b, a, 45)
+    c = [1, -1, 0, 1, -1]
+    assert kernels.convolve(c, [top], 6) == [top, -top, 0, top, -top, 0]
+    assert kernels.convolve([-top], c, 6) == [-top, top, 0, -top, top, 0]
+    p = check_prime(SLOT_PRIMES[width])
+    a = [rng.randrange(top + 1) for _ in range(40)] + [top, top - p]  # top - p reduces to top
+    for b in ([1], [1 + p], [0, -p + 1]):
+        out = kernels.convolve_mod(a, b, 45, p)
+        assert out == schoolbook_mul(a, b, 45, p) and max(out) == top
+
+
+@pytest.mark.parametrize("width", sorted(SLOT_PRIMES))
+def test_compositions_fill_each_slot_width(width):
+    """f = [+-top] fills a chunk slot of w bytes; f = +-top*T spreads +-top over f(g)."""
+    top = 2 ** (8 * width - 1) - 1
+    p = SLOT_PRIMES[width]
+    g = [0, 1, -1, 0, 1, -1, 1]
+    for f in ([top], [-top], [0, top], [0, -top], [top, -top]):
+        for n in (1, 2, 7, 9):
+            assert kernels.compose(f, g, n) == schoolbook_compose(f, g, n)
+            assert kernels.compose(f, g, n, p) == schoolbook_compose(f, g, n, p)
+    assert kernels.compose([0, top], g, 7) == [0, top, -top, 0, top, -top, top]
+
+
+@pytest.mark.parametrize("natural", range(1, 10))
+def test_random_operands_in_each_natural_width(natural):
+    """Operands whose product bound needs `natural` bytes, rounded up or not, against schoolbook."""
+    rng = rng_for(f"kernel-natural-width-{natural}")
+    for n in (1, 5, 33):
+        bits = max(1, (8 * natural - 1 - n.bit_length()) // 2)  # product bound about 2*bits + log2(n)
+        a = [rng.randrange(-(2**bits), 2**bits) for _ in range(n)]
+        b = [rng.randrange(-(2**bits), 2**bits) for _ in range(n)]
+        assert kernels.convolve(a, b, 2 * n) == schoolbook_mul(a, b, 2 * n)
+        f, g = a, [0] + [rng.randrange(-3, 4) for _ in range(n - 1)]
+        assert kernels.compose(f, g, n) == schoolbook_compose(f, g, n)
 
 
 COMPOSE_ORDERS = list(range(12)) + [16, 17, 37, 64, 100, 128, 256]

@@ -282,3 +282,37 @@ def test_truncate_guards():
     assert f.truncate(2).coeffs == (1, 2)
     with pytest.raises(DomainError):
         f.truncate(5)
+    with pytest.raises(DomainError):
+        f.truncate(-1)
+
+
+def _assert_checked_equal(s):
+    """s equals the series the public constructor builds from its coefficients, value types included."""
+    raw_type = int if s.field.kind == "fp" else Fraction
+    assert type(s.coeffs) is tuple and len(s.coeffs) == s.prec
+    assert all(type(c) is raw_type for c in s.coeffs)
+    checked = PowerSeries(s.field, list(s.coeffs), s.prec)
+    assert s == checked and s.coeffs == checked.coeffs and hash(s) == hash(checked)
+
+
+@pytest.mark.parametrize("make", ["fp2", "fp5", "fp65537", f"fp{2**61 - 1}", "q"])
+def test_trusted_results_match_the_public_constructor(make):
+    """Results built without re-coercion equal the checked constructor's, op by op."""
+    rng = rng_for(f"raw-results-{make}")
+    for _ in range(40):
+        n = rng.randrange(0, 40)
+        f, g = _pair(rng, make, n)
+        _, h = _pair(rng, make, n, zero_constant=True)
+        results = [f + g, f - g, -f, f * g, f.compose(h), f.derive(), f.truncate(rng.randrange(n + 1))]
+        if n and f.coeffs[0] != f.field.zero:
+            inverse = f._inverse()
+            results.append(inverse)
+            assert f * inverse == PowerSeries.one(f.field, n)
+            results.append(h.invert_one_minus())
+            laurent = LaurentSeries(f.field, list(f.coeffs), rng.randrange(-3, 4), n)
+            inverted = laurent.invert()
+            _assert_checked_equal(inverted.unit)
+            assert inverted == LaurentSeries.from_power_series(inverted.unit, inverted.tail)
+            assert inverted.tail == -laurent.tail and inverted.order_bound is None
+        for result in results:
+            _assert_checked_equal(result)
