@@ -96,8 +96,12 @@ def convolve(a, b, n):
 
 
 def convolve_mod(a, b, n, p):
-    """First n coefficients of the coefficient convolution of a and b mod p."""
-    return [c % p for c in convolve([x % p for x in a[:n]], [x % p for x in b[:n]], n)]
+    """First n coefficients of the coefficient convolution of a and b mod p.
+
+    ``convolve`` is exact on any integers, so only the output is reduced;
+    inputs already reduced mod p keep the slots narrow.
+    """
+    return [c % p for c in convolve(a, b, n)]
 
 
 def compose(f, g, n, p=None, d=1):

@@ -1,38 +1,37 @@
 """Exact ball algebra on the p-adic integers and its Haar measure.
 
-A ball is a congruence class c + p**level Z_p; a clopen set is a finite
-disjoint union of balls in canonical form (no ball contains another, and
-no full family of p siblings survives unmerged; balls sort by (level,
-center)).  Canonical form is unique, so equal sets serialize identically.
+A ball is a congruence class c + p**level Z_p.  Two balls are nested or
+disjoint, so the balls are the nodes of the p-ary digit tree and a clopen
+set is a trie: a dict from a digit to a child, True for a full node (a ball
+of the set), None for the empty set.  No node is empty or has p full
+children, so the form is unique.  Subtrees are shared, never mutated.  One
+walk merges tries for union, intersection and difference: each answers what
+it can (a full or an empty node), the walk descends where both branch and
+collapses on the way up, at p per node where both branch plus p per full
+node a difference splits; a difference over 10**6 balls is refused.
 
-The measure assigns a level-j ball the exact rational (1/N)**j where N is
-the number of level-1 sub-balls of the unit ball (N = p here).  This is
-the Hausdorff measure of exponent alpha with rho_1**alpha = 1/N kept
-symbolically: only the rational (1/N)**j is ever materialised, never a
-real power, so a residue field of some other size q reuses the same
-arithmetic with branching = q.
-
-Boolean operations use that two balls are nested or disjoint, so a ball
-holding holes splits only along the paths down to them.  A result of more
-than 10**6 balls is refused before it is built, which bounds the time.
+A level-j ball has the exact measure (1/N)**j, N = p the number of level-1
+sub-balls: the Hausdorff measure with rho_1**alpha = 1/N kept symbolically,
+so a residue field of size q reuses it with branching = q.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import DomainError, EnumerationGuardError, PrimeMismatchError
 from .intmath import check_prime
 
 _BALL_GUARD = 10**6
+_SPLIT = object()  # a rule's answer: merge the two nodes digit by digit
 
 
 class Ball(namedtuple("Ball", "p level center")):
     """The congruence class center + p**level Z_p inside Z_p.
 
     An immutable (p, level, center) tuple: equality, hashing and ordering
-    are the tuple's.  The center is reduced mod p**level; a nonnegative
-    int center too short to reach p**level is kept as it is, so a huge
-    level costs nothing.
+    are the tuple's.  The int center is reduced mod p**level, unless it is
+    nonnegative and too short to reach p**level: a huge level costs nothing.
     """
 
     __slots__ = ()
@@ -41,13 +40,10 @@ class Ball(namedtuple("Ball", "p level center")):
         check_prime(p)
         if level < 0:
             raise DomainError("ball level must be nonnegative")
-        # a nonnegative int of at most level * (bit_length(p) - 1) bits is
-        # below 2**(level * (bit_length(p) - 1)) <= p**level, so reduced
-        if (
-            type(center) is not int
-            or center < 0
-            or center.bit_length() > level * (p.bit_length() - 1)
-        ):
+        if not isinstance(center, int) or isinstance(center, bool):
+            raise DomainError(f"ball center must be an integer, got {center!r}")
+        # an int in [0, 2**(level * (bit_length(p) - 1))) shifts to 0: below p**level already
+        if type(center) is not int or center >> level * (p.bit_length() - 1):
             center %= p**level
         return tuple.__new__(cls, (p, level, center))
 
@@ -61,10 +57,7 @@ class Ball(namedtuple("Ball", "p level center")):
         """Ball containment; in an ultrametric this is the only overlap."""
         if other.p != self.p:
             raise PrimeMismatchError("balls from different primes")
-        return (
-            other.level >= self.level
-            and other.center % self.p**self.level == self.center
-        )
+        return other.level >= self.level and other.center % self.p**self.level == self.center
 
     def parent(self):
         if self.level == 0:
@@ -80,76 +73,83 @@ class Ball(namedtuple("Ball", "p level center")):
         return {"level": self.level, "center": self.center}
 
 
-def _index(balls):
-    """The centers of `balls` in one set per level."""
-    by_level = {}
-    for b in balls:
-        by_level.setdefault(b.level, set()).add(b.center)
-    return by_level
-
-
-def _cover(p, index, level, center):
-    """The level of an indexed ball containing center + p**level Z_p, or None."""
-    for q, centers in index.items():
-        if q <= level and center % p**q in centers:
-            return q
-    return None
-
-
 def _ball(p, level, center):
     """A Ball of a checked prime and a center already reduced mod p**level."""
     return tuple.__new__(Ball, (p, level, center))
 
 
-def _disjoint(p, by_level):
-    """The centers by level that no coarser indexed ball covers."""
-    kept = {}
-    for lvl in sorted(by_level):
-        centers = {c for c in by_level[lvl] if _cover(p, kept, lvl, c) is None}
-        if centers:
-            kept[lvl] = centers
-    return kept
+def _merge(p, rule, a, b):
+    """The canonical trie that rule(x, y) makes of the tries a and b, node by
+    node on an explicit stack: a trie is as deep as its finest ball's level."""
+    top = {0: rule(a, b)}
+    stack = [(a, b, top, 0)] if top[0] is _SPLIT else []
+    while stack:
+        x, y, parent, digit = stack.pop()
+        if x is None:  # y is a merged node, its children settled; no rule splits an empty x
+            if not y:
+                del parent[digit]
+            elif len(y) == p and list(y.values()).count(True) == p:
+                parent[digit] = True
+            continue
+        full = x is True  # a difference splits a full x against y
+        node = parent[digit] = dict.fromkeys(range(p), True) if full else {}
+        stack.append((None, node, parent, digit))
+        for d in y if full else x.keys() | y.keys():
+            xd, yd = True if full else x.get(d), y.get(d)
+            child = rule(xd, yd)
+            if child is _SPLIT:
+                stack.append((xd, yd, node, d))
+            elif child:
+                node[d] = child
+            elif full:
+                del node[d]
+    return top.get(0)
 
 
-def _canonicalise(p, kept):
-    """Canonical balls of disjoint reduced centers by level.
+def _union(x, y):
+    return True if x is True or y is True else _SPLIT if x and y else x or y
 
-    Complete p-sibling families merge, deepest level first so that a merge
-    can complete a family one level up; one reduction per center.
-    """
-    for lvl in range(max(kept, default=0), 0, -1):
-        step = p ** (lvl - 1)
-        parents = {}
-        for c in kept.get(lvl, ()):
-            parents.setdefault(c % step, []).append(c)
-        for parent, children in parents.items():
-            if len(children) == p:
-                kept[lvl].difference_update(children)
-                kept.setdefault(lvl - 1, set()).add(parent)
-    return tuple(_ball(p, lvl, c) for lvl in sorted(kept) for c in sorted(kept[lvl]))
+
+def _intersect(x, y):
+    return None if not (x and y) else y if x is True else x if y is True else _SPLIT
+
+
+def _count(node):
+    """The number of full nodes in a trie."""
+    count, stack = 0, [node]
+    while stack:
+        node = stack.pop()
+        if node is True:
+            count += 1
+        elif node:
+            stack.extend(node.values())
+    return count
 
 
 class ClopenSet:
-    """A finite disjoint union of balls in Z_p, kept canonical."""
+    """A finite disjoint union of balls in Z_p, kept canonical as a digit trie."""
 
-    __slots__ = ("p", "balls")
+    __slots__ = ("p", "_root", "_balls")
 
-    def __init__(self, p, balls=()):
+    def __new__(cls, p, balls=()):
         check_prime(p)
-        balls = tuple(balls)
+        by_level = {}
         for b in balls:
             if b.p != p:
                 raise PrimeMismatchError("ball from a different prime")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "balls", _canonicalise(p, _disjoint(p, _index(balls))))
-
-    @classmethod
-    def _from_index(cls, p, by_level):
-        """The set of disjoint centers indexed by level, for a checked prime p."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "p", p)
-        object.__setattr__(s, "balls", _canonicalise(p, by_level))
-        return s
+            by_level.setdefault(b.level, []).append(b.center)
+        # the raw trie, made a level at a time from the finest; a ball replaces the finer ones in it
+        nodes, step = {}, p ** max(by_level, default=0)
+        for level in range(max(by_level, default=0), 0, -1):
+            nodes.update(dict.fromkeys(by_level.get(level, ()), True))
+            step, parents = step // p, {}
+            for center, node in nodes.items():
+                digit, parent = divmod(center, step)
+                parents.setdefault(parent, {})[digit] = node
+            nodes = parents
+        root = True if 0 in by_level else nodes.get(0)
+        # merging the raw trie with itself visits every node and collapses it
+        return _clopen(p, _merge(p, _union, root, root))
 
     def __setattr__(self, name, value):
         raise AttributeError("ClopenSet is immutable")
@@ -163,11 +163,29 @@ class ClopenSet:
         return cls(p, [])
 
     @property
+    def balls(self):
+        """The balls sorted by (level, center), listed on the first read."""
+        if self._balls is None:
+            p, centers, balls = self.p, {}, []
+            stack = [(self._root, 0, 0, 1)]  # a node, its level, its center, p**level
+            while stack:
+                node, level, center, step = stack.pop()
+                if node is True:
+                    centers.setdefault(level, []).append(center)
+                elif node:
+                    stack += ((c, level + 1, center + d * step, step * p) for d, c in node.items())
+            for level in sorted(centers):
+                found = zip(repeat(p), repeat(level), sorted(centers[level]))
+                balls += map(tuple.__new__, repeat(Ball), found)
+            object.__setattr__(self, "_balls", tuple(balls))
+        return self._balls
+
+    @property
     def is_empty(self):
-        return not self.balls
+        return not self._root
 
     def max_level(self):
-        return max((b.level for b in self.balls), default=0)
+        return self.balls[-1].level if self._root else 0  # the balls sort by level
 
     def _check(self, other):
         if not isinstance(other, ClopenSet):
@@ -177,70 +195,44 @@ class ClopenSet:
 
     def union(self, other):
         self._check(other)
-        return ClopenSet(self.p, self.balls + other.balls)
+        return _clopen(self.p, _merge(self.p, _union, self._root, other._root))
 
     def intersect(self, other):
-        """Of each nested pair of balls the smaller; disjoint pairs give nothing."""
         self._check(other)
-        p, own, their = self.p, _index(self.balls), _index(other.balls)
-        return ClopenSet(
-            p,
-            [a for a in self.balls if _cover(p, their, a.level, a.center) is not None]
-            + [b for b in other.balls if _cover(p, own, b.level, b.center) is not None],
-        )
+        return _clopen(self.p, _merge(self.p, _intersect, self._root, other._root))
 
     def difference(self, other):
-        """Each ball holding holes splits once, along the paths down to them."""
+        """Self minus other; past 10**6 balls refused before it is built."""
         self._check(other)
-        p, mine, holes = self.p, _index(self.balls), _index(other.balls)
-        # the path nodes by level, from each ball holding holes (a root)
-        # down to the parents of its holes
-        path, roots, nested = {}, set(), 0
-        for h in other.balls:
-            q = _cover(p, mine, h.level, h.center)
-            if q is None or q == h.level:
-                continue
-            nested += 1
-            roots.add((q, h.center % p**q))
-            for lvl in range(h.level - 1, q - 1, -1):
-                centers = path.setdefault(lvl, set())
-                if h.center % p**lvl in centers:
-                    break
-                centers.add(h.center % p**lvl)
-        kept = [a for a in self.balls if a.center not in path.get(a.level, ())]
-        kept = [a for a in kept if _cover(p, holes, a.level, a.center) is None]
-        # each path node but the roots, and each nested hole, is the child
-        # of exactly one path node
-        nodes = sum(map(len, path.values()))
-        if len(kept) + (p - 1) * nodes + len(roots) - nested > _BALL_GUARD:
-            raise EnumerationGuardError(f"the result would exceed {_BALL_GUARD} balls")
-        out = _index(kept)
-        for lvl, centers in path.items():
-            step = p**lvl
-            children = set()
-            for c in centers:
-                children.update(range(c, c + p * step, step))
-            children.difference_update(path.get(lvl + 1, ()), holes.get(lvl + 1, ()))
-            out.setdefault(lvl + 1, set()).update(children)
-        return ClopenSet._from_index(p, out)
+        p, size = self.p, 0
+
+        def rule(x, y):
+            nonlocal size
+            if not x or y is True:
+                return None
+            if y and x is not True:
+                return _SPLIT
+            # what stays of x: all of it, or the p - len(y) full children of a full x
+            size += p - len(y) if y else _count(x)
+            if size > _BALL_GUARD:
+                raise EnumerationGuardError(f"the result would exceed {_BALL_GUARD} balls")
+            return _SPLIT if y else x
+
+        return _clopen(p, _merge(p, rule, self._root, other._root))
 
     def complement(self):
         """Complement inside Z_p."""
-        return ClopenSet.full(self.p).difference(self)
+        return _clopen(self.p, True).difference(self)
 
     def translate(self, c):
         """The set shifted by the p-adic integer c (given mod enough levels)."""
-        return ClopenSet(
-            self.p,
-            [Ball(self.p, b.level, b.center + c) for b in self.balls],
-        )
+        return ClopenSet(self.p, [Ball(self.p, b.level, b.center + c) for b in self.balls])
 
     def measure(self, branching=None):
-        """Exact Haar measure: the sum of (1/branching)**level over balls."""
-        total = Fraction(0)
-        for b in self.balls:
-            total += b.measure(branching)
-        return total
+        """Exact Haar measure: the sum of (1/branching)**level, counted per level."""
+        b = self.p if branching is None else branching
+        counts, top = Counter(ball.level for ball in self.balls), self.max_level()
+        return Fraction(sum(n * b ** (top - level) for level, n in counts.items()), b**top)
 
     def __eq__(self, other):
         if not isinstance(other, ClopenSet):
@@ -261,6 +253,13 @@ class ClopenSet:
     def from_json_dict(cls, data):
         p = data["p"]
         return cls(p, [Ball(p, b["level"], b["center"]) for b in data["balls"]])
+
+
+def _clopen(p, root):
+    s = object.__new__(ClopenSet)
+    for name, value in (("p", p), ("_root", root), ("_balls", None)):
+        object.__setattr__(s, name, value)
+    return s
 
 
 def residue_count(p, level):

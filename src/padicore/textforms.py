@@ -442,6 +442,12 @@ def check_ball_level(p, level):
         raise ParseError(f"ball modulus {p}^{level} has more than {limit} digits")
 
 
+def check_ball_center(center):
+    """Reject a ball center that is not a JSON integer (a float, bool or string)."""
+    if not isinstance(center, int) or isinstance(center, bool):
+        raise ParseError(f"ball center must be an integer, got {center!r}")
+
+
 def parse_clopen(text):
     from .measure import ClopenSet
 
@@ -449,6 +455,7 @@ def parse_clopen(text):
     try:
         for ball in data["balls"]:
             check_ball_level(data["p"], ball["level"])
+            check_ball_center(ball.get("center", 0))  # a missing one is reported where it is read
         return ClopenSet.from_json_dict(data)
     except (KeyError, TypeError) as e:
         raise ParseError(f"bad clopen-set JSON: {e}") from None
@@ -466,6 +473,7 @@ def parse_ball(text, p):
     try:
         check_ball_level(p, data["level"])
         check_ball_level(p, data["level"] + 1)
+        check_ball_center(data["center"])
         return Ball(p, data["level"], data["center"])
     except (KeyError, TypeError) as e:
         raise ParseError(f"bad ball JSON: {e}") from None

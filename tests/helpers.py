@@ -265,13 +265,18 @@ def horner_compose_rational(f, g):
     return PowerSeries(QQ, [Fraction(c, d) for c in acc], n)
 
 
+def covered_residues(p, balls, level):
+    """All residues mod p**level covered by the balls, one ball at a time."""
+    out = set()
+    for b in balls:
+        step = p**b.level
+        out.update(b.center + k * step for k in range(p ** (level - b.level)))
+    return out
+
+
 def _residues(s, level):
     """All residues mod p**level covered by the clopen set s."""
-    out = set()
-    for b in s.balls:
-        step = s.p**b.level
-        out.update(b.center + k * step for k in range(s.p ** (level - b.level)))
-    return out
+    return covered_residues(s.p, s.balls, level)
 
 
 def _from_residues(p, level, residues):

@@ -362,6 +362,39 @@ def test_unprintable_ball_levels_exit_2():
     assert code == 0 and out.strip() == f"1/{5**6000}"
 
 
+def test_non_integer_ball_centers_exit_2():
+    """A float, bool or string center is refused, not reduced into an answer."""
+    for center in ("1.5", "2.5", "true", '"3"', "null"):
+        for argv in (
+            ["measure", "complement", f'{{"p":5,"balls":[{{"level":2,"center":{center}}}]}}'],
+            ["measure", "translate", "--shift", "2", f'{{"p":5,"balls":[{{"level":1,"center":{center}}}]}}'],
+            ["measure", "union", '{"p":5,"balls":[]}', f'{{"p":5,"balls":[{{"level":1,"center":{center}}}]}}'],
+            ["measure", "split", "--p", "5", f'{{"level":1,"center":{center}}}'],
+        ):
+            code, out, err = run(argv)
+            assert code == 2 and out == "", argv
+            assert err.startswith("usage error:") and err.count("\n") == 1, argv
+    code, out, err = run(["measure", "complement", '{"p":5,"balls":[{"level":2,"center":1.5}]}'])
+    assert err == "usage error: ball center must be an integer, got 1.5\n"
+
+
+def test_measure_trie_golden():
+    code, out, _ = run(["measure", "complement", '{"p":5,"balls":[{"level":2,"center":7}]}'])
+    assert code == 0 and out == (
+        '{"balls": [{"center": 0, "level": 1}, {"center": 1, "level": 1}, {"center": 3, "level": 1}, '
+        '{"center": 4, "level": 1}, {"center": 2, "level": 2}, {"center": 12, "level": 2}, '
+        '{"center": 17, "level": 2}, {"center": 22, "level": 2}], "p": 5}\n'
+    )
+    code, out, _ = run(
+        ["measure", "union", '{"p":3,"balls":[{"level":1,"center":0}]}',
+         '{"p":3,"balls":[{"level":1,"center":1},{"level":2,"center":2}]}']
+    )
+    assert code == 0 and out == (
+        '{"balls": [{"center": 0, "level": 1}, {"center": 1, "level": 1}, '
+        '{"center": 2, "level": 2}], "p": 3}\n'
+    )
+
+
 def test_split_refuses_unprintable_sub_ball_centers():
     """Sub-ball centers of a level-L ball run up to p**(L + 1)."""
     started = time.perf_counter()

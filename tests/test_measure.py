@@ -1,5 +1,6 @@
 """Ball algebra and Haar measure on the p-adic integers."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from padicore.errors import (
 from padicore.textforms import clopen_to_json
 from helpers import (
     best_time,
+    covered_residues,
     enumerated_complement,
     enumerated_difference,
     enumerated_intersect,
@@ -241,24 +243,92 @@ def test_many_ball_sets_match_enumeration():
             assert clopen_to_json(got) == clopen_to_json(want)
 
 
-def test_difference_results_match_the_checked_constructor(monkeypatch):
-    """difference (and so complement) hands disjoint centers to
-    _from_index, which skips the cover check of the public constructor."""
-    rng = rng_for("trusted-index")
-    cases = [
-        (random_clopen(rng, p, max_level), random_clopen(rng, p, max_level))
-        for p, max_level in ((2, 9), (3, 6), (5, 4), (7, 3), (31, 2))
-        for _ in range(200)
-    ]
+def _assert_canonical(s):
+    """Sorted, reduced, no ball inside another, no complete family of p siblings."""
+    p, balls = s.p, s.balls
+    assert list(balls) == sorted(balls)
+    assert all(b.p == p and 0 <= b.center < p**b.level for b in balls)
+    found = {(b.level, b.center) for b in balls}
+    for b in balls:
+        assert not any((q, b.center % p**q) in found for q in range(b.level))
+    siblings = Counter((b.level, b.center % p ** (b.level - 1)) for b in balls if b.level)
+    assert all(n < p for n in siblings.values())
 
-    def results():
-        return [(a.difference(b), b.difference(a), a.complement()) for a, b in cases]
 
-    trusted = results()
+def test_set_operations_match_residue_sets():
+    """Each operation against residue sets at the common level, on raw ball lists.
 
-    def checked(cls, p, by_level):
-        return cls(p, [Ball(p, lvl, c) for lvl, centers in by_level.items() for c in centers])
+    The oracle never builds a ClopenSet: it expands balls into residues.
+    """
+    rng = rng_for("trusted-index")  # the pairs of random_clopen, kept raw
+    checked = 0
+    for p, level in ((2, 9), (3, 6), (5, 4), (7, 3), (31, 2)):
+        modulus = p**level
+        for _ in range(200):
+            raw = []
+            for _ in range(2):
+                n = rng.randrange(0, 6)
+                raw.append([
+                    Ball(p, lvl := rng.randrange(0, level + 1), rng.randrange(p**lvl))
+                    for _ in range(n)
+                ])
+            a, b = (ClopenSet(p, balls) for balls in raw)
+            ra, rb = (covered_residues(p, balls, level) for balls in raw)
+            shift = rng.randrange(-modulus, modulus)
+            for got, want in (
+                (a, ra),
+                (b, rb),
+                (a.union(b), ra | rb),
+                (a.intersect(b), ra & rb),
+                (a.difference(b), ra - rb),
+                (b.difference(a), rb - ra),
+                (a.complement(), set(range(modulus)) - ra),
+                (a.translate(shift), {(r + shift) % modulus for r in ra}),
+            ):
+                _assert_canonical(got)
+                assert covered_residues(p, got.balls, level) == want
+                assert got.measure() == Fraction(len(want), modulus)
+                assert got.is_empty == (not want)
+                checked += len(got.balls)
+    assert checked > 10_000
 
-    monkeypatch.setattr(ClopenSet, "_from_index", classmethod(checked))
-    assert results() == trusted
-    assert sum(len(s.balls) for triple in trusted for s in triple) > 10_000
+
+def test_ball_center_must_be_an_int():
+    for center in (1.5, True, "3", None, Fraction(1, 2)):
+        with pytest.raises(DomainError):
+            Ball(5, 2, center)
+
+
+def test_deep_sets_need_no_recursion():
+    """Tries as deep as the finest printable level at p = 2 (about 14,000)."""
+    level = 14_000
+    center = rng_for("deep").getrandbits(level)
+    ball = ClopenSet(2, [Ball(2, level, center)])
+    comp = ball.complement()
+    # the sibling of each ancestor of the ball, one per level
+    assert comp.balls == tuple(
+        Ball(2, q, (center ^ 1 << (q - 1)) % 2**q) for q in range(1, level + 1)
+    )
+    assert comp.union(ball) == ClopenSet.full(2)
+    assert comp.intersect(ball).is_empty
+    assert ClopenSet.full(2).difference(comp) == ball
+    assert comp.difference(ball) == comp
+    assert comp.measure() == 1 - Fraction(1, 2**level)
+
+
+def test_deep_union_is_fast():
+    ball = ClopenSet(2, [Ball(2, 4000, rng_for("deep-union").getrandbits(4000))])
+    comp = ball.complement()
+    assert best_time(lambda: comp.union(ball)) < 0.5
+    assert comp.union(ball) == ClopenSet.full(2)
+
+
+def test_guard_refuses_before_splitting_a_full_node():
+    """The p - 1 balls of each complement pass 10**6: refused before the full node splits."""
+
+    def refuse(p):
+        with pytest.raises(EnumerationGuardError):
+            ClopenSet(p, [Ball(p, 1, 0)]).complement()
+
+    for p in (1000003, 2**61 - 1):
+        assert best_time(lambda: refuse(p)) < 0.01
