@@ -86,6 +86,10 @@ class PadicPolynomial:
         inner = ", ".join(c.compact() for c in self.coeffs)
         return f"PadicPolynomial(p={self.p}, [{inner}])"
 
+    def pretty(self):
+        """Human form: the coefficients from the constant up, ``[c0, c1, ...]``."""
+        return f"[{', '.join(c.pretty() for c in self.coeffs)}]"
+
     def evaluate(self, x, min_valuation=None):
         """Exact Horner evaluation at x.
 

@@ -54,15 +54,6 @@ def _check_prec(prec, cap):
     return prec
 
 
-def _maybe_json(obj):
-    """Canonical JSON for report fields and simple values."""
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if obj is math.inf:
-        return "inf"
-    return obj
-
-
 def _check_prints(q):
     """A rational or int answer whose numerator or denominator has more
     digits than str() prints is a DomainError."""
@@ -70,19 +61,52 @@ def _check_prints(q):
         raise DomainError(f"the answer has more than {str_digit_limit()} digits")
 
 
-def _value_text(v):
-    """A sum or norm of the summation checks: a rational or a Padic."""
-    if not isinstance(v, Fraction):
-        return v.pretty()
-    _check_prints(v)
-    return str(v)
+def _field(v):
+    """A report field as a JSON value: a rational's checked text, a Padic's
+    pretty form, "inf" for infinity, a list for a tuple; any other value as
+    it is."""
+    if isinstance(v, Fraction):
+        _check_prints(v)
+        return str(v)
+    if isinstance(v, tuple):
+        return [_field(x) for x in v]
+    if v is math.inf:
+        return "inf"
+    return v.pretty() if hasattr(v, "pretty") else v
 
 
-def _emit(args, pretty_text, json_obj):
-    if args.format == "json":
-        print(json.dumps(json_obj, sort_keys=True))
+# The textforms serializer of each value answer, by class name: a command
+# loads only its own group's modules, so the classes are not imported here.
+_TO_JSON = {
+    "Padic": "padic_to_json",
+    "PowerSeries": "series_to_json",
+    "LaurentSeries": "series_to_json",
+    "PadicPolynomial": "polynomial_to_json",
+    "ClopenSet": "clopen_to_json",
+}
+
+
+def _emit(args, answer, pretty=None):
+    """Print one answer, rendered once, in the format asked for.
+
+    With no pretty, the answer is a value (a Padic, series, polynomial or
+    clopen set): it prints its canonical textforms JSON, or its pretty()
+    form; a clopen set's pretty form is its JSON.  Otherwise the answer is
+    a report namedtuple or a dict of fields, each encoded by _field, or a
+    list of JSON values; it prints as JSON, or as pretty(fields).
+    """
+    if pretty is None:
+        name = type(answer).__name__
+        if args.format == "json" or name == "ClopenSet":
+            text = getattr(textforms, _TO_JSON[name])(answer)
+        else:
+            text = answer.pretty()
     else:
-        print(pretty_text)
+        fields = answer._asdict() if hasattr(answer, "_asdict") else answer
+        if isinstance(fields, dict):
+            fields = {name: _field(v) for name, v in fields.items()}
+        text = json.dumps(fields, sort_keys=True) if args.format == "json" else pretty(fields)
+    print(text)
     return 0
 
 
@@ -103,10 +127,6 @@ def _run_padic(args, cap):
     p = args.p
     prec = _check_prec(args.prec, cap)
     ops = [textforms.parse_padic(t, p, prec, cap) for t in args.operands]
-
-    def emit(x):
-        return _emit(args, x.pretty(), x.to_json_dict())
-
     cmd = args.subcommand
     if cmd in ("add", "sub", "mul", "div"):
         if len(ops) != 2:
@@ -118,35 +138,30 @@ def _run_padic(args, cap):
             "mul": lambda: a * b,
             "div": lambda: a / b,
         }[cmd]()
-        return emit(out)
+        return _emit(args, out)
     if len(ops) != 1:
         raise ParseError(f"padic {cmd} takes exactly one operand")
     x = ops[0]
     if cmd == "invert":
-        return emit(x.invert())
+        return _emit(args, x.invert())
     if cmd == "valuation":
         if x.is_zero:
-            return _emit(args, f">= {x.abs_prec}", {"at_least": x.abs_prec})
-        return _emit(args, str(x.valuation()), {"valuation": x.valuation()})
+            return _emit(args, {"at_least": x.abs_prec}, ">= {at_least}".format_map)
+        return _emit(args, {"valuation": x.valuation()}, "{valuation}".format_map)
     if cmd == "digits":
         return _emit(
             args,
-            f"digits {x.digits()} from exponent {x.valuation_bound}, "
-            f"known mod {x.p}^{x.abs_prec}",
             {
                 "digits": x.digits(),
                 "valuation": None if x.is_zero else x.v,
                 "abs_prec": x.abs_prec,
             },
+            lambda f: f"digits {f['digits']} from exponent {x.valuation_bound}, "
+            f"known mod {x.p}^{x.abs_prec}",
         )
-    if cmd == "reduce":
-        r = x.residue(args.level)
-        return _emit(
-            args,
-            f"{r.value} mod {r.p}^{r.level}",
-            {"p": r.p, "level": r.level, "value": r.value},
-        )
-    raise ParseError(f"unknown padic subcommand {cmd!r}")
+    r = x.residue(args.level)  # reduce
+    fields = {"p": r.p, "level": r.level, "value": r.value}
+    return _emit(args, fields, "{value} mod {p}^{level}".format_map)
 
 
 def _padic_commands(sub):
@@ -176,13 +191,6 @@ def _series_operand(text, args):
     return s
 
 
-def _emit_series(args, s):
-    unit = getattr(s, "unit", s)  # a LaurentSeries is T**tail * unit
-    for c in unit.coeffs if unit is not None else ():
-        _check_prints(c)
-    return _emit(args, s.pretty(), json.loads(textforms.series_to_json(s)))
-
-
 def _run_series(args, cap):
     from .series import LaurentSeries, PowerSeries
 
@@ -195,45 +203,45 @@ def _run_series(args, cap):
         if cmd == "compose":
             if not isinstance(a, PowerSeries) or not isinstance(b, PowerSeries):
                 raise DomainError("composition is defined for power series")
-            return _emit_series(args, a.compose(b))
-        if isinstance(a, LaurentSeries) or isinstance(b, LaurentSeries):
-            if isinstance(a, PowerSeries):
-                a = LaurentSeries.from_power_series(a)
-            if isinstance(b, PowerSeries):
-                b = LaurentSeries.from_power_series(b)
-        out = {
-            "add": lambda: a + b,
-            "sub": lambda: a - b,
-            "mul": lambda: a * b,
-        }[cmd]()
-        return _emit_series(args, out)
-    if len(ops) != 1:
-        raise ParseError(f"series {cmd} takes exactly one operand")
-    s = ops[0]
-    if cmd == "derive":
-        if not isinstance(s, PowerSeries):
-            raise DomainError("derivative is provided for power series")
-        return _emit_series(args, s.derive())
-    if cmd == "invert":
-        if isinstance(s, PowerSeries):
-            s = LaurentSeries.from_power_series(s)
-        return _emit_series(args, s.invert())
-    if cmd == "order":
-        n = s.order()
-        if n is None:
-            bound = s.prec if isinstance(s, PowerSeries) else s.order_bound
-            return _emit(args, f">= {bound}", {"at_least": bound})
-        return _emit(args, str(n), {"order": n})
-    if cmd == "norm":
-        r = textforms.parse_ratio(args.ratio)
-        value = s.norm(r)
-        pretty = "0" if value.is_zero else f"({r})^{value.exponent}"
-        return _emit(
-            args,
-            pretty,
-            {"r": str(r), "exponent": value.exponent},
-        )
-    raise ParseError(f"unknown series subcommand {cmd!r}")
+            out = a.compose(b)
+        else:
+            if isinstance(a, LaurentSeries) or isinstance(b, LaurentSeries):
+                if isinstance(a, PowerSeries):
+                    a = LaurentSeries.from_power_series(a)
+                if isinstance(b, PowerSeries):
+                    b = LaurentSeries.from_power_series(b)
+            out = {
+                "add": lambda: a + b,
+                "sub": lambda: a - b,
+                "mul": lambda: a * b,
+            }[cmd]()
+    else:
+        if len(ops) != 1:
+            raise ParseError(f"series {cmd} takes exactly one operand")
+        s = ops[0]
+        if cmd == "order":
+            n = s.order()
+            if n is None:
+                bound = s.prec if isinstance(s, PowerSeries) else s.order_bound
+                return _emit(args, {"at_least": bound}, ">= {at_least}".format_map)
+            return _emit(args, {"order": n}, "{order}".format_map)
+        if cmd == "norm":
+            r = textforms.parse_ratio(args.ratio)
+            value = s.norm(r)
+            pretty = "0" if value.is_zero else "({r})^{exponent}"
+            return _emit(args, {"r": r, "exponent": value.exponent}, pretty.format_map)
+        if cmd == "derive":
+            if not isinstance(s, PowerSeries):
+                raise DomainError("derivative is provided for power series")
+            out = s.derive()
+        else:  # invert
+            if isinstance(s, PowerSeries):
+                s = LaurentSeries.from_power_series(s)
+            out = s.invert()
+    unit = getattr(out, "unit", out)  # a LaurentSeries is T**tail * unit
+    for c in unit.coeffs if unit is not None else ():
+        _check_prints(c)
+    return _emit(args, out)
 
 
 def _series_commands(sub):
@@ -263,25 +271,20 @@ def _run_analytic(args, cap):
     cmd = args.subcommand
     if cmd == "eval":
         x = textforms.parse_padic(args.operands[0], p, prec, cap)
-        out = poly.evaluate(x, min_valuation=args.ball_exp)
-        return _emit(args, out.pretty(), out.to_json_dict())
+        return _emit(args, poly.evaluate(x, min_valuation=args.ball_exp))
     if cmd == "recenter":
         x0 = textforms.parse_padic(args.operands[0], p, prec, cap)
-        out = poly.recenter(x0)
-        pretty = ", ".join(c.pretty() for c in out.coeffs)
-        return _emit(
-            args, f"[{pretty}]", json.loads(textforms.polynomial_to_json(out))
-        )
-    if cmd == "bounds":
-        m = args.radius_exp
-        mu1 = analytic.lipschitz_bound(poly, m)
-        mu2 = analytic.quadratic_bound(poly, m)
-        return _emit(
-            args,
-            f"lipschitz valuation {mu1}, second-order valuation {_maybe_json(mu2)}",
-            {"lipschitz": mu1, "second_order": _maybe_json(mu2), "radius_exp": m},
-        )
-    raise ParseError(f"unknown analytic subcommand {cmd!r}")
+        return _emit(args, poly.recenter(x0))
+    m = args.radius_exp  # bounds
+    return _emit(
+        args,
+        {
+            "lipschitz": analytic.lipschitz_bound(poly, m),
+            "second_order": analytic.quadratic_bound(poly, m),
+            "radius_exp": m,
+        },
+        "lipschitz valuation {lipschitz}, second-order valuation {second_order}".format_map,
+    )
 
 
 def _analytic_commands(sub):
@@ -309,60 +312,38 @@ def _run_hensel(args, cap):
     p = args.p
     prec = _check_prec(args.prec, cap)
     cmd = args.subcommand
-
-    def emit(x):
-        return _emit(args, x.pretty(), x.to_json_dict())
-
     if cmd == "sqrt":
         u = textforms.parse_padic(args.operands[0], p, prec, cap)
-        return emit(hensel.sqrt(u))
+        return _emit(args, hensel.sqrt(u))
     if cmd == "nthroot":
         u = textforms.parse_padic(args.operands[0], p, prec, cap)
         # nth_root builds x^n - u densely, so n is a polynomial degree
         if args.n > textforms.MAX_TERMS:
             raise ParseError(f"root degree {args.n} exceeds the limit of {textforms.MAX_TERMS}")
-        return emit(hensel.nth_root(u, args.n))
+        return _emit(args, hensel.nth_root(u, args.n))
     if cmd == "teichmuller":
         u = textforms.parse_padic(args.operands[0], p, prec, cap)
-        return emit(hensel.teichmuller(u))
+        return _emit(args, hensel.teichmuller(u))
     poly = textforms.parse_polynomial(args.poly, p, prec)
     x0 = textforms.parse_padic(args.x0, p, prec, cap)
     if cmd == "check":
-        report = hensel.check_condition(poly, x0, args.m, args.t)
-        obj = {
-            "ok": report.ok,
-            "ok_nonstrict": report.ok_nonstrict,
-            "derivative_valuation": report.derivative_valuation,
-            "mu2": _maybe_json(report.mu2),
-            "gap": _maybe_json(report.gap),
-        }
-        pretty = (
-            f"strict={'ok' if report.ok else 'fails'} "
-            f"nonstrict={'ok' if report.ok_nonstrict else 'fails'} "
-            f"v(f'(x0))={report.derivative_valuation} mu2={report.mu2} "
-            f"gap={report.gap}"
+        verdict = ("fails", "ok")
+        return _emit(
+            args,
+            hensel.check_condition(poly, x0, args.m, args.t),
+            lambda f: f"strict={verdict[f['ok']]} nonstrict={verdict[f['ok_nonstrict']]} "
+            f"v(f'(x0))={f['derivative_valuation']} mu2={f['mu2']} gap={f['gap']}",
         )
-        return _emit(args, pretty, obj)
     if cmd == "solve":
         z = textforms.parse_padic(args.z, p, prec, cap)
         problem = hensel.HenselProblem(poly, x0, m=args.m, t_exp=args.t)
-        return emit(hensel.solve(problem, z))
-    if cmd == "image":
-        report = hensel.ball_image_check(poly, x0, args.m, args.t, args.level)
-        obj = {
-            "status": report.status,
-            "equal": report.equal,
-            "level": report.level,
-            "source_size": report.source_size,
-            "image_size": report.image_size,
-            "target_size": report.target_size,
-        }
-        pretty = (
-            f"{report.status}: image==target is {report.equal} "
-            f"(level {report.level}, {report.source_size} source residues)"
-        )
-        return _emit(args, pretty, obj)
-    raise ParseError(f"unknown hensel subcommand {cmd!r}")
+        return _emit(args, hensel.solve(problem, z))
+    return _emit(  # image
+        args,
+        hensel.ball_image_check(poly, x0, args.m, args.t, args.level),
+        "{status}: image==target is {equal} "
+        "(level {level}, {source_size} source residues)".format_map,
+    )
 
 
 def _hensel_commands(sub):
@@ -418,15 +399,8 @@ def _run_plog(args, cap):
     prec = _check_prec(args.prec, cap)
     if cmd in ("log", "invert"):
         x = textforms.parse_padic(operand, p, prec, cap)
-        out = plog.log1p(x) if cmd == "log" else plog.log_inverse(x)
-        return _emit(args, out.pretty(), out.to_json_dict())
-    if cmd == "poly":
-        poly = plog.log_series_polynomial(p, prec, args.domain_val)
-        pretty = ", ".join(c.pretty() for c in poly.coeffs)
-        return _emit(
-            args, f"[{pretty}]", json.loads(textforms.polynomial_to_json(poly))
-        )
-    raise ParseError(f"unknown plog subcommand {cmd!r}")
+        return _emit(args, plog.log1p(x) if cmd == "log" else plog.log_inverse(x))
+    return _emit(args, plog.log_series_polynomial(p, prec, args.domain_val))  # poly
 
 
 def _plog_commands(sub):
@@ -453,23 +427,21 @@ def _run_measure(args, cap):
     if cmd == "count":
         textforms.check_ball_level(args.p, args.level)
         n = measure.residue_count(args.p, args.level)
-        return _emit(args, str(n), {"count": n})
+        return _emit(args, {"count": n}, "{count}".format_map)
     if cmd == "split":
         parts = textforms.parse_ball(args.operands[0], args.p).split()
-        obj = [b.to_json_dict() for b in parts]
-        pretty = ", ".join(f"{b.center} mod {b.p}^{b.level}" for b in parts)
-        return _emit(args, pretty, obj)
+        return _emit(
+            args,
+            [b.to_json_dict() for b in parts],
+            lambda balls: ", ".join(f"{b['center']} mod {args.p}^{b['level']}" for b in balls),
+        )
     sets = [textforms.parse_clopen(t) for t in args.operands]
     if cmd == "measure":
-        (s,) = sets
-        m = s.measure()
-        return _emit(args, str(m), {"measure": str(m)})
+        return _emit(args, {"measure": sets[0].measure()}, "{measure}".format_map)
     if cmd == "complement":
-        (s,) = sets
-        out = s.complement()
+        out = sets[0].complement()
     elif cmd == "translate":
-        (s,) = sets
-        out = s.translate(args.shift)
+        out = sets[0].translate(args.shift)
     else:
         a, b = sets
         out = {
@@ -477,11 +449,7 @@ def _run_measure(args, cap):
             "intersect": lambda: a.intersect(b),
             "diff": lambda: a.difference(b),
         }[cmd]()
-    return _emit(
-        args,
-        textforms.clopen_to_json(out),
-        out.to_json_dict(),
-    )
+    return _emit(args, out)
 
 
 def _measure_commands(sub):
@@ -517,47 +485,24 @@ def _run_sums(args, cap):
 
     cmd = args.subcommand
     if cmd == "fubini":
-        report = sumlab.fubini_check(textforms.parse_grid(args.operands[0]))
-        obj = {
-            "row_first": _value_text(report.row_first),
-            "column_first": _value_text(report.column_first),
-            "direct": _value_text(report.direct),
-            "equal": report.equal,
-        }
-        pretty = (
-            f"row-first {obj['row_first']}, column-first {obj['column_first']}, "
-            f"direct {obj['direct']}, equal={report.equal}"
+        return _emit(
+            args,
+            sumlab.fubini_check(textforms.parse_grid(args.operands[0])),
+            "row-first {row_first}, column-first {column_first}, "
+            "direct {direct}, equal={equal}".format_map,
         )
-        return _emit(args, pretty, obj)
     family = textforms.parse_family(args.operands[0])
     if cmd == "bfs":
-        text = _value_text(sumlab.bfs_norm(family))
-        return _emit(args, text, {"bfs": text})
+        return _emit(args, {"bfs": sumlab.bfs_norm(family)}, "{bfs}".format_map)
     if cmd == "norms":
         report = sumlab.norms(family, textforms.parse_norm_exponent(args.r))
-        obj = {
-            "sup": _value_text(report.sup),
-            "r": report.r if report.r == "inf" else int(report.r),
-            "lr_power": _value_text(report.lr_power),
-        }
-        pretty = f"sup {obj['sup']}, ||f||_{report.r}^{report.r} = {obj['lr_power']}"
-        if report.r == "inf":
-            pretty = f"sup {obj['sup']}"
-        return _emit(args, pretty, obj)
-    if cmd == "partition":
-        report = sumlab.partition_check(family, textforms.parse_blocks(args.blocks))
-        obj = {
-            "block_totals": [_value_text(v) for v in report.block_totals],
-            "total_from_blocks": _value_text(report.total_from_blocks),
-            "direct": _value_text(report.direct),
-            "equal": report.equal,
-        }
-        pretty = (
-            f"blocks {obj['block_totals']} -> {obj['total_from_blocks']}, "
-            f"direct {obj['direct']}, equal={report.equal}"
-        )
-        return _emit(args, pretty, obj)
-    raise ParseError(f"unknown sums subcommand {cmd!r}")
+        pretty = "sup {sup}" if report.r == "inf" else "sup {sup}, ||f||_{r}^{r} = {lr_power}"
+        return _emit(args, report, pretty.format_map)
+    return _emit(  # partition
+        args,
+        sumlab.partition_check(family, textforms.parse_blocks(args.blocks)),
+        "blocks {block_totals} -> {total_from_blocks}, direct {direct}, equal={equal}".format_map,
+    )
 
 
 def _sums_commands(sub):

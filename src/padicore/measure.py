@@ -59,11 +59,6 @@ class Ball(namedtuple("Ball", "p level center")):
             raise PrimeMismatchError("balls from different primes")
         return other.level >= self.level and other.center % self.p**self.level == self.center
 
-    def parent(self):
-        if self.level == 0:
-            raise DomainError("the unit ball has no parent")
-        return _ball(self.p, self.level - 1, self.center % self.p ** (self.level - 1))
-
     def measure(self, branching=None):
         """Exact measure (1/branching)**level; branching defaults to p."""
         b = self.p if branching is None else branching
@@ -138,7 +133,8 @@ class ClopenSet:
             if b.p != p:
                 raise PrimeMismatchError("ball from a different prime")
             by_level.setdefault(b.level, []).append(b.center)
-        # the raw trie, made a level at a time from the finest; a ball replaces the finer ones in it
+        # the canonical trie, made a level at a time from the finest: a ball
+        # replaces the finer nodes under it, and p full children make a full node
         nodes, step = {}, p ** max(by_level, default=0)
         for level in range(max(by_level, default=0), 0, -1):
             nodes.update(dict.fromkeys(by_level.get(level, ()), True))
@@ -146,10 +142,11 @@ class ClopenSet:
             for center, node in nodes.items():
                 digit, parent = divmod(center, step)
                 parents.setdefault(parent, {})[digit] = node
+            for parent, node in parents.items():
+                if len(node) == p and list(node.values()).count(True) == p:
+                    parents[parent] = True
             nodes = parents
-        root = True if 0 in by_level else nodes.get(0)
-        # merging the raw trie with itself visits every node and collapses it
-        return _clopen(p, _merge(p, _union, root, root))
+        return _clopen(p, True if 0 in by_level else nodes.get(0))
 
     def __setattr__(self, name, value):
         raise AttributeError("ClopenSet is immutable")

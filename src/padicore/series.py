@@ -183,6 +183,21 @@ class RPower:
         return f"({self.r})^{self.exponent}"
 
 
+def _pretty(field, coeffs, first, end, variable):
+    """``c*T^e + ... + O(T^end)`` for the coefficients of T**first, T**(first + 1), ..."""
+    terms = []
+    for e, c in enumerate(coeffs, first):
+        if c == field.zero:
+            continue
+        if e == 0:
+            terms.append(str(c))
+        else:
+            var = variable if e == 1 else f"{variable}^{e}"
+            terms.append(var if c == field.one else f"{c}*{var}")
+    terms.append(f"O({variable}^{end})")
+    return " + ".join(terms)
+
+
 def _common_denominator(coeffs):
     d = 1
     for c in coeffs:
@@ -228,10 +243,6 @@ class PowerSeries:
     @classmethod
     def one(cls, field, prec):
         return cls(field, [field.one], prec)
-
-    @classmethod
-    def zero_series(cls, field, prec):
-        return cls(field, [], prec)
 
     def _check(self, other):
         if not isinstance(other, PowerSeries):
@@ -370,25 +381,9 @@ class PowerSeries:
 
     # ------------------------------------------------------------ rendering
 
-    def _coeff_str(self, c):
-        return str(c)
-
     def pretty(self, variable="T"):
         """Human form, e.g. ``1 + 2*T^2 + O(T^4)``."""
-        terms = []
-        for e, c in enumerate(self.coeffs):
-            if c == self.field.zero:
-                continue
-            if e == 0:
-                terms.append(self._coeff_str(c))
-            else:
-                var = variable if e == 1 else f"{variable}^{e}"
-                if c == self.field.one:
-                    terms.append(var)
-                else:
-                    terms.append(f"{self._coeff_str(c)}*{var}")
-        terms.append(f"O({variable}^{self.prec})")
-        return " + ".join(terms)
+        return _pretty(self.field, self.coeffs, 0, self.prec, variable)
 
     def __str__(self):
         return self.pretty()
@@ -551,22 +546,8 @@ class LaurentSeries:
     def pretty(self, variable="T"):
         """Human form, e.g. ``T^-1 + 1 + T + O(T^3)``."""
         if self.is_zero:
-            return f"O({variable}^{self.order_bound})"
-        terms = []
-        for i, c in enumerate(self.unit.coeffs):
-            if c == self.field.zero:
-                continue
-            e = self.tail + i
-            if e == 0:
-                terms.append(str(c))
-            else:
-                var = variable if e == 1 else f"{variable}^{e}"
-                if c == self.field.one:
-                    terms.append(var)
-                else:
-                    terms.append(f"{c}*{var}")
-        terms.append(f"O({variable}^{self.prec_exponent})")
-        return " + ".join(terms)
+            return _pretty(self.field, (), 0, self.order_bound, variable)
+        return _pretty(self.field, self.unit.coeffs, self.tail, self.prec_exponent, variable)
 
     def __str__(self):
         return self.pretty()

@@ -346,7 +346,7 @@ def parse_polynomial(text, p, abs_prec):
 
     text = text.strip()
     if text.startswith("{"):
-        poly = polynomial_from_json(_json(text), PadicPolynomial)
+        poly = polynomial_from_json(_json(text))
         if p is not None and poly.p != p:
             raise ParseError(f"polynomial is {poly.p}-adic but --p is {p}")
         return poly
@@ -394,14 +394,16 @@ def polynomial_to_json(f):
     )
 
 
-def polynomial_from_json(data, cls):
+def polynomial_from_json(data):
+    from .analytic import PadicPolynomial
+
     try:
         p = data["p"]
         coeffs = [Padic.from_json_dict(c) for c in data["coeffs"]]
     except (KeyError, TypeError) as e:
         raise ParseError(f"bad polynomial JSON: {e}") from None
     check_term_count(len(coeffs) - 1, "polynomial degree")
-    return cls(p, coeffs)
+    return PadicPolynomial(p, coeffs)
 
 
 # -------------------------------------------------------------- clopen sets

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import padicore
@@ -627,6 +628,41 @@ def test_identical_argv_identical_bytes():
     first = run(argv)
     second = run(argv)
     assert first == second
+
+
+def test_answers_are_rendered_once(monkeypatch):
+    """A clopen answer is serialised once in each format, and no answer is
+    read back: json.loads runs only on the JSON operands."""
+    from padicore.measure import ClopenSet
+
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(ClopenSet, "to_json_dict", counted("to_json_dict", ClopenSet.to_json_dict))
+    monkeypatch.setattr(json, "loads", counted("loads", json.loads))
+    clopen = '{"p":5,"balls":[{"level":2,"center":7}]}'
+    text_operands = [
+        ["series", "mul", "--field", "q", "1 + T + O(T^3)", "2 + O(T^3)"],
+        ["series", "invert", "--field", "fp:5", "T + O(T^3)"],
+        ["analytic", "recenter", "--p", "5", "--prec", "4", "--poly", "x^2-2", "3"],
+        ["plog", "poly", "--p", "5", "--prec", "4"],
+        ["padic", "add", "--p", "5", "--prec", "4", "1", "2"],
+        ["hensel", "check", "--p", "7", "--prec", "12", "--poly", "x^2-2", "--x0", "3", "--t", "1"],
+    ]
+    for fmt in ("pretty", "json"):
+        calls.clear()
+        assert run(["measure", "complement", "--format", fmt, clopen])[0] == 0
+        assert calls == {"to_json_dict": 1, "loads": 1}  # loads: the operand
+        for argv in text_operands:
+            calls.clear()
+            assert run(argv + ["--format", fmt])[0] == 0
+            assert calls["loads"] == 0, argv
 
 
 def test_json_outputs_round_trip():

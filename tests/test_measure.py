@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicore import Ball, ClopenSet, residue_count
+from padicore import Ball, ClopenSet, measure, residue_count
 from padicore.errors import (
     DomainError,
     EnumerationGuardError,
@@ -171,6 +171,38 @@ def test_canonical_form_unique():
             other = other.union(ClopenSet(3, [b]))
         assert one == other
         assert one.to_json_dict() == other.to_json_dict()
+
+
+def test_constructor_matches_the_union_fold(monkeypatch):
+    """Nested and repeated balls and complete families several levels deep
+    build the set that the union of their single-ball sets makes, and the
+    constructor collapses them as it builds, with no merge walk."""
+    rng = rng_for("constructor-fold")
+    cases = []
+    for _ in range(80):
+        p = rng.choice((2, 3, 5))
+        balls = []
+        for _ in range(rng.randrange(1, 5)):
+            level, depth = rng.randrange(0, 4), rng.randrange(0, 3)
+            ball = Ball(p, level, rng.randrange(p**level))
+            family = [ball]  # its p**depth sub-balls depth levels down: all of ball
+            for _ in range(depth):
+                family = [sub for b in family for sub in b.split()]
+            if rng.random() < 0.3:
+                family.pop(rng.randrange(len(family)))  # no longer all of ball
+            balls += family + rng.sample(family, min(2, len(family)))  # with repeats
+            finer = p ** (level + depth + 1)
+            balls.append(Ball(p, level + depth + 1, rng.randrange(finer)))
+            if rng.random() < 0.5:
+                balls.append(ball)  # nests what lies under it
+        rng.shuffle(balls)
+        fold = ClopenSet.empty(p)
+        for b in balls:
+            fold = fold.union(ClopenSet(p, [b]))
+        cases.append((p, balls, fold))
+    monkeypatch.setattr(measure, "_merge", None)
+    for p, balls, fold in cases:
+        assert ClopenSet(p, balls).balls == fold.balls
 
 
 # ------------------------------------------------------------ enumeration

@@ -150,7 +150,7 @@ def test_polynomial_grammar():
 def test_polynomial_json_round_trip():
     f = PadicPolynomial(7, [-2, 0, 1], abs_prec=5)
     data = json.loads(tf.polynomial_to_json(f))
-    g = tf.polynomial_from_json(data, PadicPolynomial)
+    g = tf.polynomial_from_json(data)
     assert f == g
 
 
