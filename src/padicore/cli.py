@@ -20,8 +20,10 @@ from .errors import DomainError, ParseError
 from .intmath import int_prints, str_digit_limit
 from .padics import DEFAULT_PRECISION_CAP
 
-# Each command group builds its own subcommands and imports its own
-# modules inside its runner, so that one call loads only its group.
+# A command builds the parser of its own subcommand alone, and its group
+# imports its modules inside its runner, so that one call builds one parser
+# and loads only its group.  The parser of every group answers the rest:
+# help and usage errors at the top and group levels.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -164,15 +166,21 @@ def _run_padic(args, cap):
     return _emit(args, fields, "{value} mod {p}^{level}".format_map)
 
 
-def _padic_commands(sub):
-    for name in ("add", "sub", "mul", "div", "invert", "valuation", "digits"):
-        sp = sub.add_parser(name)
-        _common(sp)
-        sp.add_argument("operands", nargs="+")
-    sp = sub.add_parser("reduce")
+def _padic_operands(sp):
+    _common(sp)
+    sp.add_argument("operands", nargs="+")
+
+
+def _padic_reduce(sp):
     _common(sp)
     sp.add_argument("--level", type=int, required=True)
     sp.add_argument("operands", nargs="+")
+
+
+_PADIC_COMMANDS = {
+    **dict.fromkeys(("add", "sub", "mul", "div", "invert", "valuation", "digits"), _padic_operands),
+    "reduce": _padic_reduce,
+}
 
 
 # ------------------------------------------------------------------ series
@@ -244,19 +252,27 @@ def _run_series(args, cap):
     return _emit(args, out)
 
 
-def _series_commands(sub):
-    for name in ("add", "sub", "mul", "compose", "derive", "invert", "order"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--field", help="coefficient field, e.g. fp:3 or q")
-        sp.add_argument("--order", type=int, help="truncate operands to this order")
-        _format(sp)
-        sp.add_argument("operands", nargs="+")
-    sp = sub.add_parser("norm")
+def _series_operands(sp):
+    sp.add_argument("--field", help="coefficient field, e.g. fp:3 or q")
+    sp.add_argument("--order", type=int, help="truncate operands to this order")
+    _format(sp)
+    sp.add_argument("operands", nargs="+")
+
+
+def _series_norm(sp):
     sp.add_argument("--field", help="coefficient field, e.g. fp:3 or q")
     sp.add_argument("--order", type=int)
     sp.add_argument("--ratio", default="1/2", help="the ratio r in (0,1)")
     _format(sp)
     sp.add_argument("operands", nargs="+")
+
+
+_SERIES_COMMANDS = {
+    **dict.fromkeys(
+        ("add", "sub", "mul", "compose", "derive", "invert", "order"), _series_operands
+    ),
+    "norm": _series_norm,
+}
 
 
 # ---------------------------------------------------------------- analytic
@@ -287,20 +303,32 @@ def _run_analytic(args, cap):
     )
 
 
-def _analytic_commands(sub):
-    sp = sub.add_parser("eval")
+def _poly(sp):
     _common(sp)
     sp.add_argument("--poly", required=True)
+
+
+def _analytic_eval(sp):
+    _poly(sp)
     sp.add_argument("--ball-exp", type=int, default=None)
     sp.add_argument("operands", nargs=1)
-    sp = sub.add_parser("recenter")
-    _common(sp)
-    sp.add_argument("--poly", required=True)
+
+
+def _analytic_recenter(sp):
+    _poly(sp)
     sp.add_argument("operands", nargs=1)
-    sp = sub.add_parser("bounds")
-    _common(sp)
-    sp.add_argument("--poly", required=True)
+
+
+def _analytic_bounds(sp):
+    _poly(sp)
     sp.add_argument("--radius-exp", type=int, default=0)
+
+
+_ANALYTIC_COMMANDS = {
+    "eval": _analytic_eval,
+    "recenter": _analytic_recenter,
+    "bounds": _analytic_bounds,
+}
 
 
 # ------------------------------------------------------------------ hensel
@@ -346,35 +374,45 @@ def _run_hensel(args, cap):
     )
 
 
-def _hensel_commands(sub):
-    for name in ("sqrt", "teichmuller"):
-        sp = sub.add_parser(name)
-        _common(sp)
-        sp.add_argument("operands", nargs=1)
-    sp = sub.add_parser("nthroot")
+def _hensel_root(sp):
+    _common(sp)
+    sp.add_argument("operands", nargs=1)
+
+
+def _hensel_nthroot(sp):
     _common(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("operands", nargs=1)
-    sp = sub.add_parser("solve")
-    _common(sp)
-    sp.add_argument("--poly", required=True)
+
+
+def _hensel_solve(sp):
+    _poly(sp)
     sp.add_argument("--x0", required=True)
     sp.add_argument("--z", default="0")
     sp.add_argument("--m", type=int, default=0)
     sp.add_argument("--t", type=int, default=None)
-    sp = sub.add_parser("check")
-    _common(sp)
-    sp.add_argument("--poly", required=True)
+
+
+def _hensel_check(sp):
+    _poly(sp)
     sp.add_argument("--x0", required=True)
     sp.add_argument("--m", type=int, default=0)
     sp.add_argument("--t", type=int, required=True)
-    sp = sub.add_parser("image")
-    _common(sp)
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--x0", required=True)
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--t", type=int, required=True)
+
+
+def _hensel_image(sp):
+    _hensel_check(sp)
     sp.add_argument("--level", type=int, required=True)
+
+
+_HENSEL_COMMANDS = {
+    "sqrt": _hensel_root,
+    "teichmuller": _hensel_root,
+    "nthroot": _hensel_nthroot,
+    "solve": _hensel_solve,
+    "check": _hensel_check,
+    "image": _hensel_image,
+}
 
 
 # -------------------------------------------------------------------- plog
@@ -403,18 +441,24 @@ def _run_plog(args, cap):
     return _emit(args, plog.log_series_polynomial(p, prec, args.domain_val))  # poly
 
 
-def _plog_commands(sub):
-    sp = sub.add_parser("log")
+def _plog_log(sp):
     _common(sp)
     sp.add_argument("--x", dest="x_flag", default=None)
     sp.add_argument("operands", nargs="*")
-    sp = sub.add_parser("invert")
+
+
+def _plog_invert(sp):
     _common(sp)
     sp.add_argument("--z", dest="z_flag", default=None)
     sp.add_argument("operands", nargs="*")
-    sp = sub.add_parser("poly")
+
+
+def _plog_poly(sp):
     _common(sp)
     sp.add_argument("--domain-val", type=int, default=1)
+
+
+_PLOG_COMMANDS = {"log": _plog_log, "invert": _plog_invert, "poly": _plog_poly}
 
 
 # ----------------------------------------------------------------- measure
@@ -452,29 +496,43 @@ def _run_measure(args, cap):
     return _emit(args, out)
 
 
-def _measure_commands(sub):
-    for name, arity in (
-        ("measure", 1),
-        ("complement", 1),
-        ("union", 2),
-        ("intersect", 2),
-        ("diff", 2),
-    ):
-        sp = sub.add_parser(name)
-        _format(sp)
-        sp.add_argument("operands", nargs=arity)
-    sp = sub.add_parser("translate")
+def _one_value(sp):
+    _format(sp)
+    sp.add_argument("operands", nargs=1)
+
+
+def _two_values(sp):
+    _format(sp)
+    sp.add_argument("operands", nargs=2)
+
+
+def _measure_translate(sp):
     _format(sp)
     sp.add_argument("--shift", type=int, required=True)
     sp.add_argument("operands", nargs=1)
-    sp = sub.add_parser("split")
+
+
+def _measure_split(sp):
     sp.add_argument("--p", type=int, required=True)
-    _format(sp)
-    sp.add_argument("operands", nargs=1)
-    sp = sub.add_parser("count")
+    _one_value(sp)
+
+
+def _measure_count(sp):
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--level", type=int, required=True)
     _format(sp)
+
+
+_MEASURE_COMMANDS = {
+    "measure": _one_value,
+    "complement": _one_value,
+    "union": _two_values,
+    "intersect": _two_values,
+    "diff": _two_values,
+    "translate": _measure_translate,
+    "split": _measure_split,
+    "count": _measure_count,
+}
 
 
 # -------------------------------------------------------------------- sums
@@ -505,45 +563,65 @@ def _run_sums(args, cap):
     )
 
 
-def _sums_commands(sub):
-    for name in ("bfs", "fubini"):
-        sp = sub.add_parser(name)
-        _format(sp)
-        sp.add_argument("operands", nargs=1)
-    sp = sub.add_parser("norms")
+def _sums_norms(sp):
     sp.add_argument("--r", default="1")
-    _format(sp)
-    sp.add_argument("operands", nargs=1)
-    sp = sub.add_parser("partition")
+    _one_value(sp)
+
+
+def _sums_partition(sp):
     sp.add_argument("--blocks", required=True)
-    _format(sp)
-    sp.add_argument("operands", nargs=1)
+    _one_value(sp)
+
+
+_SUMS_COMMANDS = {
+    "bfs": _one_value,
+    "fubini": _one_value,
+    "norms": _sums_norms,
+    "partition": _sums_partition,
+}
 
 
 # ------------------------------------------------------------------ parser
 
-# group name: (help text, subcommand builder, runner)
+# group name: (help text, {subcommand: add_arguments}, runner), in the
+# order that help lists them
 _GROUPS = {
-    "padic": ("p-adic arithmetic", _padic_commands, _run_padic),
-    "series": ("formal power and Laurent series", _series_commands, _run_series),
-    "analytic": ("p-adic polynomials on balls", _analytic_commands, _run_analytic),
-    "hensel": ("ball root solving", _hensel_commands, _run_hensel),
-    "plog": ("the p-adic logarithm", _plog_commands, _run_plog),
-    "measure": ("clopen ball algebra and measure", _measure_commands, _run_measure),
-    "sums": ("finite summation laboratory", _sums_commands, _run_sums),
+    "padic": ("p-adic arithmetic", _PADIC_COMMANDS, _run_padic),
+    "series": ("formal power and Laurent series", _SERIES_COMMANDS, _run_series),
+    "analytic": ("p-adic polynomials on balls", _ANALYTIC_COMMANDS, _run_analytic),
+    "hensel": ("ball root solving", _HENSEL_COMMANDS, _run_hensel),
+    "plog": ("the p-adic logarithm", _PLOG_COMMANDS, _run_plog),
+    "measure": ("clopen ball algebra and measure", _MEASURE_COMMANDS, _run_measure),
+    "sums": ("finite summation laboratory", _SUMS_COMMANDS, _run_sums),
 }
 
 
-def _build_parser(groups):
-    """The top-level parser; it lists every group, and the groups named
-    in ``groups`` get their subcommands."""
+def _build_parser():
+    """The top-level parser, with every group and subcommand."""
     parser = _Parser(prog="padicore", description=__doc__)
     top = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, commands, _) in _GROUPS.items():
         group = top.add_parser(name, help=help_text)
-        if name in groups:
-            commands(group.add_subparsers(dest="subcommand", required=True))
+        subs = group.add_subparsers(dest="subcommand", required=True)
+        for sub, add_arguments in commands.items():
+            add_arguments(subs.add_parser(sub))
     return parser
+
+
+def _parse(argv):
+    """argv parsed by its subcommand's parser alone when it starts with a
+    group and one of that group's subcommands, and by the parser of every
+    group otherwise.  argparse hands a subcommand every token after its
+    name, so the two parse such an argv alike."""
+    commands = _GROUPS[argv[0]][1] if argv and argv[0] in _GROUPS else {}
+    add_arguments = commands.get(argv[1]) if len(argv) > 1 else None
+    if add_arguments is None:
+        return _build_parser().parse_args(argv)
+    parser = _Parser(prog=f"padicore {argv[0]} {argv[1]}")
+    add_arguments(parser)
+    args = parser.parse_args(argv[2:])
+    args.command, args.subcommand = argv[0], argv[1]
+    return args
 
 
 def main(argv=None):
@@ -551,11 +629,7 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         cap = _precision_cap()
-        # argparse runs the group named by the first positional token, and
-        # the top level has no option that takes a value: the first group
-        # name in argv is the only group that can run
-        named = next((token for token in argv if token in _GROUPS), None)
-        args = _build_parser({named}).parse_args(argv)
+        args = _parse(argv)
         return _GROUPS[args.command][2](args, cap)
     except ParseError as e:
         print(f"usage error: {e}", file=sys.stderr)

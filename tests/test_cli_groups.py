@@ -1,9 +1,10 @@
-"""A CLI call loads and builds only the command group it names.
+"""A CLI call loads only the command group it names, and a command builds
+only the parser of its own subcommand.
 
 Checked here: the modules that one command of each group loads, the lazy
-package namespace, and help and usage output byte-identical to that of a
-parser with every group built.  The last check also runs without pytest,
-on any interpreter:
+package namespace, the one parser a command builds, and help, usage and
+edge-case output byte-identical to that of the parser with every group
+built.  The last check also runs without pytest, on any interpreter:
 
     PYTHONPATH=src python tests/test_cli_groups.py
 """
@@ -16,7 +17,8 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
+from unittest import mock
 
 import padicore
 from padicore import cli
@@ -122,39 +124,49 @@ def test_every_public_name_resolves_to_its_home_module():
 # ---------------------------------------------------------- help and usage
 
 
-def _subcommands(parser):
-    """Name -> parser of the subcommands of an argparse parser ({} if none)."""
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return action.choices
-    return {}
-
-
-_build_parser = cli._build_parser
-
-
 def run_main(argv, all_groups=False):
-    """(exit code, stdout, stderr) of cli.main; all_groups builds every group."""
+    """(exit code, stdout, stderr) of cli.main; all_groups parses argv with
+    the parser of every group, then runs the group's runner."""
     out, err = io.StringIO(), io.StringIO()
-    build = cli._build_parser
-    if all_groups:
-        cli._build_parser = lambda groups: build(cli._GROUPS)
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(argv)
-    finally:
-        cli._build_parser = build
+    reference = mock.patch.object(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
+    with reference if all_groups else nullcontext(), redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+_BALLS = '{"p":5,"balls":[{"level":2,"center":7}]}'
+
+# argparse corners of a command line that names its group and subcommand
+EDGE_ARGVS = [
+    ["padic", "add", "--pre", "8", "--p", "5", "1/3", "2/7"],  # abbreviated option
+    ["padic", "add", "--p=5", "--prec=8", "1/3", "2/7"],
+    ["padic", "add", "--p", "5", "--prec", "8", "--", "1/3", "2/7"],
+    ["hensel", "sqrt", "--p", "7", "--prec", "3", "--", "2"],
+    ["padic", "add", "--p", "5", "--prec", "8", "1/3", "2/7", "-h"],
+    ["sums", "bfs", '{"mode":"rational","values":["1"]}', "--help"],
+    ["padic", "mul", "1/3", "2/7", "--p", "5", "--prec", "8"],  # operands first
+    ["hensel", "nthroot", "6", "--p", "7", "--prec", "8", "--n", "3"],
+    ["padic", "add", "--p", "5", "--prec", "4", "padic", "1"],  # a group as operand
+    ["measure", "union", _BALLS, "series"],
+    ["plog", "log", "--p", "5", "--prec", "3", "--x", "hensel"],
+    ["padic", "add", "--p", "3", "--p", "5", "--prec", "8", "1/3", "2/7"],  # repeated
+    ["series", "add", "--order", "2", "--order", "3", "--field", "q", "1 + T + O(T^4)", "T + O(T^4)"],
+    ["padic", "add", "--p", "5", "--prec", "8", "-5", "1"],
+    ["measure", "translate", "--shift", "-5", _BALLS],
+    ["padic", "add", "--p", "5", "--prec", "8", "-1/2", "1"],
+    ["padic", "sub", "--p", "5", "--prec", "8", "--", "-1/2", "1"],
+]
 
 
 def help_and_usage_argvs():
     """--help, a missing subcommand, an invalid choice and a missing
     required flag or operand, at the top level, for every group and
-    for every subcommand; and group names after the one that runs."""
+    for every subcommand; group names after the one that runs; and the
+    edge argv."""
     argvs = [[], ["--help"], ["nonsense"], ["--nonsense", "padic"]]
-    for group, group_parser in _subcommands(_build_parser(cli._GROUPS)).items():
+    for group, (_, commands, _) in cli._GROUPS.items():
         argvs += [[group], [group, "--help"], [group, "nonsense"], [group, "--help", *cli._GROUPS]]
-        for sub in _subcommands(group_parser):
+        for sub in commands:
             argvs += [
                 [group, sub, "--help"],
                 [group, sub],
@@ -162,7 +174,7 @@ def help_and_usage_argvs():
                 [group, sub, "--format", "xml", "1"],
                 [group, sub, "--nonsense", "1"],
             ]
-    return argvs
+    return argvs + EDGE_ARGVS
 
 
 def help_and_usage_runs():
@@ -172,30 +184,27 @@ def help_and_usage_runs():
 
 def test_help_and_usage_match_the_all_groups_parser():
     runs = help_and_usage_runs()
-    assert len(runs) == 4 + 7 * 4 + 5 * 40  # 7 groups of 40 subcommands
+    assert len(runs) == 4 + 7 * 4 + 5 * 40 + 17  # 7 groups of 40 subcommands, 17 edge argv
     assert [argv for argv, output, oracle in runs if output != oracle] == []
     outputs = [output for _, output, _ in runs]
-    assert sum(code == 0 and out.startswith("usage: padicore") for code, out, _ in outputs) == 1 + 7 * 2 + 40
+    helps = sum(code == 0 and out.startswith("usage: padicore") for code, out, _ in outputs)
+    assert helps == 1 + 7 * 2 + 40 + 2  # two edge argv ask for help
     errors = [err for code, _, err in outputs if code == 2]
     assert all(err.startswith("usage error: ") and err.count("\n") == 1 for err in errors)
     for message in ("invalid choice", "the following arguments are required", "unrecognized arguments"):
         assert any(message in err for err in errors), message
 
 
-def test_main_builds_the_named_group_only(monkeypatch):
+def test_a_command_builds_one_parser(monkeypatch):
     built = []
-    monkeypatch.setattr(cli, "_build_parser", lambda groups: built.append(set(groups)) or _build_parser(groups))
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "__init__", lambda self, **kw: built.append(self) or init(self, **kw)
+    )
     for argv, _ in GROUP_MODULES:
-        assert run_main(argv)[0] == 0
-    assert run_main(["--help"])[0] == 0
-    assert built == [{argv[0]} for argv, _ in GROUP_MODULES] + [{None}]
-
-
-def test_only_the_named_group_gets_its_subcommands():
-    groups = _subcommands(_build_parser({"hensel"}))
-    assert list(groups) == list(cli._GROUPS)
-    assert [name for name, parser in groups.items() if _subcommands(parser)] == ["hensel"]
-    assert not any(_subcommands(parser) for parser in _subcommands(_build_parser({None})).values())
+        built.clear()
+        assert run_main(argv)[0] == 0, argv
+        assert [(type(p), p.prog) for p in built] == [(cli._Parser, "padicore " + " ".join(argv[:2]))], argv
 
 
 if __name__ == "__main__":
