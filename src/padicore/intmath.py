@@ -6,9 +6,10 @@ from functools import lru_cache
 
 from .errors import DivisionByZeroError, DomainError
 
-# Miller-Rabin bases, exact below 3317044064679887385961981 (Sorenson and
+# Miller-Rabin on these bases is exact below _MR_BOUND (Sorenson and
 # Webster, 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 
 def int_valuation(n, p):
@@ -89,32 +90,103 @@ def floor_log(n, base):
     return e
 
 
+def _strong_probable_prime(n, bases):
+    """Whether n > 2 passes the strong (Miller-Rabin) test to every base; every even n fails."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _jacobi(a, n):
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n):
+    """The strong Lucas test of odd n > 1 with Selfridge's parameters.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4.  With n + 1 = d * 2**s, d odd, n passes when
+    U_d = 0 or V_(d * 2**r) = 0 mod n for some r < s.  U_k and V_k are
+    built from the bits of d by doubling (U_2k = U_k V_k, V_2k = V_k**2 -
+    2Q**k) and adding one (U_k+1 = (P U_k + V_k)/2, V_k+1 = (D U_k +
+    P V_k)/2).  A square has no such D, so it is rejected first.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (symbol := _jacobi(D, n)) != -1:
+        if symbol == 0 and abs(D) != n:
+            return False  # D shares a factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+
+    def half(x):
+        x %= n
+        return (x + n if x % 2 else x) // 2
+
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    u, v, qk = 1, 1, Q % n  # U_1, V_1, Q**1 with P = 1
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = half(u + v), half(D * u + v), qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
 @lru_cache(maxsize=None)
 def check_prime(p):
     """Return p if it is prime, else raise DomainError.
 
-    Deterministic Miller-Rabin on the prime bases 2..41, which is exact for
-    p < 3.3 * 10**24.  Above that bound a p that passes every base is
-    accepted as a probable prime.
+    Below 3.3 * 10**24, deterministic Miller-Rabin on the prime bases
+    2..41, which is exact there.  Above it, Baillie-PSW: the base-2
+    Miller-Rabin test and a strong Lucas test with Selfridge's
+    parameters.  No composite is known to pass Baillie-PSW, and none
+    below 2**64 does, so a p above the bound is accepted as a probable
+    prime.
     """
     if not isinstance(p, int) or p < 2:
         raise DomainError(f"modulus must be an integer >= 2, got {p!r}")
     if p in _MR_BASES:
         return p
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            raise DomainError(f"{p} is not prime")
+    if p < _MR_BOUND:
+        prime = _strong_probable_prime(p, _MR_BASES)
+    else:
+        prime = _strong_probable_prime(p, (2,)) and _strong_lucas_probable_prime(p)
+    if not prime:
+        raise DomainError(f"{p} is not prime")
     return p
 
 

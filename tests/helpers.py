@@ -228,6 +228,32 @@ def schoolbook_mul(a, b, n, p=None):
     return out if p is None else [c % p for c in out]
 
 
+def newton_inverse_full(f):
+    """Inverse oracle: Newton's iteration x <- x + x*(1 - f*x) with full-size products.
+
+    x is padded with zeros to the step's target precision m, and both
+    products are taken mod T**m.
+    """
+    field, n = f.field, f.prec
+    x = PowerSeries(field, [field.inv(f.coeffs[0])] if n else [], min(n, 1))
+    while x.prec < n:
+        m = min(2 * x.prec, n)
+        x = PowerSeries(field, list(x.coeffs), m)
+        x = x + x * (PowerSeries.one(field, m) - f.truncate(m) * x)
+    return x
+
+
+def arnault_composite():
+    """Arnault's 70-digit p1*p2*p3, a strong pseudoprime to each prime base 2, 3, ..., 41.
+
+    p1 = 4713580168362724685203, p2 = 101*(p1 - 1) + 1 and
+    p3 = 241*(p1 - 1) + 1 are prime, so Miller-Rabin on those bases
+    alone accepts this composite.
+    """
+    p1 = 4713580168362724685203
+    return p1 * (101 * (p1 - 1) + 1) * (241 * (p1 - 1) + 1)
+
+
 def schoolbook_compose(f, g, n, p=None):
     """Composition oracle: sum of f_j * g**j mod T**n, powers by schoolbook_mul.
 

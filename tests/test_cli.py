@@ -13,6 +13,7 @@ import padicore
 from padicore.cli import main
 from padicore.padics import DEFAULT_PRECISION_CAP
 from padicore.textforms import MAX_NORM_EXPONENT, MAX_TERMS
+from helpers import arnault_composite
 
 
 def run(argv, env_cap=None, monkeypatch=None):
@@ -791,3 +792,22 @@ def test_series_json_operand_round_trip():
     data = json.loads(out)
     _, out2, _ = run(["series", "order", json.dumps(data)])
     assert out2.strip() == "0"
+
+
+def test_every_group_rejects_a_strong_pseudoprime_modulus():
+    """A composite that passes Miller-Rabin on the bases 2..41 is a domain error in every group."""
+    n = arnault_composite()
+    padic = {"p": n, "valuation": 0, "digits": [1], "abs_prec": 3}
+    commands = [
+        ["padic", "add", "--p", str(n), "--prec", "3", "1", "2"],
+        ["series", "invert", "--field", f"fp:{n}", "4713580168362724685203+T+O(T^3)"],
+        ["analytic", "bounds", "--p", str(n), "--prec", "3", "--poly", "x^2-2"],
+        ["hensel", "sqrt", "--p", str(n), "--prec", "3", "4"],
+        ["plog", "log", "--p", str(n), "--prec", "3", str(n)],
+        ["measure", "count", "--p", str(n), "--level", "1"],
+        ["sums", "bfs", json.dumps({"mode": "padic", "values": [padic]})],
+    ]
+    assert {argv[0] for argv in commands} == {"padic", "series", "analytic", "hensel", "plog", "measure", "sums"}
+    for argv in commands:
+        code, out, err = run(argv)
+        assert (code, out, err) == (1, "", f"error: {n} is not prime\n"), argv

@@ -234,3 +234,79 @@ def test_compose_rejects_nonzero_constant(p):
         kernels.compose([1, 2], [-1, 1], 2, p)
     with pytest.raises(ValueError):
         kernels.compose([1, 2], [p, 1], 2)  # over the integers g[0] must be 0
+
+
+# ------------------------------------------------ two evaluation points
+
+
+# (slot width in bytes, coefficient bound M): operands in [-M, M], of the
+# lengths at which they pack to about _TWO_POINT_BYTES, take slots of this
+# width; 10 and 17 bytes are the byte path, 101 the width QQ compositions reach
+TWO_POINT_CASES = [(2, 7), (4, 2**11 - 1), (8, 2**25 - 1), (10, 2**33 - 1), (17, 2**61 - 2), (101, 2**400 - 1)]
+
+
+def two_point_lengths(width):
+    """Lengths that pack to just below, at and just above the two-point size rule."""
+    at = -(-kernels._TWO_POINT_BYTES // width)  # the least length packing to at least the rule
+    return at - 1, at, at + 1
+
+
+def slot_width(a, b):
+    ma, mb = max(map(abs, a)), max(map(abs, b))
+    bound = ma * mb * min(len(a), len(b))
+    return kernels._slots(max(ma.bit_length(), mb.bit_length(), bound.bit_length()))[0]
+
+
+@pytest.mark.parametrize("width, top", TWO_POINT_CASES)
+def test_two_point_products_match_schoolbook(width, top):
+    """Signed and unsigned operands of odd, even and unequal lengths about the size rule.
+
+    n runs below, at and above the operand lengths; below the shorter
+    length it truncates the operands and takes the one-point product.
+    """
+    rng = rng_for(f"kernel-two-point-{width}")
+    for i, (length, low) in enumerate((k, lo) for k in two_point_lengths(width) for lo in (-top, 0)):
+        a = [rng.randint(low, top) for _ in range(length)] + [top]
+        b = [rng.randint(low, top) for _ in range(length + i % 3)] + [low or top]
+        assert slot_width(a, b) == width
+        la, lb = len(a), len(b)
+        for n in ((la - 2, la, lb + 1), (la + 1, la + lb - 1), (lb, la + lb + 2))[i % 3]:
+            assert kernels.convolve(a, b, n) == schoolbook_mul(a, b, n), (length, low, n)
+            assert kernels.convolve(b, a, n) == schoolbook_mul(b, a, n), (length, low, n)
+
+
+def test_two_point_products_mod_p_and_zero_operands():
+    """convolve_mod at p = 2**61 - 1 about the size rule, and a 1-byte slot of an all-zero operand."""
+    p = 2**61 - 1
+    rng = rng_for("kernel-two-point-mod-p")
+    for length in two_point_lengths(17):
+        a = [rng.randrange(p) for _ in range(length)]
+        b = [rng.randrange(-p, p) for _ in range(length + 1)]
+        for n in (length, 2 * length + 2):
+            assert kernels.convolve_mod(a, b, n, p) == schoolbook_mul(a, b, n, p)
+    length = kernels._TWO_POINT_BYTES
+    zeros, small = [0] * length, [rng.randint(-63, 63) for _ in range(length)]
+    assert slot_width(zeros, small) == 1
+    assert kernels.convolve(zeros, small, length + 1) == [0] * (length + 1)
+    assert kernels.convolve(small, zeros, 2 * length) == [0] * (2 * length)
+
+
+@pytest.mark.parametrize("width, top", TWO_POINT_CASES + [(1, 0)])
+def test_only_the_packed_operand_size_decides_the_evaluation_points(monkeypatch, width, top):
+    """The one-point product packs each operand once, the two-point product its even and odd halves.
+
+    The shorter operand, truncated to n, decides: two points from
+    _TWO_POINT_BYTES of packed slots, one point below.
+    """
+    packs = []
+    pack = kernels._pack
+    monkeypatch.setattr(kernels, "_pack", lambda xs, w, bias: packs.append(w) or pack(xs, w, bias))
+    for length in two_point_lengths(width):
+        a, b = [top] * length, [top or 1] * (3 * length)
+        assert slot_width(a, b) == width
+        for n, shorter in ((length, length), (length - 1, length - 1), (4 * length, length)):
+            packs.clear()
+            kernels.convolve(b, a, n)
+            w = slot_width(a[:n], b[:n])
+            expect = 4 if w * shorter >= kernels._TWO_POINT_BYTES else 2
+            assert packs == [w] * expect, (width, length, n)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from padicore import DivisionByZeroError, FpElement, PrimeMismatchError
 from padicore.errors import DomainError
-from padicore.intmath import check_prime
+from padicore.intmath import _strong_lucas_probable_prime, _strong_probable_prime, check_prime
+from helpers import arnault_composite
 
 SMALL_PRIMES = [2, 3, 5, 7]
 
@@ -69,6 +70,43 @@ def test_check_prime_is_exact():
         except DomainError:
             accepted = False
         assert accepted == by_trial_division, n
+
+
+def test_check_prime_rejects_a_strong_pseudoprime_to_bases_2_to_41():
+    n = arnault_composite()
+    assert n > 3.3 * 10**24
+    assert _strong_probable_prime(n, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
+    with pytest.raises(DomainError, match="is not prime"):
+        check_prime(n)
+    with pytest.raises(DomainError):
+        FpElement(1, n)
+
+
+def test_baillie_psw_above_the_miller_rabin_bound():
+    for p in (2**61 - 1, 2**127 - 1, 2**521 - 1, 2**89 - 1, 2**64 - 59):
+        assert check_prime(p) == p
+    q = 2**127 - 1
+    for n in (q * q, q * (2**89 - 1), 3 * q, 2**128):
+        with pytest.raises(DomainError):
+            check_prime(n)
+
+
+def test_baillie_psw_matches_a_sieve_below_10_6():
+    """Base-2 Miller-Rabin with the strong Lucas test accepts exactly the odd primes below 10**6.
+
+    The strong Lucas test alone passes a few composites, the least of them
+    5459, 5777, 10877 and 16109; none of these passes base 2.
+    """
+    limit = 10**6
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for q in range(2, isqrt(limit) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, limit, q)))
+    for n in range(3, limit, 2):
+        assert (_strong_probable_prime(n, (2,)) and _strong_lucas_probable_prime(n)) == sieve[n], n
+    lucas_only = [n for n in range(3, 20000, 2) if not sieve[n] and _strong_lucas_probable_prime(n)]
+    assert lucas_only == [5459, 5777, 10877, 16109, 18971]
 
 
 def test_pow_examples():

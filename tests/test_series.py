@@ -17,6 +17,7 @@ from padicore import (
 from helpers import (
     compose_by_monomials,
     horner_compose_rational,
+    newton_inverse_full,
     random_fp_series,
     random_q_series,
     rng_for,
@@ -252,6 +253,31 @@ def test_inversion_contracts(make):
         assert prod.unit.prec == laurent.unit.prec
         assert prod.unit.coeffs[0] == f.field.one
         assert all(c == f.field.zero for c in prod.unit.coeffs[1:])
+
+
+INVERSE_ORDERS = list(range(10)) + [2**k + d for k in range(4, 9) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("make", ["fp2", "fp5", "fp65537", f"fp{2**61 - 1}", "q"])
+def test_half_size_newton_matches_full_products(make):
+    """_inverse, Laurent invert and invert_one_minus equal today's full-product Newton iteration.
+
+    Orders 0-9 and 2**k - 1, 2**k, 2**k + 1 up to 257 end the doubling on
+    and between powers of two; Laurent tails run from -3 to 3.
+    """
+    rng = rng_for(f"inv-half-size-{make}")
+    for order in INVERSE_ORDERS:
+        f, g = _pair(rng, make, order)
+        if order and f.coeffs[0] == f.field.zero:
+            f = f + PowerSeries.one(f.field, order)
+        expect = newton_inverse_full(f)
+        assert f._inverse() == expect
+        if order:
+            tail = order % 7 - 3
+            inverse = LaurentSeries.from_power_series(f, tail).invert()
+            assert inverse.tail == -tail and inverse.unit == expect
+        g = g - PowerSeries(g.field, g.coeffs[:1], order)  # zero constant term
+        assert g.invert_one_minus() == newton_inverse_full(PowerSeries.one(g.field, order) - g)
 
 
 def test_norm_multiplicativity_and_ultranorm():
