@@ -10,6 +10,8 @@ from .errors import DivisionByZeroError, DomainError
 # Webster, 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
+# check_prime remembers this many of the moduli it passed most recently.
+_PRIME_CACHE_SIZE = 256
 
 
 def int_valuation(n, p):
@@ -166,7 +168,7 @@ def _strong_lucas_probable_prime(n):
     return False
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PRIME_CACHE_SIZE)
 def check_prime(p):
     """Return p if it is prime, else raise DomainError.
 

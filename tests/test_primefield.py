@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 from padicore import DivisionByZeroError, FpElement, PrimeMismatchError
 from padicore.errors import DomainError
-from padicore.intmath import _strong_lucas_probable_prime, _strong_probable_prime, check_prime
+from padicore.intmath import (
+    _PRIME_CACHE_SIZE,
+    _strong_lucas_probable_prime,
+    _strong_probable_prime,
+    check_prime,
+)
 from helpers import arnault_composite
 
 SMALL_PRIMES = [2, 3, 5, 7]
@@ -70,6 +75,20 @@ def test_check_prime_is_exact():
         except DomainError:
             accepted = False
         assert accepted == by_trial_division, n
+
+
+def test_check_prime_cache_is_bounded():
+    primes = [n for n in range(10**4, 2 * 10**4) if all(n % d for d in range(2, isqrt(n) + 1))]
+    assert len(primes) > 2 * _PRIME_CACHE_SIZE
+    for p in primes:
+        assert check_prime(p) == p
+    info = check_prime.cache_info()
+    assert info.maxsize == _PRIME_CACHE_SIZE
+    assert info.currsize == _PRIME_CACHE_SIZE
+    # the most recent moduli are the ones kept
+    hits = info.hits
+    check_prime(primes[-1])
+    assert check_prime.cache_info().hits == hits + 1
 
 
 def test_check_prime_rejects_a_strong_pseudoprime_to_bases_2_to_41():

@@ -1,5 +1,6 @@
 """Finite summation laboratory: norms, BFS, Fubini, partitions."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -135,6 +136,97 @@ def test_bfs_guard():
     fam = FiniteFamily(range(21), [1] * 21)
     with pytest.raises(EnumerationGuardError):
         bfs_norm(fam)
+
+
+def mixed_padic(rng, p):
+    """A p-adic value of mixed absolute precision, sometimes zero to it."""
+    if rng.random() < 0.2:
+        return Padic.zero(p, rng.randrange(-5, 7))
+    return random_padic(rng, p, rng.randrange(1, 7), -4, 4)
+
+
+def test_bfs_padic_mixed_precisions_and_zero_members():
+    rng = rng_for("bfs-padic-mixed")
+    for p in (2, 3, 5, 7, 101):
+        for _ in range(15):
+            values = [mixed_padic(rng, p) for _ in range(rng.randrange(1, 11))]
+            fam = FiniteFamily(range(len(values)), values)
+            assert bfs_norm(fam) == _bfs_oracle(fam) == fam.sup_norm()
+
+
+def test_bfs_zero_member_below_every_valuation():
+    # the zero bounds only the sums it belongs to: {1 + O(5^3)} alone has size 1
+    one = Padic(5, 0, 1, 3)
+    for fam_values in (
+        [one, Padic.zero(5, -2)],
+        [Padic.zero(5, -2), one],
+        [Padic(5, 2, 3, 4), Padic.zero(5, 1), Padic(5, -1, 2, 1)],
+    ):
+        fam = FiniteFamily(range(len(fam_values)), fam_values)
+        assert bfs_norm(fam) == _bfs_oracle(fam) == fam.sup_norm()
+    assert bfs_norm(FiniteFamily([0, 1], [one, Padic.zero(5, -2)])) == 1
+
+
+def test_bfs_padic_families_that_cancel():
+    rng = rng_for("bfs-padic-cancel")
+    for p in (2, 3, 7):
+        # every member, and so every nonempty sum, is zero at its precision
+        zeros = [Padic.zero(p, rng.randrange(-3, 6)) for _ in range(rng.randrange(1, 11))]
+        fam = FiniteFamily(range(len(zeros)), zeros)
+        assert bfs_norm(fam) == _bfs_oracle(fam) == 0
+        # pairs x, -x, the negation sometimes known to fewer digits
+        for _ in range(10):
+            values = []
+            for _ in range(rng.randrange(1, 6)):
+                x = random_padic(rng, p, rng.randrange(2, 7), -3, 3)
+                y = -x
+                if rng.random() < 0.5:
+                    y = y.truncate(rng.randrange(y.v + 1, y.abs_prec + 1))
+                values += [x, y]
+            fam = FiniteFamily(range(len(values)), values)
+            assert bfs_norm(fam) == _bfs_oracle(fam)
+
+
+def test_bfs_rational_coprime_denominators():
+    rng = rng_for("bfs-coprime")
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    for _ in range(20):
+        n = rng.randrange(1, 11)
+        dens = rng.sample(primes, n)
+        fam = FiniteFamily(range(n), [Fraction(rng.randrange(-40, 41), d) for d in dens])
+        assert bfs_norm(fam) == _bfs_oracle(fam)
+
+
+def test_bfs_rational_one_sign():
+    rng = rng_for("bfs-one-sign")
+    for sign in (1, -1):
+        for _ in range(15):
+            n = rng.randrange(1, 11)
+            values = [sign * Fraction(rng.randrange(0, 30), rng.randrange(1, 7)) for _ in range(n)]
+            fam = FiniteFamily(range(n), values)
+            value = bfs_norm(fam)
+            assert value == _bfs_oracle(fam) == sum(abs(v) for v in values)
+
+
+def test_bfs_memory_is_linear():
+    rng = rng_for("bfs-memory")
+    families = [
+        FiniteFamily(
+            range(16),
+            [Fraction(rng.randrange(-50, 51), rng.randrange(1, 21)) for _ in range(16)],
+        ),
+        FiniteFamily(
+            range(16), [Padic.from_int(rng.randrange(1, 7**20), 7, 20) for _ in range(16)]
+        ),
+    ]
+    for fam in families:
+        tracemalloc.start()
+        try:
+            bfs_norm(fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, (fam.mode, peak)
 
 
 # ------------------------------------------------------------------ fubini
