@@ -88,14 +88,15 @@ _TO_JSON = {
 }
 
 
-def _emit(args, answer, pretty=None):
+def _emit(args, answer, pretty=None, to_json=None):
     """Print one answer, rendered once, in the format asked for.
 
     With no pretty, the answer is a value (a Padic, series, polynomial or
     clopen set): it prints its canonical textforms JSON, or its pretty()
     form; a clopen set's pretty form is its JSON.  Otherwise the answer is
     a report namedtuple or a dict of fields, each encoded by _field, or a
-    list of JSON values; it prints as JSON, or as pretty(fields).
+    list of JSON values; it prints as JSON, or as pretty(fields).  A
+    to_json renderer writes the JSON text in place of json.dumps.
     """
     if pretty is None:
         name = type(answer).__name__
@@ -107,7 +108,10 @@ def _emit(args, answer, pretty=None):
         fields = answer._asdict() if hasattr(answer, "_asdict") else answer
         if isinstance(fields, dict):
             fields = {name: _field(v) for name, v in fields.items()}
-        text = json.dumps(fields, sort_keys=True) if args.format == "json" else pretty(fields)
+        if args.format != "json":
+            text = pretty(fields)
+        else:
+            text = to_json(fields) if to_json else json.dumps(fields, sort_keys=True)
     print(text)
     return 0
 
@@ -473,11 +477,14 @@ def _run_measure(args, cap):
         n = measure.residue_count(args.p, args.level)
         return _emit(args, {"count": n}, "{count}".format_map)
     if cmd == "split":
-        parts = textforms.parse_ball(args.operands[0], args.p).split()
+        ball = textforms.parse_ball(args.operands[0], args.p)
+        level, step = ball.level + 1, args.p**ball.level
+        mod = f" mod {args.p}^{level}"
         return _emit(
             args,
-            [b.to_json_dict() for b in parts],
-            lambda balls: ", ".join(f"{b['center']} mod {args.p}^{b['level']}" for b in balls),
+            range(ball.center, args.p * step, step),  # the centers of the p sub-balls
+            lambda centers: (mod + ", ").join(map(str, centers)) + mod,
+            lambda centers: f"[{textforms.balls_json_items(level, centers)}]",
         )
     sets = [textforms.parse_clopen(t) for t in args.operands]
     if cmd == "measure":

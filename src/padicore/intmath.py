@@ -63,21 +63,38 @@ def str_digit_limit():
     return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
+@lru_cache(maxsize=2)
+def _power_of_ten(limit):
+    """10**limit and its bit length, built once per limit."""
+    power = 10**limit
+    return power, power.bit_length()
+
+
 def int_prints(n):
-    """Whether str() prints the integer n; 8**limit < 10**limit decides most n at once."""
-    limit = str_digit_limit()
+    """Whether str() prints the integer n, that is |n| < 10**limit.
+
+    The bit lengths decide unless n has exactly as many bits as 10**limit.
+    """
+    power, bits = _power_of_ten(str_digit_limit())
     n = abs(n)
-    return n.bit_length() <= 3 * limit or n < 10**limit
+    return n.bit_length() < bits or (n.bit_length() == bits and n < power)
 
 
 def power_prints(p, k):
-    """Whether str() prints p**k, for p >= 2.
+    """Whether str() prints p**k, for p >= 2 and k >= 0.
 
-    Past 2**(4*limit) the power is too long without computing it, so a
-    huge k is answered at once.
+    p**k has between k*(b - 1) + 1 and k*b bits, b the bit length of p,
+    so comparing those with the bit length of 10**limit decides every k,
+    a huge one at once, but a window of about 3.3*limit/b**2 exponents.
+    Only inside it is p**k built.
     """
-    limit = str_digit_limit()
-    return (p.bit_length() - 1) * k <= 4 * limit and p**k < 10**limit
+    power, bits = _power_of_ten(str_digit_limit())
+    b = p.bit_length()
+    if k * b < bits:
+        return True
+    if k * (b - 1) >= bits:
+        return False
+    return p & (p - 1) == 0 or p**k < power  # 2**(bits - 1) < 10**limit
 
 
 def floor_log(n, base):

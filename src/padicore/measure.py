@@ -10,14 +10,23 @@ it can (a full or an empty node), the walk descends where both branch and
 collapses on the way up, at p per node where both branch plus p per full
 node a difference splits; a difference over 10**6 balls is refused.
 
+Reads come from the trie too, by walks that are never recursive.
+measure and max_level count the full nodes of each level; == walks the
+two tries side by side; levels() lists each level's sorted centers, and
+hash, repr, to_json_dict, the CLI's JSON and translate read that.  The
+counts and the centers are walked once per set and kept.  A carry
+crosses digits, so translate builds its trie again from the shifted
+centers.  The balls property is the only reader that builds one Ball per
+ball, about 2.5 us each.
+
 A level-j ball has the exact measure (1/N)**j, N = p the number of level-1
 sub-balls: the Hausdorff measure with rho_1**alpha = 1/N kept symbolically,
 so a residue field of size q reuses it with branching = q.
 """
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
-from itertools import repeat
+from itertools import count, repeat
 
 from .errors import DomainError, EnumerationGuardError, PrimeMismatchError
 from .intmath import check_prime
@@ -124,7 +133,7 @@ def _count(node):
 class ClopenSet:
     """A finite disjoint union of balls in Z_p, kept canonical as a digit trie."""
 
-    __slots__ = ("p", "_root", "_balls")
+    __slots__ = ("p", "_root", "_levels", "_level_counts", "_balls")
 
     def __new__(cls, p, balls=()):
         check_prime(p)
@@ -133,20 +142,7 @@ class ClopenSet:
             if b.p != p:
                 raise PrimeMismatchError("ball from a different prime")
             by_level.setdefault(b.level, []).append(b.center)
-        # the canonical trie, made a level at a time from the finest: a ball
-        # replaces the finer nodes under it, and p full children make a full node
-        nodes, step = {}, p ** max(by_level, default=0)
-        for level in range(max(by_level, default=0), 0, -1):
-            nodes.update(dict.fromkeys(by_level.get(level, ()), True))
-            step, parents = step // p, {}
-            for center, node in nodes.items():
-                digit, parent = divmod(center, step)
-                parents.setdefault(parent, {})[digit] = node
-            for parent, node in parents.items():
-                if len(node) == p and list(node.values()).count(True) == p:
-                    parents[parent] = True
-            nodes = parents
-        return _clopen(p, True if 0 in by_level else nodes.get(0))
+        return _build(p, by_level)
 
     def __setattr__(self, name, value):
         raise AttributeError("ClopenSet is immutable")
@@ -161,28 +157,37 @@ class ClopenSet:
 
     @property
     def balls(self):
-        """The balls sorted by (level, center), listed on the first read."""
+        """The balls sorted by (level, center), listed on the first read.
+
+        This builds one Ball per ball, which the garbage collector tracks:
+        about 2.5 s for 10**6 balls.  Nothing in the package reads it.
+        """
         if self._balls is None:
-            p, centers, balls = self.p, {}, []
-            stack = [(self._root, 0, 0, 1)]  # a node, its level, its center, p**level
-            while stack:
-                node, level, center, step = stack.pop()
-                if node is True:
-                    centers.setdefault(level, []).append(center)
-                elif node:
-                    stack += ((c, level + 1, center + d * step, step * p) for d, c in node.items())
-            for level in sorted(centers):
-                found = zip(repeat(p), repeat(level), sorted(centers[level]))
-                balls += map(tuple.__new__, repeat(Ball), found)
-            object.__setattr__(self, "_balls", tuple(balls))
+            found = ((self.p, level, c) for level, centers in self.levels() for c in centers)
+            _set_balls(self, tuple(map(tuple.__new__, repeat(Ball), found)))
         return self._balls
+
+    def levels(self):
+        """The centers of the balls, level by level: (level, sorted centers)
+        pairs by increasing level, from one level-order walk of the trie,
+        made on the first read."""
+        if self._levels is None:
+            _set_levels(self, tuple(_level_centers(self.p, self._root)))
+        return self._levels
+
+    def _counts(self):
+        """The number of balls at each level, 0 to the finest, made on the
+        first read by a level-order walk that computes no center."""
+        if self._level_counts is None:
+            _set_level_counts(self, _full_counts(self._root))
+        return self._level_counts
 
     @property
     def is_empty(self):
         return not self._root
 
     def max_level(self):
-        return self.balls[-1].level if self._root else 0  # the balls sort by level
+        return max(len(self._counts()) - 1, 0)
 
     def _check(self, other):
         if not isinstance(other, ClopenSet):
@@ -222,29 +227,56 @@ class ClopenSet:
         return _clopen(self.p, True).difference(self)
 
     def translate(self, c):
-        """The set shifted by the p-adic integer c (given mod enough levels)."""
-        return ClopenSet(self.p, [Ball(self.p, b.level, b.center + c) for b in self.balls])
+        """The set shifted by the p-adic integer c (given mod enough levels).
+
+        A carry crosses digits, so the shifted centers are built again
+        into a trie, as the constructor does.
+        """
+        if not isinstance(c, int):
+            raise DomainError(f"a shift must be an integer, got {c!r}")
+        by_level = {}
+        for level, xs in self.levels():
+            modulus = self.p**level
+            by_level[level] = [(x + c) % modulus for x in xs]
+        return _build(self.p, by_level)
 
     def measure(self, branching=None):
         """Exact Haar measure: the sum of (1/branching)**level, counted per level."""
         b = self.p if branching is None else branching
-        counts, top = Counter(ball.level for ball in self.balls), self.max_level()
-        return Fraction(sum(n * b ** (top - level) for level, n in counts.items()), b**top)
+        counts, numerator = self._counts(), 0
+        for n in counts:  # Horner: sum of n_l * b**(top - l)
+            numerator = numerator * b + n
+        return Fraction(numerator, b ** max(len(counts) - 1, 0))
 
     def __eq__(self, other):
         if not isinstance(other, ClopenSet):
             return NotImplemented
-        return self.p == other.p and self.balls == other.balls
+        if self.p != other.p:
+            return False
+        # the form is unique: equal sets have equal tries, compared node by node
+        stack = [(self._root, other._root)]
+        while stack:
+            x, y = stack.pop()
+            if x is y:
+                continue
+            if x is True or y is True or not (x and y) or x.keys() != y.keys():
+                return False
+            inner = {d for d, child in x.items() if child is not True}
+            if inner != {d for d, child in y.items() if child is not True}:
+                return False
+            stack += [(x[d], y[d]) for d in inner]
+        return True
 
     def __hash__(self):
-        return hash((self.p, self.balls))
+        return hash((self.p, self.levels()))
 
     def __repr__(self):
-        inner = ", ".join(f"{b.center}+{b.p}^{b.level}Zp" for b in self.balls)
+        inner = ", ".join(f"{x}+{self.p}^{level}Zp" for level, xs in self.levels() for x in xs)
         return f"ClopenSet(p={self.p}, {{{inner}}})"
 
     def to_json_dict(self):
-        return {"p": self.p, "balls": [b.to_json_dict() for b in self.balls]}
+        balls = [{"level": level, "center": x} for level, xs in self.levels() for x in xs]
+        return {"p": self.p, "balls": balls}
 
     @classmethod
     def from_json_dict(cls, data):
@@ -252,11 +284,73 @@ class ClopenSet:
         return cls(p, [Ball(p, b["level"], b["center"]) for b in data["balls"]])
 
 
+def _build(p, by_level):
+    """The canonical trie of the balls with these centers at each level,
+    made a level at a time from the finest: a ball replaces the finer nodes
+    under it, and p full children make a full node.  Each center is below
+    p**level."""
+    nodes, step = {}, p ** max(by_level, default=0)
+    for level in range(max(by_level, default=0), 0, -1):
+        nodes.update(dict.fromkeys(by_level.get(level, ()), True))
+        step, parents = step // p, {}
+        for center, node in nodes.items():
+            digit, parent = divmod(center, step)
+            parents.setdefault(parent, {})[digit] = node
+        for parent, node in parents.items():
+            if len(node) == p and list(node.values()).count(True) == p:
+                parents[parent] = True
+        nodes = parents
+    return _clopen(p, True if 0 in by_level else nodes.get(0))
+
+
+# the slots' own setters: ClopenSet.__setattr__ refuses every write
+_set_p, _set_root, _set_levels, _set_level_counts, _set_balls = (
+    ClopenSet.__dict__[name].__set__ for name in ClopenSet.__slots__
+)
+
+
 def _clopen(p, root):
     s = object.__new__(ClopenSet)
-    for name, value in (("p", p), ("_root", root), ("_balls", None)):
-        object.__setattr__(s, name, value)
+    _set_p(s, p)
+    _set_root(s, root)
+    _set_levels(s, None)  # this and the next two are made on the first read
+    _set_level_counts(s, None)
+    _set_balls(s, None)
     return s
+
+
+def _level_centers(p, root):
+    """(level, sorted centers) of the full nodes of a trie, level by level."""
+    if root is True:
+        yield 0, (0,)
+        return
+    nodes, step = [(root, 0)] if root else [], 1  # a level's inner nodes with their centers; p**level
+    for level in count(1):
+        if not nodes:
+            return
+        full, inner = [], []
+        for node, center in nodes:
+            full += [center + d * step for d, child in node.items() if child is True]
+            inner += [(child, center + d * step) for d, child in node.items() if child is not True]
+        if full:
+            yield level, tuple(sorted(full))
+        nodes, step = inner, step * p
+
+
+def _full_counts(root):
+    """The number of full nodes of a trie at each level, 0 to the finest."""
+    if not root or root is True:
+        return (1,) if root else ()
+    counts, nodes = [0], [root]
+    while nodes:
+        full, inner = 0, []
+        for node in nodes:
+            children = list(node.values())
+            full += children.count(True)
+            inner += [c for c in children if c is not True]
+        counts.append(full)
+        nodes = inner
+    return tuple(counts)
 
 
 def residue_count(p, level):

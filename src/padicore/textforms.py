@@ -410,7 +410,16 @@ def polynomial_from_json(data):
 
 
 def clopen_to_json(s):
-    return json.dumps(s.to_json_dict(), sort_keys=True)
+    """The text of json.dumps(s.to_json_dict(), sort_keys=True), written a
+    level at a time from the sorted centers with no dict per ball."""
+    return '{"balls": [%s], "p": %d}' % (", ".join(balls_json_items(level, xs) for level, xs in s.levels()), s.p)
+
+
+def balls_json_items(level, centers):
+    """The JSON objects of the balls with these centers at one level, as
+    json.dumps(sort_keys=True) writes them in an array: comma-separated."""
+    tail = f', "level": {level}}}'
+    return '{"center": ' + (tail + ', {"center": ').join(map(str, centers)) + tail
 
 
 # Series exponents and polynomial degrees allowed in input (an n-th root

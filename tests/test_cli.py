@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -155,6 +156,23 @@ def test_measure_count_and_split():
         ["measure", "split", "--p", "2", '{"level": 1, "center": 1}']
     )
     assert code == 0 and out.strip() == "1 mod 2^2, 3 mod 2^2"
+
+
+def test_measure_split_writes_the_sub_balls_of_split():
+    """The answer is written from the sub-ball centers; it reads as the
+    JSON and pretty forms of Ball.split()."""
+    from padicore import Ball
+
+    rng = random.Random(5)
+    for p in (2, 3, 7, 101):
+        for level in (0, 1, 5):
+            ball = Ball(p, level, rng.randrange(p ** (level + 1)))
+            argv = ["measure", "split", "--p", str(p), json.dumps({"level": level, "center": ball.center})]
+            parts = ball.split()
+            code, out, _ = run(argv + ["--format", "json"])
+            assert (code, out) == (0, json.dumps([b.to_json_dict() for b in parts], sort_keys=True) + "\n")
+            code, out, _ = run(argv)
+            assert (code, out) == (0, ", ".join(f"{b.center} mod {p}^{b.level}" for b in parts) + "\n")
 
 
 def test_padic_full_surface():
@@ -632,8 +650,10 @@ def test_identical_argv_identical_bytes():
 
 
 def test_answers_are_rendered_once(monkeypatch):
-    """A clopen answer is serialised once in each format, and no answer is
-    read back: json.loads runs only on the JSON operands."""
+    """A clopen answer is serialised once in each format, from one walk of
+    its trie and with no dict per ball, and no answer is read back:
+    json.loads runs only on the JSON operands."""
+    from padicore import textforms
     from padicore.measure import ClopenSet
 
     calls = Counter()
@@ -646,6 +666,8 @@ def test_answers_are_rendered_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(ClopenSet, "to_json_dict", counted("to_json_dict", ClopenSet.to_json_dict))
+    monkeypatch.setattr(ClopenSet, "levels", counted("levels", ClopenSet.levels))
+    monkeypatch.setattr(textforms, "clopen_to_json", counted("clopen_to_json", textforms.clopen_to_json))
     monkeypatch.setattr(json, "loads", counted("loads", json.loads))
     clopen = '{"p":5,"balls":[{"level":2,"center":7}]}'
     text_operands = [
@@ -659,7 +681,7 @@ def test_answers_are_rendered_once(monkeypatch):
     for fmt in ("pretty", "json"):
         calls.clear()
         assert run(["measure", "complement", "--format", fmt, clopen])[0] == 0
-        assert calls == {"to_json_dict": 1, "loads": 1}  # loads: the operand
+        assert calls == {"clopen_to_json": 1, "levels": 1, "loads": 1}  # loads: the operand
         for argv in text_operands:
             calls.clear()
             assert run(argv + ["--format", fmt])[0] == 0

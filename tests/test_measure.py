@@ -1,5 +1,6 @@
 """Ball algebra and Haar measure on the p-adic integers."""
 
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -331,6 +332,84 @@ def test_ball_center_must_be_an_int():
             Ball(5, 2, center)
 
 
+def _fresh_reads(s, equal):
+    """What each reader of a clopen set returns, each read on a fresh copy
+    of s that has not listed its balls, and still has not after the read;
+    "eq" compares it both ways with equal, a set built apart from s."""
+    reads = {}
+    readers = {
+        "eq": lambda t: (t == equal, equal == t),
+        "hash": hash,
+        "measure": lambda t: t.measure(),
+        "measure/3": lambda t: t.measure(3),
+        "max_level": lambda t: t.max_level(),
+        "repr": repr,
+        "json_dict": lambda t: t.to_json_dict(),
+        "json": clopen_to_json,
+        "levels": lambda t: t.levels(),
+    }
+    for name, read in readers.items():
+        t = measure._clopen(s.p, s._root)
+        reads[name] = read(t)
+        assert t._balls is None, name
+    return reads
+
+
+def _reads_from_balls(s):
+    """The same reads, the old way: from the sorted balls."""
+    balls = s.balls
+    top = max((b.level for b in balls), default=0)
+    levels = Counter(b.level for b in balls)
+    return {
+        "eq": (True, True),
+        "measure": sum((b.measure() for b in balls), Fraction(0)),
+        "measure/3": sum((b.measure(3) for b in balls), Fraction(0)),
+        "max_level": top,
+        "repr": f"ClopenSet(p={s.p}, {{{', '.join(f'{b.center}+{b.p}^{b.level}Zp' for b in balls)}}})",
+        "json_dict": {"p": s.p, "balls": [b.to_json_dict() for b in balls]},
+        "json": json.dumps({"p": s.p, "balls": [b.to_json_dict() for b in balls]}, sort_keys=True),
+        "levels": tuple((level, tuple(b.center for b in balls if b.level == level)) for level in sorted(levels)),
+    }
+
+
+def test_equal_sets_built_different_ways_read_alike():
+    """Constructor, a union fold in shuffled order and a double complement
+    build equal tries with different dict orders; every reader agrees, and
+    agrees with the balls."""
+    rng = rng_for("trie-readers")
+    for _ in range(150):
+        p = rng.choice((2, 3, 5, 7))
+        s = random_clopen(rng, p)
+        balls = list(s.balls) + [b for ball in s.balls[:1] for b in ball.split()]
+        rng.shuffle(balls)
+        folded = ClopenSet.empty(p)
+        for b in balls:
+            folded = folded.union(ClopenSet(p, [b]))
+        built = [ClopenSet(p, balls), folded, s.complement().complement()]
+        expected = _fresh_reads(s, built[0])
+        assert {k: v for k, v in expected.items() if k != "hash"} == _reads_from_balls(s)
+        for t in built:
+            assert _fresh_reads(t, s) == expected
+        if s.balls:  # a full node against a node that branches
+            smaller = s.difference(ClopenSet(p, s.balls[-1].split()[:1]))
+            assert smaller != s and s != smaller
+    assert ClopenSet(3, [Ball(3, 1, 0)]) != ClopenSet(3, [Ball(3, 1, 1)])
+    assert ClopenSet(3, [Ball(3, 1, 0)]) != ClopenSet(3, [Ball(3, 2, 0)])
+    assert ClopenSet(3, []) != ClopenSet(3, [Ball(3, 2, 0)]) != ClopenSet(5, [Ball(5, 2, 0)])
+
+
+def test_many_ball_reads_walk_the_trie():
+    """The complement of 300 level-2 balls at p = 499 has 149,001 balls."""
+    p, rng = 499, rng_for("many-ball-reads")
+    holes = ClopenSet(p, [Ball(p, 2, c + p * rng.randrange(p)) for c in range(300)])
+    reads = _fresh_reads(holes.complement(), holes.complement())
+    assert reads["eq"] == (True, True) and reads["max_level"] == 2
+    assert reads["measure"] == 1 - Fraction(300, p**2)
+    assert sum(len(xs) for _, xs in reads["levels"]) == p - 300 + 300 * (p - 1)
+    comp = holes.complement()
+    assert best_time(lambda: (comp.measure(), comp.max_level(), comp == holes.complement())) < 1
+
+
 def test_deep_sets_need_no_recursion():
     """Tries as deep as the finest printable level at p = 2 (about 14,000)."""
     level = 14_000
@@ -346,6 +425,15 @@ def test_deep_sets_need_no_recursion():
     assert ClopenSet.full(2).difference(comp) == ball
     assert comp.difference(ball) == comp
     assert comp.measure() == 1 - Fraction(1, 2**level)
+    # every reader at level 5,000, five times the recursion limit, on fresh sets
+    level = 5_000
+    ball = ClopenSet(2, [Ball(2, level, center % 2**level)])
+    for s in (ball, ball.complement()):
+        reads = _fresh_reads(s, s.complement().complement())
+        assert reads["eq"] == (True, True) and reads["max_level"] == level
+        assert reads["measure"] == (Fraction(1, 2**level) if s is ball else 1 - Fraction(1, 2**level))
+        assert reads["hash"] == hash(s.complement().complement())
+        assert len(reads["json_dict"]["balls"]) == (1 if s is ball else level)
 
 
 def test_deep_union_is_fast():
