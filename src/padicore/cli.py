@@ -11,6 +11,7 @@ overrides the construction-time precision cap (default 64).
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -20,10 +21,12 @@ from .errors import DomainError, ParseError
 from .intmath import int_prints, str_digit_limit
 from .padics import DEFAULT_PRECISION_CAP
 
-# A command builds the parser of its own subcommand alone, and its group
-# imports its modules inside its runner, so that one call builds one parser
-# and loads only its group.  The parser of every group answers the rest:
-# help and usage errors at the top and group levels.
+# Each group has one _<group>_arguments(parser, subcommand), which adds the
+# arguments of one of its subcommands, beside its _run_<group>, which imports
+# the group's modules.  A command builds the parser of its own subcommand
+# alone, so that one call builds one parser and loads only its group.  The
+# parser of every group answers the rest: help and usage errors at the top
+# and group levels.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,6 +129,15 @@ def _common(sp):
     _format(sp)
 
 
+def _poly(sp):
+    _common(sp)
+    sp.add_argument("--poly", required=True)
+
+
+# the binary operations of padic and series
+_ARITHMETIC = dict(add=operator.add, sub=operator.sub, mul=operator.mul, div=operator.truediv)
+
+
 # ------------------------------------------------------------------- padic
 
 
@@ -137,14 +149,7 @@ def _run_padic(args, cap):
     if cmd in ("add", "sub", "mul", "div"):
         if len(ops) != 2:
             raise ParseError(f"padic {cmd} takes exactly two operands")
-        a, b = ops
-        out = {
-            "add": lambda: a + b,
-            "sub": lambda: a - b,
-            "mul": lambda: a * b,
-            "div": lambda: a / b,
-        }[cmd]()
-        return _emit(args, out)
+        return _emit(args, _ARITHMETIC[cmd](*ops))
     if len(ops) != 1:
         raise ParseError(f"padic {cmd} takes exactly one operand")
     x = ops[0]
@@ -170,36 +175,25 @@ def _run_padic(args, cap):
     return _emit(args, fields, "{value} mod {p}^{level}".format_map)
 
 
-def _padic_operands(sp):
-    _common(sp)
-    sp.add_argument("operands", nargs="+")
-
-
-def _padic_reduce(sp):
-    _common(sp)
-    sp.add_argument("--level", type=int, required=True)
-    sp.add_argument("operands", nargs="+")
-
-
-_PADIC_COMMANDS = {
-    **dict.fromkeys(("add", "sub", "mul", "div", "invert", "valuation", "digits"), _padic_operands),
-    "reduce": _padic_reduce,
-}
+def _padic_arguments(parser, sub):
+    _common(parser)
+    if sub == "reduce":
+        parser.add_argument("--level", type=int, required=True)
+    parser.add_argument("operands", nargs="+")
 
 
 # ------------------------------------------------------------------ series
 
 
-def _series_operand(text, args):
+def _series_operand(text, field, order):
     from .series import PowerSeries
 
-    field = textforms.parse_field(args.field) if args.field else None
     s = textforms.parse_series(text, field)
-    if args.order is not None:
+    if order is not None:
         if isinstance(s, PowerSeries):
-            s = s.truncate(min(args.order, s.prec))
+            s = s.truncate(min(order, s.prec))
         else:
-            s = s._truncated(min(args.order, s.prec_exponent))
+            s = s._truncated(min(order, s.prec_exponent))
     return s
 
 
@@ -207,7 +201,8 @@ def _run_series(args, cap):
     from .series import LaurentSeries, PowerSeries
 
     cmd = args.subcommand
-    ops = [_series_operand(t, args) for t in args.operands]
+    field = textforms.parse_field(args.field) if args.field else None
+    ops = [_series_operand(t, field, args.order) for t in args.operands]
     if cmd in ("add", "sub", "mul", "compose"):
         if len(ops) != 2:
             raise ParseError(f"series {cmd} takes exactly two operands")
@@ -222,11 +217,7 @@ def _run_series(args, cap):
                     a = LaurentSeries.from_power_series(a)
                 if isinstance(b, PowerSeries):
                     b = LaurentSeries.from_power_series(b)
-            out = {
-                "add": lambda: a + b,
-                "sub": lambda: a - b,
-                "mul": lambda: a * b,
-            }[cmd]()
+            out = _ARITHMETIC[cmd](a, b)
     else:
         if len(ops) != 1:
             raise ParseError(f"series {cmd} takes exactly one operand")
@@ -256,27 +247,13 @@ def _run_series(args, cap):
     return _emit(args, out)
 
 
-def _series_operands(sp):
-    sp.add_argument("--field", help="coefficient field, e.g. fp:3 or q")
-    sp.add_argument("--order", type=int, help="truncate operands to this order")
-    _format(sp)
-    sp.add_argument("operands", nargs="+")
-
-
-def _series_norm(sp):
-    sp.add_argument("--field", help="coefficient field, e.g. fp:3 or q")
-    sp.add_argument("--order", type=int)
-    sp.add_argument("--ratio", default="1/2", help="the ratio r in (0,1)")
-    _format(sp)
-    sp.add_argument("operands", nargs="+")
-
-
-_SERIES_COMMANDS = {
-    **dict.fromkeys(
-        ("add", "sub", "mul", "compose", "derive", "invert", "order"), _series_operands
-    ),
-    "norm": _series_norm,
-}
+def _series_arguments(parser, sub):
+    parser.add_argument("--field", help="coefficient field, e.g. fp:3 or q")
+    parser.add_argument("--order", type=int, help="truncate operands to this order")
+    if sub == "norm":
+        parser.add_argument("--ratio", default="1/2", help="the ratio r in (0,1)")
+    _format(parser)
+    parser.add_argument("operands", nargs="+")
 
 
 # ---------------------------------------------------------------- analytic
@@ -307,32 +284,14 @@ def _run_analytic(args, cap):
     )
 
 
-def _poly(sp):
-    _common(sp)
-    sp.add_argument("--poly", required=True)
-
-
-def _analytic_eval(sp):
-    _poly(sp)
-    sp.add_argument("--ball-exp", type=int, default=None)
-    sp.add_argument("operands", nargs=1)
-
-
-def _analytic_recenter(sp):
-    _poly(sp)
-    sp.add_argument("operands", nargs=1)
-
-
-def _analytic_bounds(sp):
-    _poly(sp)
-    sp.add_argument("--radius-exp", type=int, default=0)
-
-
-_ANALYTIC_COMMANDS = {
-    "eval": _analytic_eval,
-    "recenter": _analytic_recenter,
-    "bounds": _analytic_bounds,
-}
+def _analytic_arguments(parser, sub):
+    _poly(parser)
+    if sub == "eval":
+        parser.add_argument("--ball-exp", type=int, default=None)
+    if sub == "bounds":
+        parser.add_argument("--radius-exp", type=int, default=0)
+    else:
+        parser.add_argument("operands", nargs=1)
 
 
 # ------------------------------------------------------------------ hensel
@@ -378,45 +337,24 @@ def _run_hensel(args, cap):
     )
 
 
-def _hensel_root(sp):
-    _common(sp)
-    sp.add_argument("operands", nargs=1)
-
-
-def _hensel_nthroot(sp):
-    _common(sp)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("operands", nargs=1)
-
-
-def _hensel_solve(sp):
-    _poly(sp)
-    sp.add_argument("--x0", required=True)
-    sp.add_argument("--z", default="0")
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--t", type=int, default=None)
-
-
-def _hensel_check(sp):
-    _poly(sp)
-    sp.add_argument("--x0", required=True)
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--t", type=int, required=True)
-
-
-def _hensel_image(sp):
-    _hensel_check(sp)
-    sp.add_argument("--level", type=int, required=True)
-
-
-_HENSEL_COMMANDS = {
-    "sqrt": _hensel_root,
-    "teichmuller": _hensel_root,
-    "nthroot": _hensel_nthroot,
-    "solve": _hensel_solve,
-    "check": _hensel_check,
-    "image": _hensel_image,
-}
+def _hensel_arguments(parser, sub):
+    if sub in ("sqrt", "teichmuller", "nthroot"):
+        _common(parser)
+        if sub == "nthroot":
+            parser.add_argument("--n", type=int, required=True)
+        parser.add_argument("operands", nargs=1)
+        return
+    _poly(parser)  # solve, check, image
+    parser.add_argument("--x0", required=True)
+    if sub == "solve":
+        parser.add_argument("--z", default="0")
+    parser.add_argument("--m", type=int, default=0)
+    if sub == "solve":
+        parser.add_argument("--t", type=int, default=None)
+    else:
+        parser.add_argument("--t", type=int, required=True)
+    if sub == "image":
+        parser.add_argument("--level", type=int, required=True)
 
 
 # -------------------------------------------------------------------- plog
@@ -445,24 +383,16 @@ def _run_plog(args, cap):
     return _emit(args, plog.log_series_polynomial(p, prec, args.domain_val))  # poly
 
 
-def _plog_log(sp):
-    _common(sp)
-    sp.add_argument("--x", dest="x_flag", default=None)
-    sp.add_argument("operands", nargs="*")
-
-
-def _plog_invert(sp):
-    _common(sp)
-    sp.add_argument("--z", dest="z_flag", default=None)
-    sp.add_argument("operands", nargs="*")
-
-
-def _plog_poly(sp):
-    _common(sp)
-    sp.add_argument("--domain-val", type=int, default=1)
-
-
-_PLOG_COMMANDS = {"log": _plog_log, "invert": _plog_invert, "poly": _plog_poly}
+def _plog_arguments(parser, sub):
+    _common(parser)
+    if sub == "poly":
+        parser.add_argument("--domain-val", type=int, default=1)
+        return
+    if sub == "log":
+        parser.add_argument("--x", dest="x_flag", default=None)
+    else:
+        parser.add_argument("--z", dest="z_flag", default=None)
+    parser.add_argument("operands", nargs="*")
 
 
 # ----------------------------------------------------------------- measure
@@ -495,51 +425,22 @@ def _run_measure(args, cap):
         out = sets[0].translate(args.shift)
     else:
         a, b = sets
-        out = {
-            "union": lambda: a.union(b),
-            "intersect": lambda: a.intersect(b),
-            "diff": lambda: a.difference(b),
-        }[cmd]()
+        out = {"union": a.union, "intersect": a.intersect, "diff": a.difference}[cmd](b)
     return _emit(args, out)
 
 
-def _one_value(sp):
-    _format(sp)
-    sp.add_argument("operands", nargs=1)
-
-
-def _two_values(sp):
-    _format(sp)
-    sp.add_argument("operands", nargs=2)
-
-
-def _measure_translate(sp):
-    _format(sp)
-    sp.add_argument("--shift", type=int, required=True)
-    sp.add_argument("operands", nargs=1)
-
-
-def _measure_split(sp):
-    sp.add_argument("--p", type=int, required=True)
-    _one_value(sp)
-
-
-def _measure_count(sp):
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--level", type=int, required=True)
-    _format(sp)
-
-
-_MEASURE_COMMANDS = {
-    "measure": _one_value,
-    "complement": _one_value,
-    "union": _two_values,
-    "intersect": _two_values,
-    "diff": _two_values,
-    "translate": _measure_translate,
-    "split": _measure_split,
-    "count": _measure_count,
-}
+def _measure_arguments(parser, sub):
+    if sub in ("split", "count"):
+        parser.add_argument("--p", type=int, required=True)
+    if sub == "count":
+        parser.add_argument("--level", type=int, required=True)
+    _format(parser)
+    if sub == "translate":
+        parser.add_argument("--shift", type=int, required=True)
+    if sub in ("union", "intersect", "diff"):
+        parser.add_argument("operands", nargs=2)
+    elif sub != "count":
+        parser.add_argument("operands", nargs=1)
 
 
 # -------------------------------------------------------------------- sums
@@ -570,36 +471,57 @@ def _run_sums(args, cap):
     )
 
 
-def _sums_norms(sp):
-    sp.add_argument("--r", default="1")
-    _one_value(sp)
-
-
-def _sums_partition(sp):
-    sp.add_argument("--blocks", required=True)
-    _one_value(sp)
-
-
-_SUMS_COMMANDS = {
-    "bfs": _one_value,
-    "fubini": _one_value,
-    "norms": _sums_norms,
-    "partition": _sums_partition,
-}
+def _sums_arguments(parser, sub):
+    if sub == "norms":
+        parser.add_argument("--r", default="1")
+    if sub == "partition":
+        parser.add_argument("--blocks", required=True)
+    _format(parser)
+    parser.add_argument("operands", nargs=1)
 
 
 # ------------------------------------------------------------------ parser
 
-# group name: (help text, {subcommand: add_arguments}, runner), in the
-# order that help lists them
+# group name: (help text, subcommand names, arguments, runner); help lists
+# the groups and their subcommands in this order
 _GROUPS = {
-    "padic": ("p-adic arithmetic", _PADIC_COMMANDS, _run_padic),
-    "series": ("formal power and Laurent series", _SERIES_COMMANDS, _run_series),
-    "analytic": ("p-adic polynomials on balls", _ANALYTIC_COMMANDS, _run_analytic),
-    "hensel": ("ball root solving", _HENSEL_COMMANDS, _run_hensel),
-    "plog": ("the p-adic logarithm", _PLOG_COMMANDS, _run_plog),
-    "measure": ("clopen ball algebra and measure", _MEASURE_COMMANDS, _run_measure),
-    "sums": ("finite summation laboratory", _SUMS_COMMANDS, _run_sums),
+    "padic": (
+        "p-adic arithmetic",
+        ("add", "sub", "mul", "div", "invert", "valuation", "digits", "reduce"),
+        _padic_arguments,
+        _run_padic,
+    ),
+    "series": (
+        "formal power and Laurent series",
+        ("add", "sub", "mul", "compose", "derive", "invert", "order", "norm"),
+        _series_arguments,
+        _run_series,
+    ),
+    "analytic": (
+        "p-adic polynomials on balls",
+        ("eval", "recenter", "bounds"),
+        _analytic_arguments,
+        _run_analytic,
+    ),
+    "hensel": (
+        "ball root solving",
+        ("sqrt", "teichmuller", "nthroot", "solve", "check", "image"),
+        _hensel_arguments,
+        _run_hensel,
+    ),
+    "plog": ("the p-adic logarithm", ("log", "invert", "poly"), _plog_arguments, _run_plog),
+    "measure": (
+        "clopen ball algebra and measure",
+        ("measure", "complement", "union", "intersect", "diff", "translate", "split", "count"),
+        _measure_arguments,
+        _run_measure,
+    ),
+    "sums": (
+        "finite summation laboratory",
+        ("bfs", "fubini", "norms", "partition"),
+        _sums_arguments,
+        _run_sums,
+    ),
 }
 
 
@@ -607,11 +529,11 @@ def _build_parser():
     """The top-level parser, with every group and subcommand."""
     parser = _Parser(prog="padicore", description=__doc__)
     top = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, commands, _) in _GROUPS.items():
+    for name, (help_text, subcommands, arguments, _) in _GROUPS.items():
         group = top.add_parser(name, help=help_text)
         subs = group.add_subparsers(dest="subcommand", required=True)
-        for sub, add_arguments in commands.items():
-            add_arguments(subs.add_parser(sub))
+        for sub in subcommands:
+            arguments(subs.add_parser(sub), sub)
     return parser
 
 
@@ -620,12 +542,10 @@ def _parse(argv):
     group and one of that group's subcommands, and by the parser of every
     group otherwise.  argparse hands a subcommand every token after its
     name, so the two parse such an argv alike."""
-    commands = _GROUPS[argv[0]][1] if argv and argv[0] in _GROUPS else {}
-    add_arguments = commands.get(argv[1]) if len(argv) > 1 else None
-    if add_arguments is None:
+    if len(argv) < 2 or argv[0] not in _GROUPS or argv[1] not in _GROUPS[argv[0]][1]:
         return _build_parser().parse_args(argv)
     parser = _Parser(prog=f"padicore {argv[0]} {argv[1]}")
-    add_arguments(parser)
+    _GROUPS[argv[0]][2](parser, argv[1])
     args = parser.parse_args(argv[2:])
     args.command, args.subcommand = argv[0], argv[1]
     return args
@@ -637,7 +557,7 @@ def main(argv=None):
     try:
         cap = _precision_cap()
         args = _parse(argv)
-        return _GROUPS[args.command][2](args, cap)
+        return _GROUPS[args.command][3](args, cap)
     except ParseError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

@@ -229,8 +229,8 @@ def argvs():
     out = []
     for i in range(ROUNDS):
         rng = random.Random(SEED + i)
-        for group, (_, commands, _) in cli._GROUPS.items():
-            for sub in commands:
+        for group, (_, subcommands, _, _) in cli._GROUPS.items():
+            for sub in subcommands:
                 for fmt in FORMATS:
                     out.append([group, sub, *_DRAW[group](rng, sub), "--format", fmt])
     for argv in _repros() + _many_balls():

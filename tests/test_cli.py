@@ -10,6 +10,8 @@ import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 import padicore
 from padicore.cli import main
 from padicore.padics import DEFAULT_PRECISION_CAP
@@ -299,6 +301,50 @@ def test_usage_error_exit_2():
     assert run(["padic", "add", "--p", "5", "--prec", "4", "1/0", "1"])[0] == 2
 
 
+_PREC_GROUPS = [
+    ["padic", "add", "--p", "5", "1", "2"],
+    ["analytic", "bounds", "--p", "5", "--poly", "x^2"],
+    ["hensel", "sqrt", "--p", "7", "2"],
+    ["plog", "poly", "--p", "5"],
+]
+_SERIES_OPERAND = ["--field", "q", "1 + T + O(T^3)"]
+
+# the CLI's own usage checks, past argparse: (argv, the one stderr line)
+OWN_USAGE_CHECKS = (
+    [(argv, "--prec is required here") for argv in _PREC_GROUPS]
+    + [(argv + ["--prec", "0"], "--prec must be at least 1") for argv in _PREC_GROUPS]
+    + [
+        (["padic", sub, "--p", "5", "--prec", "4", "1"], f"padic {sub} takes exactly two operands")
+        for sub in ("add", "sub", "mul", "div")
+    ]
+    + [
+        (["padic", sub, "--p", "5", "--prec", "4", "1", "2"], f"padic {sub} takes exactly one operand")
+        for sub in ("invert", "valuation", "digits")
+    ]
+    + [
+        (["padic", "reduce", "--p", "5", "--prec", "4", "--level", "2", "1", "2"], "padic reduce takes exactly one operand"),
+    ]
+    + [(["series", sub, *_SERIES_OPERAND], f"series {sub} takes exactly two operands") for sub in ("add", "sub", "mul", "compose")]
+    + [
+        (["series", sub, *_SERIES_OPERAND, "T + O(T^3)"], f"series {sub} takes exactly one operand")
+        for sub in ("derive", "invert", "order", "norm")
+    ]
+    + [
+        (["plog", "log", "--p", "5", "--prec", "3", "--x", "5", "5"], "give the operand once: positionally or by flag"),
+        (["plog", "invert", "--p", "5", "--prec", "3", "--z", "5", "5"], "give the operand once: positionally or by flag"),
+        (["plog", "log", "--p", "5", "--prec", "3"], "an operand is required"),
+        (["plog", "invert", "--p", "5", "--prec", "3"], "an operand is required"),
+        (["plog", "log", "--p", "5", "--x", "5", "5"], "give the operand once: positionally or by flag"),  # before --prec
+        (["plog", "invert", "--p", "5"], "an operand is required"),
+    ]
+)
+
+
+@pytest.mark.parametrize("argv, message", OWN_USAGE_CHECKS)
+def test_own_usage_checks_exit_2(argv, message):
+    assert run(argv) == (2, "", f"usage error: {message}\n")
+
+
 def test_malformed_json_exit_2():
     assert run(["measure", "measure", "{broken"])[0] == 2
     assert run(["sums", "bfs", '{"mode": "weird", "values": []}'])[0] == 2
@@ -396,6 +442,19 @@ def test_non_integer_ball_centers_exit_2():
             assert err.startswith("usage error:") and err.count("\n") == 1, argv
     code, out, err = run(["measure", "complement", '{"p":5,"balls":[{"level":2,"center":1.5}]}'])
     assert err == "usage error: ball center must be an integer, got 1.5\n"
+
+
+def test_each_ball_level_is_checked_after_an_equal_level():
+    """A level checked once is not checked again, but true (equal to 1) and
+    a list after a level-1 ball are refused, and so is a later level too
+    large to print."""
+    for level, message in (
+        ("true", "ball level must be an integer, got True"),
+        ("[1]", "ball level must be an integer, got [1]"),
+        ("7000", "ball modulus 5^7000 has more than 4300 digits"),
+    ):
+        balls = f'[{{"level":1,"center":0}},{{"level":1,"center":1}},{{"level":{level},"center":2}}]'
+        assert run(["measure", "measure", f'{{"p":5,"balls":{balls}}}']) == (2, "", f"usage error: {message}\n")
 
 
 def test_measure_trie_golden():

@@ -164,9 +164,9 @@ def help_and_usage_argvs():
     for every subcommand; group names after the one that runs; and the
     edge argv."""
     argvs = [[], ["--help"], ["nonsense"], ["--nonsense", "padic"]]
-    for group, (_, commands, _) in cli._GROUPS.items():
+    for group, (_, subcommands, _, _) in cli._GROUPS.items():
         argvs += [[group], [group, "--help"], [group, "nonsense"], [group, "--help", *cli._GROUPS]]
-        for sub in commands:
+        for sub in subcommands:
             argvs += [
                 [group, sub, "--help"],
                 [group, sub],
