@@ -464,12 +464,8 @@ def parse_clopen(text):
 
     data = _json(text, "clopen-set JSON")
     try:
-        checked = set()  # int levels only: a bool or list level is refused
         for ball in data["balls"]:
-            level = ball["level"]
-            if type(level) is not int or level not in checked:
-                check_ball_level(data["p"], level)
-                checked.add(level)
+            check_ball_level(data["p"], ball["level"])
             check_ball_center(ball.get("center", 0))  # a missing one is reported where it is read
         return ClopenSet.from_json_dict(data)
     except (KeyError, TypeError) as e:

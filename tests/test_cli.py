@@ -444,19 +444,6 @@ def test_non_integer_ball_centers_exit_2():
     assert err == "usage error: ball center must be an integer, got 1.5\n"
 
 
-def test_each_ball_level_is_checked_after_an_equal_level():
-    """A level checked once is not checked again, but true (equal to 1) and
-    a list after a level-1 ball are refused, and so is a later level too
-    large to print."""
-    for level, message in (
-        ("true", "ball level must be an integer, got True"),
-        ("[1]", "ball level must be an integer, got [1]"),
-        ("7000", "ball modulus 5^7000 has more than 4300 digits"),
-    ):
-        balls = f'[{{"level":1,"center":0}},{{"level":1,"center":1}},{{"level":{level},"center":2}}]'
-        assert run(["measure", "measure", f'{{"p":5,"balls":{balls}}}']) == (2, "", f"usage error: {message}\n")
-
-
 def test_measure_trie_golden():
     code, out, _ = run(["measure", "complement", '{"p":5,"balls":[{"level":2,"center":7}]}'])
     assert code == 0 and out == (
