@@ -58,15 +58,24 @@ class ConditionReport(
 
 def check_condition(f, x0, m, t_exp):
     """Check the solvability condition for f on B(x0, p**-t_exp)."""
+    x0 = _center(f, x0)
+    return _condition(f, f.derivative(), x0, m, t_exp)
+
+
+def _center(f, x0):
+    """x0 as a value of f's prime, once f is known to be a PadicPolynomial."""
     if not isinstance(f, PadicPolynomial):
         raise DomainError("expected a PadicPolynomial")
-    if not isinstance(x0, Padic):
-        x0 = Padic.from_int(x0, f.p)
+    return x0 if isinstance(x0, Padic) else Padic.from_int(x0, f.p)
+
+
+def _condition(f, fprime, x0, m, t_exp):
+    """check_condition for a Padic x0, with fprime = f.derivative() given."""
     if x0.valuation_bound < m:
         raise DomainError(f"center valuation {x0.valuation_bound} below ball exponent {m}")
     if t_exp < m:
         raise DomainError("ball exponent t_exp must be >= the ambient exponent m")
-    fprime_x0 = f.derivative().evaluate(x0)
+    fprime_x0 = fprime.evaluate(x0)
     if fprime_x0.is_zero:
         raise IndeterminateConditionError(
             f"f'(x0) is zero to precision O(p^{fprime_x0.abs_prec}); "
@@ -90,11 +99,11 @@ class HenselProblem:
     __slots__ = ("f", "x0", "m", "t_exp", "fprime", "f_x0", "report")
 
     def __init__(self, f, x0, m=0, t_exp=None):
-        if not isinstance(x0, Padic):
-            x0 = Padic.from_int(x0, f.p)
+        x0 = _center(f, x0)
         if t_exp is None:
             t_exp = m + 1
-        report = check_condition(f, x0, m, t_exp)
+        fprime = f.derivative()
+        report = _condition(f, fprime, x0, m, t_exp)
         if not report.ok:
             raise ConditionNotMetError(
                 f"contraction condition fails: t_exp + mu2 = {t_exp + report.mu2} "
@@ -104,7 +113,7 @@ class HenselProblem:
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "t_exp", t_exp)
-        object.__setattr__(self, "fprime", f.derivative())
+        object.__setattr__(self, "fprime", fprime)
         object.__setattr__(self, "f_x0", f.evaluate(x0))
         object.__setattr__(self, "report", report)
 

@@ -19,6 +19,12 @@ Precision rules per operation:
   precision ``min(r_x, r_y)``.
 * invert: valuation negates, relative precision is preserved.
 
+Every value is kept in normal form: ``0 < unit < p**rel`` with p not
+dividing ``unit``, or ``unit == rel == 0`` for zero.  The operations rely
+on it: a product, negative or inverse of units is a unit, so those
+results are built from ``unit % p**rel`` with no valuation scan, and
+truncating a value to its own precision returns the value itself.
+
 A construction-time cap (default 64 digits) bounds the relative precision
 of freshly made values; since no operation ever increases relative
 precision, the cap bounds the whole computation.  It is plain function
@@ -49,10 +55,10 @@ class Padic:
 
     def __init__(self, p, v, unit, rel):
         """Build from already-normalised parts; prefer the classmethods."""
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "rel", rel)
+        _set_p(self, p)
+        _set_v(self, v)
+        _set_unit(self, unit)
+        _set_rel(self, rel)
 
     def __setattr__(self, name, value):
         raise AttributeError("Padic is immutable")
@@ -72,6 +78,8 @@ class Padic:
         raw %= p**rel
         if raw == 0:
             return cls(p, n, 0, 0)
+        if raw % p:
+            return cls(p, v, raw, rel)
         shift = int_valuation(raw, p)
         v += shift
         rel -= shift
@@ -82,13 +90,13 @@ class Padic:
         """The integer n to absolute precision abs_prec (default: v + cap)."""
         check_prime(p)
         if n == 0:
-            return cls.zero(p, abs_prec if abs_prec is not None else cap)
+            return cls(p, abs_prec if abs_prec is not None else cap, 0, 0)
         v = int_valuation(n, p)
         if abs_prec is None:
             abs_prec = v + cap
         rel = min(abs_prec - v, cap)
         if rel <= 0:
-            return cls.zero(p, abs_prec)
+            return cls(p, abs_prec, 0, 0)
         return cls._normalised(p, v, n // p**v, rel)
 
     @classmethod
@@ -108,13 +116,13 @@ class Padic:
         if abs_prec is None:
             abs_prec = cap
         if a == 0:
-            return cls.zero(p, abs_prec)
+            return cls(p, abs_prec, 0, 0)
         va = int_valuation(a, p)
         vb = int_valuation(b, p)
         v = va - vb
         rel = min(abs_prec - v, cap)
         if rel <= 0:
-            return cls.zero(p, abs_prec)
+            return cls(p, abs_prec, 0, 0)
         ua = a // p**va
         ub = b // p**vb
         modulus = p**rel
@@ -184,12 +192,15 @@ class Padic:
 
     def truncate(self, abs_prec):
         """Forget information: the same value to a lower absolute precision."""
-        if abs_prec > self.abs_prec:
+        own = self.v + self.rel
+        if abs_prec == own:
+            return self
+        if abs_prec > own:
             raise PrecisionError(
-                f"cannot raise precision from {self.abs_prec} to {abs_prec}"
+                f"cannot raise precision from {own} to {abs_prec}"
             )
-        if self.is_zero or self.v >= abs_prec:
-            return Padic.zero(self.p, abs_prec)
+        if not self.unit or self.v >= abs_prec:
+            return Padic(self.p, abs_prec, 0, 0)
         return Padic._normalised(self.p, self.v, self.unit, abs_prec - self.v)
 
     # ----------------------------------------------------------- arithmetic
@@ -206,16 +217,17 @@ class Padic:
         # an exact constant never bounds the result: it is built at least
         # as precise as this value, in absolute and in relative precision
         if other == 0:
-            return Padic.zero(self.p, max(self.abs_prec, self.rel))
+            return Padic(self.p, max(self.abs_prec, self.rel), 0, 0)
         q = Fraction(other)
         v = int_valuation(q.numerator, self.p) - int_valuation(q.denominator, self.p)
         rel = max(self.rel, self.abs_prec - v, 1)
         return Padic.from_rational(q, 1, self.p, v + rel, cap=rel)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Padic or other.p != self.p:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         n = min(self.abs_prec, other.abs_prec)
         # an operand that vanishes mod p**n (zero included) adds nothing
         if self.v >= n:
@@ -231,47 +243,46 @@ class Padic:
     __radd__ = __add__
 
     def __neg__(self):
-        if self.is_zero:
+        if not self.unit:
             return self
-        return Padic._normalised(self.p, self.v, -self.unit, self.rel)
+        return Padic(self.p, self.v, -self.unit % self.p**self.rel, self.rel)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Padic or other.p != self.p:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.is_zero or other.is_zero:
+        if type(other) is not Padic or other.p != self.p:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        if not self.unit or not other.unit:
             # v(xy) >= bound(x) + bound(y)
-            return Padic.zero(self.p, self.v + other.v)
+            return Padic(self.p, self.v + other.v, 0, 0)
         rel = min(self.rel, other.rel)
-        return Padic._normalised(
-            self.p, self.v + other.v, self.unit * other.unit, rel
-        )
+        return Padic(self.p, self.v + other.v, self.unit * other.unit % self.p**rel, rel)
 
     __rmul__ = __mul__
 
     def invert(self):
         """Multiplicative inverse; relative precision is preserved."""
-        if self.is_zero:
+        if not self.unit:
             raise DivisionByZeroError(
                 f"cannot invert 0 + O({self.p}^{self.abs_prec})"
             )
-        return Padic._normalised(
-            self.p, -self.v, inv_mod(self.unit, self.p**self.rel), self.rel
-        )
+        return Padic(self.p, -self.v, inv_mod(self.unit, self.p**self.rel), self.rel)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Padic or other.p != self.p:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         return self * other.invert()
 
     def __rtruediv__(self, other):
@@ -285,7 +296,7 @@ class Padic:
             return NotImplemented
         if e < 0:
             return self.invert() ** (-e)
-        result = Padic.from_int(1, self.p, cap=max(self.rel, 1))
+        result = Padic(self.p, 0, 1, max(self.rel, 1))
         base = self
         while e:
             if e & 1:
@@ -375,6 +386,10 @@ class Padic:
         for d in reversed(digits):
             m = m * p + d
         return cls._normalised(p, v, m, abs_prec - v)
+
+
+# the slots' own setters: Padic.__setattr__ refuses every write
+_set_p, _set_v, _set_unit, _set_rel = (Padic.__dict__[name].__set__ for name in Padic.__slots__)
 
 
 def _integer(value, name):

@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 
-from padicore import Ball, ClopenSet, HenselProblem, Padic, PowerSeries, solve
+from padicore import Ball, ClopenSet, DivisionByZeroError, HenselProblem, Padic, PowerSeries, PrecisionError, solve
 from padicore.plog import isometry_threshold, log_series_polynomial, series_degree
 
 
@@ -25,6 +25,84 @@ def random_padic(rng, p, rel, min_v=-3, max_v=3):
     while m % p == 0:
         m = rng.randrange(1, p**rel)
     return Padic(p, v, m, rel)
+
+
+def _fraction_valuation(q, p):
+    """v_p of a nonzero Fraction."""
+    v, num, den = 0, q.numerator, q.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+def lift_parts(p, q, n):
+    """The normal-form parts (p, v, unit, rel) of the rational q known mod p**n."""
+    q = Fraction(q)
+    if q == 0 or _fraction_valuation(q, p) >= n:
+        return (p, n, 0, 0)
+    v = _fraction_valuation(q, p)
+    modulus = p ** (n - v)
+    scaled = q / Fraction(p) ** v
+    unit = scaled.numerator * pow(scaled.denominator, -1, modulus) % modulus
+    return (p, v, unit, n - v)
+
+
+def _known(a, beside):
+    """(lift, absolute precision, valuation bound, relative precision) of an operand.
+
+    An exact int or Fraction is known as precisely as the module docstring
+    promises beside the Padic operand: at least its absolute and relative
+    precision, so it never bounds a result.
+    """
+    if isinstance(a, Padic):
+        return a.lift(), a.abs_prec, a.v, a.rel
+    q = Fraction(a)
+    if q == 0:
+        n = max(beside.abs_prec, beside.rel)
+        return q, n, n, 0
+    v = _fraction_valuation(q, beside.p)
+    rel = max(beside.rel, beside.abs_prec - v, 1)
+    return q, v + rel, v, rel
+
+
+def lift_oracle(op, a, b=None):
+    """Parts of an operation on Padic values, computed from their lifts.
+
+    op is "+", "-", "*", "/" (on a and b, either of which may be an exact
+    int or Fraction), "neg", "invert", "**" and "truncate" (on the Padic a,
+    with the exponent or the precision as b).  The precision follows the
+    module docstring of padics: a sum to min(N_a, N_b), a product to
+    relative precision min(r_a, r_b), an inverse to the same relative
+    precision.  A zero-to-precision factor makes a zero product whose
+    valuation bound is the sum of the bounds.  Returns the exception class
+    where the operation must raise.
+    """
+    p = a.p if isinstance(a, Padic) else b.p
+    qa, na, va, ra = _known(a, b)
+    if op == "truncate":
+        return PrecisionError if b > na else lift_parts(p, qa, b)
+    if op == "neg":
+        return lift_parts(p, -qa, na)
+    if op == "invert":
+        return DivisionByZeroError if qa == 0 else lift_parts(p, 1 / qa, -va + ra)
+    if op == "**":
+        if qa == 0 and b < 0:
+            return DivisionByZeroError
+        if qa == 0:
+            return (p, 0, 1, 1) if b == 0 else (p, b * va, 0, 0)
+        return lift_parts(p, qa**b, b * va + ra)
+    qb, nb, vb, rb = _known(b, a)
+    if op in "+-":
+        return lift_parts(p, qa + qb if op == "+" else qa - qb, min(na, nb))
+    if op == "/":
+        if qb == 0:
+            return DivisionByZeroError
+        qb, vb = 1 / qb, -vb
+    if qa == 0 or qb == 0:
+        return (p, va + vb, 0, 0)
+    return lift_parts(p, qa * qb, va + vb + min(ra, rb))
 
 
 def random_fp_series(rng, p, prec, zero_constant=False):

@@ -67,6 +67,25 @@ def test_condition_p2_needs_wider_gap():
     assert check_condition(f, x0, 0, 2).ok
 
 
+@pytest.mark.parametrize("f", ["x^2-2", [-2, 0, 1], None])
+def test_problem_and_condition_reject_a_non_polynomial(f):
+    """The polynomial is checked before the center is read at its prime."""
+    for build in (lambda: HenselProblem(f, 3), lambda: check_condition(f, 3, 0, 1)):
+        with pytest.raises(DomainError, match="expected a PadicPolynomial"):
+            build()
+
+
+def test_problem_differentiates_once(monkeypatch):
+    calls = []
+    derivative = PadicPolynomial.derivative
+    monkeypatch.setattr(PadicPolynomial, "derivative", lambda f: calls.append(f) or derivative(f))
+    f = _poly(7, [-2, 0, 1], 6)
+    problem = HenselProblem(f, 3)
+    assert calls == [f]
+    assert problem.fprime == derivative(f)
+    assert problem.report == check_condition(f, 3, 0, 1)
+
+
 # -------------------------------------------------------------------- solve
 
 

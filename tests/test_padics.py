@@ -1,5 +1,6 @@
 """Truncated p-adic arithmetic: representation, precision rules, laws."""
 
+import operator
 import time
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from padicore import (
     PrimeMismatchError,
     ResidueClass,
 )
-from helpers import random_padic, random_unit, rng_for
+from helpers import lift_oracle, random_padic, random_unit, rng_for
 
 PRIMES = [2, 3, 5, 7]
 
@@ -150,6 +151,50 @@ def test_sum_and_residue_agree_with_the_lifts(p):
             if v >= 0:
                 r = x.residue(j)
                 assert r.value == x.lift() % p**j
+
+
+def _lift_operands(p):
+    """Zero to several precisions, negative valuations, units, p in denominators."""
+    yield from (Padic.zero(p, n) for n in (-2, 0, 3))
+    for v in (-3, -1, 0, 2):
+        yield Padic.from_json_dict({"p": p, "valuation": v, "digits": [1, p - 1, 1], "abs_prec": v + 3})
+    yield Padic.from_int(-1, p, 5)
+    yield Padic.from_int(3 * p**2 + 1, p, 6)
+    yield Padic.from_rational(5, p * 3, p, 4)
+    yield Padic.from_rational(p - 1, p**2, p, 1)
+
+
+def _check_against_lifts(op, a, b, run):
+    expected = lift_oracle(op, a, b)
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            run()
+        return
+    got = run()
+    assert _parts(got) == expected, (op, a, b)
+    _, _, unit, rel = expected
+    assert (0 < unit < got.p**rel and unit % got.p) or unit == rel == 0
+
+
+@pytest.mark.parametrize("p", [2, 7, 65537, 2**61 - 1])
+def test_operations_agree_with_the_lifts(p):
+    """Every operation against lift_oracle: exact parts, in normal form."""
+    xs = list(_lift_operands(p))
+    exacts = [0, 1, -3, p, -5 * p**2, Fraction(1, p), Fraction(-2, 3), Fraction(p**2, 5)]
+    binary = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+    for a in xs:
+        for b in xs + exacts:
+            for op, fn in binary.items():
+                _check_against_lifts(op, a, b, lambda: fn(a, b))
+                if not isinstance(b, Padic):
+                    _check_against_lifts(op, b, a, lambda: fn(b, a))
+        _check_against_lifts("neg", a, None, lambda: -a)
+        _check_against_lifts("invert", a, None, a.invert)
+        for e in range(-2, 4):
+            _check_against_lifts("**", a, e, lambda: a**e)
+        for n in {a.abs_prec + 1, a.abs_prec, a.abs_prec - 1, a.v, a.v - 1}:
+            _check_against_lifts("truncate", a, n, lambda: a.truncate(n))
+    assert all(x.truncate(x.abs_prec) == x for x in xs)
 
 
 def test_add_sub_mul_precision_rules():

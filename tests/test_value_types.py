@@ -1,7 +1,9 @@
 """The immutable value types: balls and the report records.
 
 Each is a namedtuple subclass, so equality, hashing and ordering are those
-of its field tuple, and its repr is ``Name(field=value, ...)``.
+of its field tuple, and its repr is ``Name(field=value, ...)``.  The
+slotted classes (Padic, ResidueClass, PadicPolynomial, HenselProblem) are
+immutable too.
 """
 
 import math
@@ -9,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicore import Ball, Padic, PadicPolynomial, RadiusReport, ValuationGrowthRule
+from padicore import Ball, HenselProblem, Padic, PadicPolynomial, RadiusReport, ResidueClass, ValuationGrowthRule
 from padicore.errors import DomainError, UnsupportedRuleError
 from padicore.hensel import BallImageReport, ConditionReport, ball_image_check, check_condition
 from padicore.sumlab import (
@@ -78,10 +80,13 @@ def test_balls_order_by_prime_level_and_center():
 
 
 def test_values_are_immutable():
-    for value in [Ball(5, 2, 7), *_reports()]:
-        field = type(value)._fields[0]
-        with pytest.raises(AttributeError):
-            setattr(value, field, 0)
+    f = PadicPolynomial(7, [-2, 0, 1], abs_prec=6)
+    slotted = [Padic.from_int(3, 7, 6), Padic.zero(7, 4), ResidueClass(7, 2, 3), f, HenselProblem(f, 3)]
+    for value in [Ball(5, 2, 7), *_reports(), *slotted]:
+        fields = getattr(type(value), "_fields", None) or type(value).__slots__
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, field, 0)
         with pytest.raises(AttributeError):
             value.extra = 0
         assert not hasattr(value, "__dict__")
