@@ -39,6 +39,7 @@ _EXPORTS = {
     ),
     "hensel": (
         "HenselProblem",
+        "ball_image",
         "ball_image_check",
         "check_condition",
         "nth_root",

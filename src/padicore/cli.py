@@ -59,25 +59,37 @@ def _check_prec(prec, cap):
     return prec
 
 
-def _check_prints(q):
-    """A rational or int answer whose numerator or denominator has more
-    digits than str() prints is a DomainError."""
-    if not (int_prints(q.numerator) and int_prints(q.denominator)):
-        raise DomainError(f"the answer has more than {str_digit_limit()} digits")
+def _check_prints(*numbers):
+    """An answer with a rational or int whose numerator or denominator has
+    more digits than str() prints is a DomainError."""
+    for q in numbers:
+        if not (int_prints(q.numerator) and int_prints(q.denominator)):
+            raise DomainError(f"the answer has more than {str_digit_limit()} digits")
+
+
+def _check_exponents(x):
+    """A Padic answer prints exponents from its valuation to its precision."""
+    _check_prints(x.v, x.abs_prec)
 
 
 def _field(v):
-    """A report field as a JSON value: a rational's checked text, a Padic's
-    pretty form, "inf" for infinity, a list for a tuple; any other value as
-    it is."""
+    """A report field as a JSON value: a rational's checked text, a checked
+    int, a Padic's checked pretty form, "inf" for infinity, a list for a
+    tuple; any other value as it is."""
     if isinstance(v, Fraction):
         _check_prints(v)
         return str(v)
+    if isinstance(v, int):
+        _check_prints(v)
+        return v
     if isinstance(v, tuple):
         return [_field(x) for x in v]
     if v is math.inf:
         return "inf"
-    return v.pretty() if hasattr(v, "pretty") else v
+    if hasattr(v, "pretty"):
+        _check_exponents(v)
+        return v.pretty()
+    return v
 
 
 # The textforms serializer of each value answer, by class name: a command
@@ -103,6 +115,9 @@ def _emit(args, answer, pretty=None, to_json=None):
     """
     if pretty is None:
         name = type(answer).__name__
+        if name in ("Padic", "PadicPolynomial"):
+            for x in getattr(answer, "coeffs", (answer,)):
+                _check_exponents(x)
         if args.format == "json" or name == "ClopenSet":
             text = getattr(textforms, _TO_JSON[name])(answer)
         else:

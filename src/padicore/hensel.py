@@ -21,13 +21,22 @@ map of the paper, x -> x0 + f'(x0)**-1 * (z - f(x0) - g0(x)) with
 g0(x) = f(x) - f(x0) - f'(x0) * (x - x0), is the oracle in the tests.
 
 Derived conveniences: square roots, n-th roots prime to p, Teichmuller
-lifts, and an exhaustive ball-image verifier for small moduli.
+lifts, and the image of a ball as a clopen set.  Every point of a ball
+is a center, B(x, r) = B(y, r), so ``ball_image`` tests the condition
+again at the center of each piece of the ball, taking the piece whole
+where it holds and splitting it into its p sub-balls where it fails:
+the ball form of Hensel's lemma (Robert, A Course in p-adic Analysis,
+ch. 2).  The condition at (x0, m, t_exp) implies the test of the piece
+B(x0, p**-t_exp) at x0, since v(c_j) + (j - 2) m >= mu2 for the Taylor
+coefficients c_j of f at x0 and t_exp >= m; so wherever the condition
+holds, ``ball_image_check`` compares one piece with the predicted ball.
+f on every residue of the ball is the oracle in the tests.
 """
 
 import math
 from collections import namedtuple
 
-from .analytic import PadicPolynomial, quadratic_bound
+from .analytic import PadicPolynomial, lipschitz_bound, quadratic_bound
 from .errors import (
     ConditionNotMetError,
     DomainError,
@@ -35,10 +44,8 @@ from .errors import (
     IndeterminateConditionError,
     NoRootError,
 )
-from .intmath import newton_lift, power_prints, root_mod
+from .intmath import newton_lift, power_prints, root_mod, str_digit_limit
 from .padics import Padic
-
-_IMAGE_GUARD = 10**6
 
 
 class ConditionReport(
@@ -296,10 +303,11 @@ class BallImageReport(
         "BallImageReport", "status equal level source_size image_size target_size"
     )
 ):
-    """Exhaustive comparison of f(source ball) with the predicted image.
+    """Comparison of f(source ball) with the predicted image, mod p**level.
 
     ``status`` is "verified" or "condition-not-met"; the report is true
-    when the image was verified equal to the target.
+    when the image was verified equal to the target.  The sizes count
+    residues mod p**level.
     """
 
     __slots__ = ()
@@ -308,62 +316,97 @@ class BallImageReport(
         return self.status == "verified" and self.equal
 
 
-def ball_image_check(f, x0, m, t_exp, level):
-    """Enumerate f on B(x0, p**-t_exp) mod p**level and compare images.
-
-    Verifies that the residues of f on the source ball are exactly the
-    residues of B(f(x0), p**-(v(f'(x0)) + t_exp)).  When the contraction
-    condition fails the checker reports that and makes no claim.
-    """
-    p = f.p
-    if not isinstance(x0, Padic):
-        x0 = Padic.from_int(x0, p)
+def _check_integral(f, x0):
     if any(c.valuation_bound < 0 for c in f.coeffs) or x0.valuation_bound < 0:
-        raise DomainError("enumeration needs integral coefficients and center")
+        raise DomainError("the ball image needs integral coefficients and center")
+
+
+def _check_known(f, x0, level):
+    """PrecisionError unless f's coefficients and x0 are known mod p**level,
+    raised by residue before it builds p**level."""
+    for c in f.coeffs + (x0,):
+        if c.abs_prec < level:
+            c.residue(level)
+
+
+def ball_image(f, x0, t_exp, level):
+    """f(B(x0, p**-t_exp)) mod p**level, as a ClopenSet.
+
+    Every point of a ball is a center, so a piece B(a, p**-k) of the ball
+    is judged at its own center a, with g(y) = f(a + y) the Taylor shift.
+    It contributes the point f(a) when the Lipschitz bound of g puts its
+    image in one residue mod p**level, as it does at the level; it maps
+    onto B(f(a), p**-(v(f'(a)) + k)) when g passes the contraction
+    condition with m = t_exp = k; any other piece splits into its p
+    children.  Near a critical point the pieces grow about linearly with
+    the level; past 10**6 pieces the image is refused.  f and x0 must be
+    integral and known mod p**level.
+    """
+    from . import measure
+
+    x0 = _center(f, x0)
+    _check_integral(f, x0)
+    _check_known(f, x0, level)
+    p, guard = f.p, measure._BALL_GUARD
+    pieces, images, count = [measure.Ball(p, t_exp, x0.residue(t_exp).value)], [], 1
+    while pieces:
+        piece = pieces.pop()
+        k, image_exp = piece.level, level
+        g = f.recenter(Padic.from_int(piece.center, p, level, cap=level))
+        if g.degree > 0 and lipschitz_bound(g, k) + k < level:
+            try:
+                report = _condition(g, g.derivative(), Padic.zero(p, level), k, k)
+            except IndeterminateConditionError:
+                report = None
+            if report is None or not report.ok:
+                count += p
+                if count > guard:
+                    raise EnumerationGuardError(f"the image needs more than {guard} pieces")
+                pieces += piece.split()
+                continue
+            image_exp = min(report.derivative_valuation + k, level)
+        images.append(measure.Ball(p, image_exp, g.coeffs[0].residue(level).value))
+    return measure.ClopenSet(p, images)
+
+
+def ball_image_check(f, x0, m, t_exp, level):
+    """Compare ball_image(f, x0, t_exp, level) with the predicted image.
+
+    Verifies that f maps B(x0, p**-t_exp) onto
+    B(f(x0), p**-(v(f'(x0)) + t_exp)) mod p**level.  When the contraction
+    condition fails the checker reports that and makes no claim.  The
+    coefficients and x0 must be known mod p**level, and p**level must
+    print.
+    """
+    from . import measure
+
+    x0 = _center(f, x0)
+    _check_integral(f, x0)
     try:
-        report = check_condition(f, x0, m, t_exp)
+        report = _condition(f, f.derivative(), x0, m, t_exp)
     except IndeterminateConditionError:
         report = None
     if report is None or not report.ok:
         return BallImageReport("condition-not-met", False, level, 0, 0, 0)
-    vfp = report.derivative_valuation
-    target_exp = vfp + t_exp
+    target_exp = report.derivative_valuation + t_exp
     if level < max(t_exp, target_exp):
         raise DomainError(
             f"level {level} too coarse: needs at least {max(t_exp, target_exp)}"
         )
-    # modulus * source_size = p**e, compared before either is built
-    e = 2 * level - t_exp
-    if (p.bit_length() - 1) * e > _IMAGE_GUARD.bit_length() or p**e > _IMAGE_GUARD:
-        raise EnumerationGuardError(
-            f"{_power_text(p, level)} * {_power_text(p, level - t_exp)} "
-            f"residues exceed the guard {_IMAGE_GUARD}"
+    _check_known(f, x0, level)
+    p = f.p
+    if not power_prints(p, level):
+        raise DomainError(
+            f"level {level} too fine: {p}^{level} has more than {str_digit_limit()} digits"
         )
-    modulus = p**level
-    source_size = p ** (level - t_exp)
-    coeff_lifts = [c.residue(level).value for c in f.coeffs]
-    x0_lift = x0.residue(level).value
-    step = p**t_exp
-    image = set()
-    for k in range(source_size):
-        x = (x0_lift + k * step) % modulus
-        acc = 0
-        for c in reversed(coeff_lifts):
-            acc = (acc * x + c) % modulus
-        image.add(acc)
-    fx0 = sum(c * x0_lift**j for j, c in enumerate(coeff_lifts)) % modulus
-    tstep = p**target_exp
-    target = {(fx0 + k * tstep) % modulus for k in range(p ** (level - target_exp))}
+    image = ball_image(f, x0, t_exp, level)
+    fx0 = f.evaluate(x0).residue(level).value
+    target = measure.ClopenSet(p, [measure.Ball(p, target_exp, fx0)])
     return BallImageReport(
         "verified",
         image == target,
         level,
-        source_size,
-        len(image),
-        len(target),
+        p ** (level - t_exp),
+        int(image.measure() * p**level),
+        p ** (level - target_exp),
     )
-
-
-def _power_text(p, k):
-    """p**k in decimal where it prints, else as p^k."""
-    return str(p**k) if power_prints(p, k) else f"{p}^{k}"

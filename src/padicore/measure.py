@@ -118,18 +118,6 @@ def _intersect(x, y):
     return None if not (x and y) else y if x is True else x if y is True else _SPLIT
 
 
-def _count(node):
-    """The number of full nodes in a trie."""
-    count, stack = 0, [node]
-    while stack:
-        node = stack.pop()
-        if node is True:
-            count += 1
-        elif node:
-            stack.extend(node.values())
-    return count
-
-
 class ClopenSet:
     """A finite disjoint union of balls in Z_p, kept canonical as a digit trie."""
 
@@ -215,7 +203,7 @@ class ClopenSet:
             if y and x is not True:
                 return _SPLIT
             # what stays of x: all of it, or the p - len(y) full children of a full x
-            size += p - len(y) if y else _count(x)
+            size += p - len(y) if y else sum(_full_counts(x))
             if size > _BALL_GUARD:
                 raise EnumerationGuardError(f"the result would exceed {_BALL_GUARD} balls")
             return _SPLIT if y else x

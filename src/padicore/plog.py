@@ -106,8 +106,8 @@ def log1p(x, abs_prec=None):
             witness_index=1,
             witness_valuation=v,
         )
-    if v >= abs_prec:
-        return Padic.zero(x.p, abs_prec)
+    if 2 * v - (x.p == 2) >= abs_prec:  # every term past x vanishes mod p**abs_prec
+        return x.truncate(abs_prec)
     value = _log_int(x.unit * x.p**v, x.p, abs_prec)
     return Padic.from_int(value, x.p, abs_prec, cap=abs_prec)
 
@@ -156,8 +156,8 @@ def log_inverse(z, abs_prec=None):
         raise DomainError(
             f"inversion needs v(z) >= {s} for p = {p}; got v(z) = {z.valuation()}"
         )
-    if z.v >= n:
-        return Padic.zero(p, n)
+    if 2 * z.v - (p == 2) >= n:  # log(1 + x) = x mod p**n, so x = z
+        return z.truncate(n)
     target = z.unit * p**z.v % p**n
 
     def step(x, k):

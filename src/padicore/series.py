@@ -183,7 +183,7 @@ class RPower:
         return f"({self.r})^{self.exponent}"
 
 
-def _pretty(field, coeffs, first, end, variable):
+def _pretty(field, coeffs, first, end):
     """``c*T^e + ... + O(T^end)`` for the coefficients of T**first, T**(first + 1), ..."""
     terms = []
     for e, c in enumerate(coeffs, first):
@@ -192,9 +192,9 @@ def _pretty(field, coeffs, first, end, variable):
         if e == 0:
             terms.append(str(c))
         else:
-            var = variable if e == 1 else f"{variable}^{e}"
+            var = "T" if e == 1 else f"T^{e}"
             terms.append(var if c == field.one else f"{c}*{var}")
-    terms.append(f"O({variable}^{end})")
+    terms.append(f"O(T^{end})")
     return " + ".join(terms)
 
 
@@ -385,9 +385,9 @@ class PowerSeries:
 
     # ------------------------------------------------------------ rendering
 
-    def pretty(self, variable="T"):
+    def pretty(self):
         """Human form, e.g. ``1 + 2*T^2 + O(T^4)``."""
-        return _pretty(self.field, self.coeffs, 0, self.prec, variable)
+        return _pretty(self.field, self.coeffs, 0, self.prec)
 
     def __str__(self):
         return self.pretty()
@@ -547,11 +547,11 @@ class LaurentSeries:
     def __hash__(self):
         return hash((self.field, self.tail, self.unit, self.order_bound))
 
-    def pretty(self, variable="T"):
+    def pretty(self):
         """Human form, e.g. ``T^-1 + 1 + T + O(T^3)``."""
         if self.is_zero:
-            return _pretty(self.field, (), 0, self.order_bound, variable)
-        return _pretty(self.field, self.unit.coeffs, self.tail, self.prec_exponent, variable)
+            return _pretty(self.field, (), 0, self.order_bound)
+        return _pretty(self.field, self.unit.coeffs, self.tail, self.prec_exponent)
 
     def __str__(self):
         return self.pretty()

@@ -280,7 +280,7 @@ def series_from_json(data):
     return PowerSeries(field, coeffs, prec)
 
 
-def parse_series(text, field=None, variable="T"):
+def parse_series(text, field=None):
     """A series from JSON or pretty text like ``1 + 2*T^2 + O(T^4)``.
 
     Pretty text with any negative exponent yields a LaurentSeries,
@@ -296,7 +296,7 @@ def parse_series(text, field=None, variable="T"):
     parts = [part.strip() for part in text.split("+")]
     om = _SERIES_O_RE.match(parts[-1].replace(" ", ""))
     if not om:
-        raise ParseError(f"series literal must end with O({variable}^N): {text!r}")
+        raise ParseError(f"series literal must end with O(T^N): {text!r}")
     prec_exp = _int(om.group(2))
     check_term_count(prec_exp, "series order")
     terms = {}
@@ -356,7 +356,7 @@ def parse_polynomial(text, p, abs_prec):
     return PadicPolynomial(p, coeffs, abs_prec=abs_prec)
 
 
-def parse_polynomial_rational_coeffs(text, variable="x"):
+def parse_polynomial_rational_coeffs(text):
     """Coefficient list (rationals) from a grammar like ``x^2 - 2``.
 
     Terms are ``c``, ``c*x^k``, or ``x^k`` joined by + and -.

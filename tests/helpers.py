@@ -6,7 +6,20 @@ import time
 from fractions import Fraction
 
 
-from padicore import Ball, ClopenSet, DivisionByZeroError, HenselProblem, Padic, PowerSeries, PrecisionError, solve
+from padicore import (
+    Ball,
+    ClopenSet,
+    DivisionByZeroError,
+    DomainError,
+    HenselProblem,
+    Padic,
+    PowerSeries,
+    PrecisionError,
+    check_condition,
+    solve,
+)
+from padicore.errors import IndeterminateConditionError
+from padicore.hensel import BallImageReport
 from padicore.plog import isometry_threshold, log_series_polynomial, series_degree
 
 
@@ -186,6 +199,41 @@ def brute_force_root(p, level, target, poly_residues, seed_residue, seed_level):
         if acc == target % modulus:
             hits.append(x)
     return hits
+
+
+def enumerated_ball_image(f, x0, t_exp, level):
+    """The residues mod p**level of f on B(x0, p**-t_exp), by Horner's rule
+    on every residue of the ball; f and x0 known mod p**level."""
+    p = f.p
+    modulus, step = p**level, p**t_exp
+    coeffs = [c.residue(level).value for c in f.coeffs]
+    x0 = x0.residue(level).value
+    image = set()
+    for k in range(p ** (level - t_exp)):
+        x, acc = (x0 + k * step) % modulus, 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % modulus
+        image.add(acc)
+    return image
+
+
+def enumerated_ball_image_report(f, x0, m, t_exp, level):
+    """ball_image_check by enumeration, for level >= t_exp: the image of
+    every residue of the source ball against every residue of the target
+    ball."""
+    try:
+        report = check_condition(f, x0, m, t_exp)
+    except IndeterminateConditionError:
+        report = None
+    if report is None or not report.ok:
+        return BallImageReport("condition-not-met", False, level, 0, 0, 0)
+    p, target_exp = f.p, report.derivative_valuation + t_exp
+    if level < target_exp:
+        raise DomainError(f"level {level} too coarse: needs at least {target_exp}")
+    image = enumerated_ball_image(f, x0, t_exp, level)
+    fx0 = f.evaluate(x0).residue(level).value
+    target = {(fx0 + k * p**target_exp) % p**level for k in range(p ** (level - target_exp))}
+    return BallImageReport("verified", image == target, level, p ** (level - t_exp), len(image), len(target))
 
 
 def fixed_point_solve(problem, z):

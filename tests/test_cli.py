@@ -554,6 +554,20 @@ UNPRINTABLE_SERIES = [
     ["series", "invert", '{"field":"QQ","order_prec":3,"coeffs":["2e-3000","1"]}'],
 ]
 
+_NINES = "-" + "9" * 4298
+_HUGE_PADIC = json.dumps({"p": 7, "valuation": 6 * 10**4299, "digits": [1], "abs_prec": 6 * 10**4299 + 1})
+
+# answers with an int of more digits than str() prints: an exponent bound,
+# a condition report, the valuation of a product
+UNPRINTABLE_INTS = [
+    ["analytic", "bounds", "--p", "7", "--prec", "12", "--poly", "x^200 + x^2", "--radius-exp", _NINES],
+    [
+        "hensel", "check", "--p", "7", "--prec", "12", "--poly", "x^200 + x", "--x0", "0",
+        "--m", _NINES, "--t", _NINES, "--format", "json",
+    ],
+    ["padic", "mul", "--p", "7", "--prec", "8", _HUGE_PADIC, _HUGE_PADIC],
+]
+
 # inputs that hung or ended in a traceback: an n-th root seed that scanned
 # range(p), decimal exponents and pretty p-adic terms that built a huge
 # power, an l^r norm that built 2**(10**8), and unprintable answers:
@@ -567,7 +581,9 @@ UNBOUNDED_INPUT_REPROS = [
     (["series", "norm", "--field", "q", "--ratio", "1e-100000000", "T + O(T^3)"], 2, ""),
     (["sums", "norms", "--r", "100000000", '{"mode":"rational","values":["2"]}'], 2, ""),
     (["padic", "add", "--p", "7", "--prec", "8", "1*7^-1000000+O(7^3)", "1"], 2, ""),
-] + [(argv, 1, "") for argv in UNPRINTABLE_SUMS + UNPRINTABLE_SERIES]
+    (["plog", "log", "--p", "7", "--prec", "8", _FAR], 0, "1*7^100000000 + O(7^100000001)\n"),
+    (["plog", "invert", "--p", "7", "--prec", "8", _FAR], 0, "1*7^100000000 + O(7^100000001)\n"),
+] + [(argv, 1, "") for argv in UNPRINTABLE_SUMS + UNPRINTABLE_SERIES + UNPRINTABLE_INTS]
 
 
 def _finish_as_processes(repros):
@@ -611,6 +627,20 @@ def test_unprintable_sums_are_domain_errors():
     assert code == 0 and out == f"{9 * 10**4299}\n"
 
 
+def test_unprintable_ints_are_domain_errors():
+    for argv in UNPRINTABLE_INTS:
+        for fmt in ("pretty", "json"):
+            code, out, err = run(argv + ["--format", fmt])
+            assert (code, out) == (1, "") and err == "error: the answer has more than 4300 digits\n"
+    # the largest that print still answer
+    m = -(10**4299 - 1)
+    code, out, _ = run(["analytic", "bounds", "--p", "7", "--prec", "12", "--poly", "x^2", "--radius-exp", str(m)])
+    assert code == 0 and out == f"lipschitz valuation {m}, second-order valuation 0\n"
+    a = json.dumps({"p": 7, "valuation": 5 * 10**4299, "digits": [1], "abs_prec": 5 * 10**4299 + 1})
+    code, out, _ = run(["padic", "invert", "--p", "7", "--prec", "8", a, "--format", "json"])
+    assert code == 0 and json.loads(out)["valuation"] == -5 * 10**4299
+
+
 def test_unprintable_series_are_domain_errors():
     for argv in UNPRINTABLE_SERIES:
         for fmt in ("pretty", "json"):
@@ -650,13 +680,21 @@ def test_measure_count_prints_every_printable_level():
     assert code == 1 and err == "error: 4 is not prime\n"
 
 
-def test_ball_image_guard_compares_exponents():
-    code, out, err = run(_IMAGE + ["--level", "9"])
+def test_ball_image_guard_compares_exponents(monkeypatch):
+    """A level the data reach answers however many residues it holds, a
+    finer one is a PrecisionError, and a level whose power of p does not
+    print is refused."""
+    image = ["hensel", "image", "--p", "7", "--prec", "12", "--poly", "x^2-2", "--x0", "3", "--t", "1"]
+    code, out, _ = run(image + ["--level", "9"])
+    assert code == 0 and out == "verified: image==target is True (level 9, 5764801 source residues)\n"
+    for level in ("9", "100000000"):
+        code, out, err = run(_IMAGE + ["--level", level])
+        assert code == 1 and out == ""
+        assert err == f"error: known only mod p^4, cannot reduce mod p^{level}\n"
+    deep = ["hensel", "image", "--p", "7", "--prec", "6000", "--poly", "x^2-2", "--x0", "3", "--t", "1"]
+    code, out, err = run(deep + ["--level", "6000"], env_cap=6000, monkeypatch=monkeypatch)
     assert code == 1 and out == ""
-    assert err == "error: 40353607 * 5764801 residues exceed the guard 1000000\n"
-    code, out, err = run(_IMAGE + ["--level", "100000000"])
-    assert code == 1 and out == ""
-    assert err == "error: 7^100000000 * 7^99999999 residues exceed the guard 1000000\n"
+    assert err == "error: level 6000 too fine: 7^6000 has more than 4300 digits\n"
 
 
 def test_nthroot_degree_is_capped():

@@ -1,17 +1,22 @@
 """Ball root solving: condition, solver, roots, lifts, image checks."""
 
 import math
+import re
 import time
 from fractions import Fraction
 
 import pytest
 
 from padicore import (
+    Ball,
+    ClopenSet,
     DomainError,
     HenselProblem,
     NoRootError,
     Padic,
     PadicPolynomial,
+    PrecisionError,
+    ball_image,
     ball_image_check,
     check_condition,
     nth_root,
@@ -29,6 +34,9 @@ from padicore.intmath import newton_lift, root_mod
 from helpers import (
     best_time,
     brute_force_root,
+    covered_residues,
+    enumerated_ball_image,
+    enumerated_ball_image_report,
     fixed_point_solve,
     least_residue_root,
     random_unit,
@@ -509,6 +517,80 @@ def test_ball_image_gates_on_condition():
 
 
 def test_ball_image_guard():
+    """A ball of 5**7 residues mod 5**8 is one piece; a piece that would
+    split past 10**6 pieces is refused before it splits."""
     f = _poly(5, [0, 0, 1], 16)
-    with pytest.raises(EnumerationGuardError):
-        ball_image_check(f, Padic.from_int(1, 5, 16), 0, 1, 8)
+    report = ball_image_check(f, Padic.from_int(1, 5, 16), 0, 1, 8)
+    assert report == ("verified", True, 8, 5**7, 5**7, 5**7)
+    p = 2**61 - 1
+    with pytest.raises(EnumerationGuardError, match="more than 1000000 pieces"):
+        ball_image(_poly(p, [0, 0, 1], 2), 0, 0, 2)
+
+
+def _image_cases(name):
+    """(f, x0, t_exp, level) on random balls: p in {2, 3, 5, 7} on every
+    (level, t_exp) with p**(2*level - t_exp) <= 10**6, which the enumeration
+    reached, and p = 65537 at level 1."""
+    rng = rng_for(name)
+    grid = [
+        (p, level, t)
+        for p in (2, 3, 5, 7)
+        for level in range(1, 20)
+        for t in range(level + 1)
+        if p ** (2 * level - t) <= 10**6
+    ]
+    grid += [(65537, 1, 1), (65537, 1, 0)]
+    for p, level, t in grid:
+        for _ in range(3 if p < 65537 else 1):
+            modulus = p**level
+            coeffs = [rng.randrange(modulus) * rng.choice((1, p)) for _ in range(rng.randint(2, 5))]
+            yield _poly(p, coeffs, level), Padic.from_int(rng.randrange(modulus), p, level), t, level
+
+
+def test_ball_image_agrees_with_enumeration():
+    """The digit recursion against f on every residue of the ball, where the
+    contraction condition holds at the ball's center and where it fails."""
+    holds = fails = 0
+    for f, x0, t, level in _image_cases("ball-image"):
+        image = ball_image(f, x0, t, level)
+        assert covered_residues(f.p, image.balls, level) == enumerated_ball_image(f, x0, t, level)
+        try:
+            ok = check_condition(f, x0, 0, t).ok
+        except IndeterminateConditionError:
+            ok = False
+        holds, fails = holds + ok, fails + (not ok)
+    assert holds > 100 and fails > 50
+
+
+def test_ball_image_check_agrees_with_enumeration():
+    """Every report, field by field, and every refusal, as the enumeration gives it."""
+    rng = rng_for("ball-image-check")
+    verified = 0
+    for f, x0, t, level in _image_cases("ball-image-check"):
+        m = rng.randint(0, t)
+        try:
+            expected = enumerated_ball_image_report(f, x0, m, t, level)
+        except DomainError as e:
+            with pytest.raises(type(e), match=re.escape(str(e))):
+                ball_image_check(f, x0, m, t, level)
+            continue
+        assert ball_image_check(f, x0, m, t, level) == expected
+        verified += expected.status == "verified"
+    assert verified > 100
+
+
+def test_ball_image_refusals():
+    f = _poly(7, [-2, 0, 1], 4)
+    with pytest.raises(PrecisionError, match=r"known only mod p\^4, cannot reduce mod p\^5"):
+        ball_image_check(f, 3, 0, 1, 5)
+    with pytest.raises(PrecisionError):
+        ball_image(f, 3, 1, 5)
+    with pytest.raises(DomainError, match="integral coefficients and center"):
+        ball_image(_poly(7, [Fraction(1, 7), 1]), 0, 1, 2)
+    big = Padic.from_int(3, 7, 10**4, cap=10**4)
+    f = PadicPolynomial(7, [big - 5, Padic.zero(7, 10**4), big - 2])
+    with pytest.raises(DomainError, match="level 10000 too fine: 7\\^10000 has more than 4300 digits"):
+        ball_image_check(f, big, 0, 1, 10**4)
+    # a source ball at the level, or finer than it, maps to one point
+    assert ball_image(f, big, 10**4, 10**4).max_level() == 10**4
+    assert ball_image(_poly(7, [1, 1], 3), 0, 5, 3) == ClopenSet(7, [Ball(7, 3, 1)])
