@@ -10,9 +10,13 @@ the valuation form of "t times the second-order constant is smaller than
 B(f(x0), p**-(v(f'(x0)) + t_exp)), every x in the ball has
 v(f'(x)) = v(f'(x0)), and v(f(x) - f(y)) = v(f'(x0)) + v(x - y) exactly.
 
-``solve`` runs Newton's method x -> x - (f(x) - z) / f'(x) on exact
-iterates: each iterate is lifted to more digits than the data carry, so
-only the coefficients and z bring uncertainty.  Each step gains at least
+``solve`` runs Newton's method x -> x - (f(x) - z) * y on exact
+iterates, with y an approximate inverse of f'(x) lifted alongside x:
+y = f'(x0)**-1 once, then y -> y - y * (f'(x) * y - 1) at each step, so
+one modular inversion serves the whole solve (von zur Gathen and
+Gerhard, Modern Computer Algebra, ch. 9).  Each iterate, y included, is
+lifted to more digits than the data carry, so only the coefficients and
+z bring uncertainty.  Each step gains at least
 gap = t_exp + mu2 - v(f'(x0)) >= 1 digits.  When the residual
 r = f(x) - z is zero to its precision, the isometry gives
 v(x - root) >= r.abs_prec - v(f'(x0)), and that is the precision
@@ -66,7 +70,7 @@ class ConditionReport(
 def check_condition(f, x0, m, t_exp):
     """Check the solvability condition for f on B(x0, p**-t_exp)."""
     x0 = _center(f, x0)
-    return _condition(f, f.derivative(), x0, m, t_exp)
+    return _condition(f, f.derivative(), x0, m, t_exp)[0]
 
 
 def _center(f, x0):
@@ -77,7 +81,8 @@ def _center(f, x0):
 
 
 def _condition(f, fprime, x0, m, t_exp):
-    """check_condition for a Padic x0, with fprime = f.derivative() given."""
+    """check_condition for a Padic x0, with fprime = f.derivative() given,
+    and the value f'(x0) it was judged on."""
     if x0.valuation_bound < m:
         raise DomainError(f"center valuation {x0.valuation_bound} below ball exponent {m}")
     if t_exp < m:
@@ -91,26 +96,27 @@ def _condition(f, fprime, x0, m, t_exp):
     vfp = fprime_x0.valuation()
     mu2 = quadratic_bound(f, m)
     gap = t_exp + mu2 - vfp if mu2 != math.inf else math.inf
-    return ConditionReport(
+    report = ConditionReport(
         ok=gap > 0,
         ok_nonstrict=gap >= 0,
         derivative_valuation=vfp,
         mu2=mu2,
         gap=gap,
     )
+    return report, fprime_x0
 
 
 class HenselProblem:
     """A polynomial, a center, and a ball on which solving is certified."""
 
-    __slots__ = ("f", "x0", "m", "t_exp", "fprime", "f_x0", "report")
+    __slots__ = ("f", "x0", "m", "t_exp", "fprime", "fprime_x0", "f_x0", "report")
 
     def __init__(self, f, x0, m=0, t_exp=None):
         x0 = _center(f, x0)
         if t_exp is None:
             t_exp = m + 1
         fprime = f.derivative()
-        report = _condition(f, fprime, x0, m, t_exp)
+        report, fprime_x0 = _condition(f, fprime, x0, m, t_exp)
         if not report.ok:
             raise ConditionNotMetError(
                 f"contraction condition fails: t_exp + mu2 = {t_exp + report.mu2} "
@@ -121,6 +127,7 @@ class HenselProblem:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "t_exp", t_exp)
         object.__setattr__(self, "fprime", fprime)
+        object.__setattr__(self, "fprime_x0", fprime_x0)
         object.__setattr__(self, "f_x0", f.evaluate(x0))
         object.__setattr__(self, "report", report)
 
@@ -162,14 +169,18 @@ def solve(problem, z):
     # >= low or the answer (z.abs_prec - vfp <= work digits) can use
     low = min([0] + [c.valuation_bound + j * min(problem.m, 0) for j, c in enumerate(f.coeffs)])
     work = z.abs_prec - low
-    x = problem.x0
-    for _ in range(max(work - problem.t_exp, 0) + 2):  # gap >= 1 digit a step
+    # y ~ f'(x)**-1, exact like x; its Newton update needs no inversion
+    x, y, one = problem.x0, problem.fprime_x0.invert(), Padic(f.p, 0, 1, max(work, 1))
+    for step in range(max(work - problem.t_exp, 0) + 2):  # gap >= 1 digit a step
         x = _exact(x, work)
         r = f.evaluate(x) - z
         if r.is_zero:
             assert (x - problem.x0).valuation_bound >= problem.t_exp
             return x.truncate(r.abs_prec - vfp)
-        x = x - r * problem.fprime.evaluate(x).invert()
+        if step:
+            y = _exact(y, work - vfp)
+            y = y - y * (problem.fprime.evaluate(x) * y - one)
+        x = x - r * y
     raise AssertionError("Newton iteration failed to settle; internal invariant broken")
 
 
@@ -355,7 +366,7 @@ def ball_image(f, x0, t_exp, level):
         g = f.recenter(Padic.from_int(piece.center, p, level, cap=level))
         if g.degree > 0 and lipschitz_bound(g, k) + k < level:
             try:
-                report = _condition(g, g.derivative(), Padic.zero(p, level), k, k)
+                report = _condition(g, g.derivative(), Padic.zero(p, level), k, k)[0]
             except IndeterminateConditionError:
                 report = None
             if report is None or not report.ok:
@@ -383,7 +394,7 @@ def ball_image_check(f, x0, m, t_exp, level):
     x0 = _center(f, x0)
     _check_integral(f, x0)
     try:
-        report = _condition(f, f.derivative(), x0, m, t_exp)
+        report = _condition(f, f.derivative(), x0, m, t_exp)[0]
     except IndeterminateConditionError:
         report = None
     if report is None or not report.ok:

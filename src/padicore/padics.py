@@ -43,7 +43,7 @@ from .errors import (
     PrecisionError,
     PrimeMismatchError,
 )
-from .intmath import check_prime, int_valuation, inv_mod
+from .intmath import check_prime, int_valuation, inv_mod, power_prints, str_digit_limit
 
 DEFAULT_PRECISION_CAP = 64
 
@@ -175,6 +175,8 @@ class Padic:
         """This value reduced modulo p**j, as a ResidueClass.
 
         Requires valuation >= 0 (a p-adic integer) and enough precision.
+        A nonzero residue is at least p**v; when that has more digits than
+        str() prints, it is refused before the power is built.
         """
         if j < 0:
             raise DomainError("residue level must be nonnegative")
@@ -186,9 +188,12 @@ class Padic:
             raise PrecisionError(
                 f"known only mod p^{self.abs_prec}, cannot reduce mod p^{j}"
             )
-        if self.v >= j:  # zero, or a multiple of p**j
-            return ResidueClass(self.p, j, 0)
-        return ResidueClass(self.p, j, self.unit * self.p**self.v % self.p**j)
+        p, v = self.p, self.v
+        if v >= j:  # zero, or a multiple of p**j
+            return ResidueClass(p, j, 0)
+        if v and not power_prints(p, v):
+            raise DomainError(f"the residue has more than {str_digit_limit()} digits")
+        return ResidueClass(p, j, _mod_power(self.unit, p, j - v) * p**v)
 
     def truncate(self, abs_prec):
         """Forget information: the same value to a lower absolute precision."""
@@ -385,11 +390,27 @@ class Padic:
         m = 0
         for d in reversed(digits):
             m = m * p + d
+        if not m:
+            return cls.zero(p, abs_prec)
+        # the unit is known mod p**(abs_prec - v): decide before building it
+        if not power_prints(p, abs_prec - v):
+            raise DomainError(
+                f"relative precision too fine: {p}^(abs_prec - valuation) "
+                f"has more than {str_digit_limit()} digits"
+            )
         return cls._normalised(p, v, m, abs_prec - v)
 
 
 # the slots' own setters: Padic.__setattr__ refuses every write
 _set_p, _set_v, _set_unit, _set_rel = (Padic.__dict__[name].__set__ for name in Padic.__slots__)
+
+
+def _mod_power(n, p, k):
+    """n mod p**k, building p**k only when n may reach it: a nonnegative n
+    of at most k * (b - 1) bits, b the bit length of p, is below p**k."""
+    if n >= 0 and n.bit_length() <= k * (p.bit_length() - 1):
+        return n
+    return n % p**k
 
 
 def _integer(value, name):
@@ -410,7 +431,7 @@ class ResidueClass:
             raise DomainError("level must be nonnegative")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "value", value % p**level if level else 0)
+        object.__setattr__(self, "value", _mod_power(value, p, level))
 
     def __setattr__(self, name, value):
         raise AttributeError("ResidueClass is immutable")

@@ -18,8 +18,8 @@ from padicore import (
     check_condition,
     solve,
 )
-from padicore.errors import IndeterminateConditionError
-from padicore.hensel import BallImageReport
+from padicore.errors import ConditionNotMetError, IndeterminateConditionError
+from padicore.hensel import BallImageReport, _exact
 from padicore.plog import isometry_threshold, log_series_polynomial, series_degree
 
 
@@ -257,6 +257,30 @@ def fixed_point_solve(problem, z):
             assert (f.evaluate(x) - z).is_zero
             return x
     raise AssertionError("contraction failed to settle")
+
+
+def inverting_newton_solve(problem, z):
+    """Solve oracle: solve's Newton loop with f'(x) inverted at every step,
+    one modular inversion a step, and the number of steps it took."""
+    f = problem.f
+    shift = z - problem.f_x0
+    if shift.valuation_bound < problem.target_valuation():
+        raise ConditionNotMetError(
+            f"right-hand side outside the image ball: v(z - f(x0)) = "
+            f"{shift.valuation_bound} < {problem.target_valuation()}"
+        )
+    vfp = problem.report.derivative_valuation
+    low = min([0] + [c.valuation_bound + j * min(problem.m, 0) for j, c in enumerate(f.coeffs)])
+    work = z.abs_prec - low
+    x = problem.x0
+    for steps in range(max(work - problem.t_exp, 0) + 2):
+        x = _exact(x, work)
+        r = f.evaluate(x) - z
+        if r.is_zero:
+            assert (x - problem.x0).valuation_bound >= problem.t_exp
+            return x.truncate(r.abs_prec - vfp), steps
+        x = x - r * problem.fprime.evaluate(x).invert()
+    raise AssertionError("Newton iteration failed to settle; internal invariant broken")
 
 
 def log_partial_sum(x, p, n):

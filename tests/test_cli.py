@@ -519,6 +519,8 @@ MALFORMED_OPTION_AND_SHAPE_REPROS = [
 ]
 
 _FAR = '{"p":7,"valuation":100000000,"digits":[1],"abs_prec":100000001}'
+# a unit known mod 7**100000001: its modulus has more than 4300 digits
+_FINE = '{"p":7,"valuation":0,"digits":[1],"abs_prec":100000001}'
 _IMAGE = ["hensel", "image", "--p", "7", "--prec", "4", "--poly", "x^2-2", "--x0", "3", "--t", "1"]
 
 # inputs that built a power p**e they then discarded: (argv, exit code, stdout)
@@ -570,8 +572,8 @@ UNPRINTABLE_INTS = [
 
 # inputs that hung or ended in a traceback: an n-th root seed that scanned
 # range(p), decimal exponents and pretty p-adic terms that built a huge
-# power, an l^r norm that built 2**(10**8), and unprintable answers:
-# (argv, exit code, stdout)
+# power, an l^r norm that built 2**(10**8), a residue and a JSON operand
+# that built 7**(10**8), and unprintable answers: (argv, exit code, stdout)
 UNBOUNDED_INPUT_REPROS = [
     (["hensel", "nthroot", "--p", "1000000009", "--n", "3", "--prec", "2", "5"], 1, ""),
     (["hensel", "nthroot", "--p", "1000000009", "--n", "3", "--prec", "2", "8"], 0, "2 + O(1000000009^2)\n"),
@@ -583,6 +585,9 @@ UNBOUNDED_INPUT_REPROS = [
     (["padic", "add", "--p", "7", "--prec", "8", "1*7^-1000000+O(7^3)", "1"], 2, ""),
     (["plog", "log", "--p", "7", "--prec", "8", _FAR], 0, "1*7^100000000 + O(7^100000001)\n"),
     (["plog", "invert", "--p", "7", "--prec", "8", _FAR], 0, "1*7^100000000 + O(7^100000001)\n"),
+    (["padic", "reduce", "--p", "7", "--prec", "8", "--level", "100000001", _FAR], 1, ""),
+    (["padic", "reduce", "--p", "7", "--prec", "8", "--level", "3", _FINE], 1, ""),
+    (["hensel", "sqrt", "--p", "7", "--prec", "8", _FINE], 1, ""),
 ] + [(argv, 1, "") for argv in UNPRINTABLE_SUMS + UNPRINTABLE_SERIES + UNPRINTABLE_INTS]
 
 

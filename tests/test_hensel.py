@@ -38,6 +38,7 @@ from helpers import (
     enumerated_ball_image,
     enumerated_ball_image_report,
     fixed_point_solve,
+    inverting_newton_solve,
     least_residue_root,
     random_unit,
     rng_for,
@@ -172,10 +173,13 @@ def _counted_solve(monkeypatch, problem, z):
         return evaluate(self, *args, **kwargs)
 
     monkeypatch.setattr(PadicPolynomial, "evaluate", counting)
-    x = solve(problem, z)
-    monkeypatch.setattr(PadicPolynomial, "evaluate", evaluate)
-    # one evaluation of f and one of f' per step, one of f for the final residual
-    return x, (len(calls) - 1) // 2
+    try:
+        x = solve(problem, z)
+    finally:
+        monkeypatch.setattr(PadicPolynomial, "evaluate", evaluate)
+    # one evaluation of f per step and of f' per step after the first (the
+    # first uses the problem's f'(x0)), one of f for the final residual
+    return x, len(calls) // 2
 
 
 def test_newton_route_agrees(monkeypatch):
@@ -198,6 +202,72 @@ def test_newton_route_agrees(monkeypatch):
         gap = problem.report.gap
         assert steps <= (1 if gap == math.inf else max(1, -(-z.abs_prec // gap)))
     assert seen == {-2, 0, 1, 2}
+
+
+def _random_certified(rng):
+    """A certified problem and a target, drawn to reach every branch of solve:
+    p = 2, v(f'(x0)) from -2 to 2 (f scaled by p**-s), m in {-1, 0, 1, 2},
+    coefficients and x0 known below N, and targets off the image ball."""
+    p = rng.choice((2, 2, 3, 5, 7, 11, 101))
+    N, k, m = rng.randrange(2, 30), rng.randrange(3), rng.choice((-1, 0, 0, 1, 2))
+    t_exp, q = max(k + 1, m), p**N
+    coeffs = [rng.randrange(q) for _ in range(rng.randrange(2, 6))]
+    if m < 0:  # keeps mu2 >= 0 on B(0, p): v(c_j) >= j - 2
+        coeffs = [c * p ** max(j - 2, 0) for j, c in enumerate(coeffs)]
+    x0 = p ** max(m, 0) * rng.randrange(q)
+    rest = sum(j * c * x0 ** (j - 1) for j, c in enumerate(coeffs) if j >= 2)
+    coeffs[1] = (p**k * rng.choice([u for u in range(1, 2 * p) if u % p]) - rest) % q
+    root = x0 + p**t_exp * rng.randrange(q)
+    z = sum(c * root**j for j, c in enumerate(coeffs)) % q
+    if rng.random() < 0.05:  # off the image ball: solve refuses
+        z += p ** (k + t_exp - 1)
+    s = rng.choice((0, 0, 0, 0, 1, 2))  # f / p**s, with v(f'(x0)) = k - s
+
+    def known(c, n=N):
+        return Padic.from_rational(c, p**s, p, n - s, cap=n)
+
+    precs = [rng.choice((N, N, N, N + 3, rng.randrange(1, N + 1))) for _ in coeffs]
+    f = PadicPolynomial(p, [known(c, n) for c, n in zip(coeffs, precs)])
+    x0 = Padic.from_int(x0, p, rng.choice((N, N, rng.randrange(t_exp, N + 3))))
+    return HenselProblem(f, x0, m=m, t_exp=t_exp), known(z)
+
+
+def _outcome(solver, *args):
+    try:
+        x, steps = solver(*args)
+    except (DomainError, AssertionError) as e:
+        return (type(e).__name__, str(e)), None
+    return (x.p, x.v, x.unit, x.rel), steps
+
+
+def test_lifted_inverse_agrees_with_inverting_newton(monkeypatch):
+    """solve, which lifts f'(x)**-1 alongside x, against the loop that
+    inverts f'(x) at every step: the same parts or the same refusal on
+    2,000 certified problems, in at most two more steps."""
+    rng = rng_for("lifted-inverse")
+    seen, count = set(), 0
+    while count < 2000:
+        try:
+            problem, z = _random_certified(rng)
+        except DomainError:  # the condition fails, or f'(x0) is zero to precision
+            continue
+        count += 1
+        want, oracle_steps = _outcome(inverting_newton_solve, problem, z)
+        got, steps = _outcome(_counted_solve, monkeypatch, problem, z)
+        assert got == want
+        if steps is not None:
+            assert steps <= oracle_steps + 2
+        coeff_prec = min(c.abs_prec for c in problem.f.coeffs)
+        seen.add(
+            (
+                problem.f.p == 2,
+                problem.report.derivative_valuation > 0,
+                problem.m != 0,
+                coeff_prec < z.abs_prec,
+                steps is None,
+            )
+        )
+    assert all(any(case[i] for case in seen) for i in range(5))
 
 
 def test_solve_classical_wild_cube_root():

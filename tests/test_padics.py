@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from padicore import (
     DivisionByZeroError,
+    DomainError,
     NotAnIntegerError,
     Padic,
     PrecisionError,
@@ -372,6 +373,28 @@ def test_json_round_trip():
     assert Padic.from_json_dict(data) == x
     z = Padic.zero(3, 4)
     assert Padic.from_json_dict(z.to_json_dict()) == z
+
+
+def test_huge_powers_of_p_are_decided_before_they_are_built():
+    """A residue of at least p**v and a unit known mod p**(abs_prec - v) are
+    refused when those powers do not print; every residue that prints still
+    answers, and at once."""
+    far = Padic(7, 10**8, 1, 1)
+    started = time.perf_counter()
+    with pytest.raises(DomainError, match="^the residue has more than 4300 digits$"):
+        far.residue(10**8 + 1)
+    assert far.residue(10**8) == ResidueClass(7, 10**8, 0)
+    fine = Padic(7, 0, 1, 10**8 + 1)
+    assert fine.residue(10**8 + 1).value == fine.residue(3).value == 1
+    data = {"p": 7, "valuation": 0, "digits": [1], "abs_prec": 10**8 + 1}
+    with pytest.raises(DomainError, match="relative precision too fine"):
+        Padic.from_json_dict(data)
+    assert Padic.from_json_dict(dict(data, digits=[0, 0])) == Padic.zero(7, 10**8 + 1)
+    assert time.perf_counter() - started < 1
+    deepest = Padic(7, 5075, 3, 1)  # 3 * 7**5075 has 4290 digits
+    assert deepest.residue(5076).value == 3 * 7**5075
+    with pytest.raises(DomainError, match="more than 4300 digits"):
+        Padic(7, 5090, 3, 1).residue(5091)
 
 
 # ------------------------------------------------- exact constants and precision
