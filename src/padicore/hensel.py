@@ -12,11 +12,11 @@ v(f'(x)) = v(f'(x0)), and v(f(x) - f(y)) = v(f'(x0)) + v(x - y) exactly.
 
 ``solve`` runs Newton's method x -> x - (f(x) - z) * y on exact
 iterates, with y an approximate inverse of f'(x) lifted alongside x:
-y = f'(x0)**-1 once, then y -> y - y * (f'(x) * y - 1) at each step, so
-one modular inversion serves the whole solve (von zur Gathen and
-Gerhard, Modern Computer Algebra, ch. 9).  Each iterate, y included, is
-lifted to more digits than the data carry, so only the coefficients and
-z bring uncertainty.  Each step gains at least
+y = f'(x0)**-1 once, then y -> y - y * (f'(x) * y - 1) at each later
+step, so one modular inversion serves the whole solve (von zur Gathen
+and Gerhard, Modern Computer Algebra, ch. 9).  Each iterate, y
+included, is lifted to more digits than the data carry, so only the
+coefficients and z bring uncertainty.  Each step gains at least
 gap = t_exp + mu2 - v(f'(x0)) >= 1 digits.  When the residual
 r = f(x) - z is zero to its precision, the isometry gives
 v(x - root) >= r.abs_prec - v(f'(x0)), and that is the precision
