@@ -1,8 +1,12 @@
 """Polynomials over the p-adics viewed as analytic functions on balls.
 
-Everything here is exact: evaluation is Horner on tracked-precision
-values, Taylor recentering is a finite binomial recombination, and the
-two quantitative bounds are integer minima over coefficient valuations.
+Everything here is exact: evaluation is Horner's rule on the parts
+(valuation, unit, relative precision) of tracked-precision values, each
+step following the precision rules of ``Padic`` multiplication and
+addition, so it gives the parts that Horner on ``Padic`` values gives
+while building only the result.  Taylor recentering is n - 1
+synthetic-division passes of the same Horner step, and the two
+quantitative bounds are integer minima over coefficient valuations.
 
 Radii are restricted to integer powers of p and handled through their
 exponents.  Real thresholds that fall between value-group elements (the
@@ -28,7 +32,7 @@ from fractions import Fraction
 
 from .errors import DomainError, PrimeMismatchError, UnsupportedRuleError
 from .intmath import check_prime, int_valuation
-from .padics import DEFAULT_PRECISION_CAP, Padic
+from .padics import DEFAULT_PRECISION_CAP, Padic, _padic
 
 
 class PadicPolynomial:
@@ -105,10 +109,9 @@ class PadicPolynomial:
                 f"argument valuation {x.valuation_bound} below the declared "
                 f"ball exponent {min_valuation}"
             )
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
+        parts = [(c.v, c.unit, c.rel) for c in self.coeffs]
+        _horner(self.p, parts, (x.v, x.unit, x.rel), 0)
+        return _padic(self.p, *parts[0])
 
     def derivative(self):
         """Formal derivative with the integer factors folded in exactly."""
@@ -128,12 +131,61 @@ class PadicPolynomial:
             x0 = Padic.from_rational(Fraction(x0), 1, self.p)
         if x0.p != self.p:
             raise PrimeMismatchError("center from a different prime")
-        a = list(self.coeffs)
-        n = len(a)
-        for l in range(n - 1):
-            for j in range(n - 2, l - 1, -1):
-                a[j] = a[j] + a[j + 1] * x0
-        return PadicPolynomial(self.p, a)
+        p, x = self.p, (x0.v, x0.unit, x0.rel)
+        parts = [(c.v, c.unit, c.rel) for c in self.coeffs]
+        for low in range(len(parts) - 1):
+            _horner(p, parts, x, low)
+        return PadicPolynomial(p, [_padic(p, *part) for part in parts])
+
+
+def _horner(p, parts, x, low):
+    """Horner's rule at x on (v, unit, rel) parts, in place.
+
+    For j from len(parts) - 2 down to low, parts[j] becomes
+    parts[j + 1] * x + parts[j], each product and sum with exactly the
+    parts that ``Padic.__mul__`` and ``Padic.__add__`` give.  So
+    parts[low] ends as the value at x of the polynomial of coefficients
+    parts[low:].
+    """
+    xv, xu, xr = x
+    av, au, ar = parts[-1]
+    for j in range(len(parts) - 2, low - 1, -1):
+        # acc * x: relative precision min(r_acc, r_x), or a zero whose
+        # valuation bound is the sum of the bounds
+        av += xv
+        if au and xu:
+            if xr < ar:
+                ar = xr
+            au = au * xu % p**ar
+        else:
+            au = ar = 0
+        # + c: absolute precision min(N_acc, N_c); an operand that
+        # vanishes mod p**n adds nothing
+        cv, cu, cr = parts[j]
+        n = av + ar
+        if cv + cr < n:
+            n = cv + cr
+        if av >= n:  # c is nonzero mod p**n exactly when v(c) < n
+            if cv >= n:
+                av, au, ar = n, 0, 0
+            elif cv + cr > n:
+                av, au, ar = cv, cu % p ** (n - cv), n - cv
+            else:
+                av, au, ar = cv, cu, cr
+        elif cv >= n:
+            if av + ar > n:
+                au, ar = au % p ** (n - av), n - av
+        else:
+            v = av if av < cv else cv
+            ar = n - v
+            au = (au * p ** (av - v) + cu * p ** (cv - v)) % p**ar
+            av = v
+            if not au:
+                av, ar = n, 0
+            elif not au % p:
+                shift = int_valuation(au, p)
+                av, au, ar = v + shift, au // p**shift, ar - shift
+        parts[j] = (av, au, ar)
 
 
 def lipschitz_bound(f, radius_exp):

@@ -12,9 +12,9 @@ v(f'(x)) = v(f'(x0)), and v(f(x) - f(y)) = v(f'(x0)) + v(x - y) exactly.
 
 ``solve`` runs Newton's method x -> x - (f(x) - z) * y on exact
 iterates, with y an approximate inverse of f'(x) lifted alongside x:
-y = f'(x0)**-1 once, then y -> y - y * (f'(x) * y - 1) at each later
-step, so one modular inversion serves the whole solve (von zur Gathen
-and Gerhard, Modern Computer Algebra, ch. 9).  Each iterate, y
+y = f'(x0)**-1 once, then y -> y * (2 - f'(x) * y) at each later step,
+so one modular inversion serves the whole solve (von zur Gathen and
+Gerhard, Modern Computer Algebra, ch. 9).  Each iterate, y
 included, is lifted to more digits than the data carry, so only the
 coefficients and z bring uncertainty.  Each step gains at least
 gap = t_exp + mu2 - v(f'(x0)) >= 1 digits.  When the residual
@@ -49,7 +49,7 @@ from .errors import (
     NoRootError,
 )
 from .intmath import newton_lift, power_prints, root_mod, str_digit_limit
-from .padics import Padic
+from .padics import Padic, _padic
 
 
 class ConditionReport(
@@ -145,7 +145,7 @@ def _exact(x, abs_prec):
         return x.truncate(abs_prec)
     if x.is_zero:
         return Padic.zero(x.p, abs_prec)
-    return Padic(x.p, x.v, x.unit, abs_prec - x.v)
+    return _padic(x.p, x.v, x.unit, abs_prec - x.v)
 
 
 def solve(problem, z):
@@ -169,8 +169,11 @@ def solve(problem, z):
     # >= low or the answer (z.abs_prec - vfp <= work digits) can use
     low = min([0] + [c.valuation_bound + j * min(problem.m, 0) for j, c in enumerate(f.coeffs)])
     work = z.abs_prec - low
-    # y ~ f'(x)**-1, exact like x; its Newton update needs no inversion
-    x, y, one = problem.x0, problem.fprime_x0.invert(), Padic(f.p, 0, 1, max(work, 1))
+    # y ~ f'(x)**-1, exact like x; its Newton update y * (2 - f'(x) * y)
+    # needs no inversion, and two is exact to `work` digits (p**1 * 1 at p = 2)
+    p, digits = f.p, max(work, 1)
+    x, y = problem.x0, problem.fprime_x0.invert()
+    two = _padic(2, 1, 1, digits) if p == 2 else _padic(p, 0, 2, digits)
     for step in range(max(work - problem.t_exp, 0) + 2):  # gap >= 1 digit a step
         x = _exact(x, work)
         r = f.evaluate(x) - z
@@ -179,7 +182,7 @@ def solve(problem, z):
             return x.truncate(r.abs_prec - vfp)
         if step:
             y = _exact(y, work - vfp)
-            y = y - y * (problem.fprime.evaluate(x) * y - one)
+            y = y * (two - problem.fprime.evaluate(x) * y)
         x = x - r * y
     raise AssertionError("Newton iteration failed to settle; internal invariant broken")
 

@@ -23,7 +23,10 @@ Every value is kept in normal form: ``0 < unit < p**rel`` with p not
 dividing ``unit``, or ``unit == rel == 0`` for zero.  The operations rely
 on it: a product, negative or inverse of units is a unit, so those
 results are built from ``unit % p**rel`` with no valuation scan, and
-truncating a value to its own precision returns the value itself.
+truncating a value to its own precision returns the value itself.  The
+public constructor checks the prime and the normal form; the library's
+own results, whose parts are normal by construction, go through the
+unchecked ``_padic``.
 
 A construction-time cap (default 64 digits) bounds the relative precision
 of freshly made values; since no operation ever increases relative
@@ -54,7 +57,21 @@ class Padic:
     __slots__ = ("p", "v", "unit", "rel")
 
     def __init__(self, p, v, unit, rel):
-        """Build from already-normalised parts; prefer the classmethods."""
+        """Build from int parts in normal form; prefer the classmethods.
+
+        A composite p, a part that is not an int (a bool included), a
+        negative rel or parts out of normal form raise DomainError.
+        """
+        check_prime(p)
+        if not all(type(part) is int for part in (v, unit, rel)):
+            raise DomainError("Padic parts v, unit and rel must be integers")
+        if rel < 0:
+            raise DomainError(f"relative precision {rel} is negative")
+        if (unit or rel) and not (0 < unit and unit % p and _mod_power(unit, p, rel) == unit):
+            raise DomainError(
+                "Padic parts are not in normal form: need 0 < unit < p**rel "
+                "with p not dividing unit, or unit == rel == 0"
+            )
         _set_p(self, p)
         _set_v(self, v)
         _set_unit(self, unit)
@@ -69,34 +86,34 @@ class Padic:
     def zero(cls, p, abs_prec):
         """The value 0 + O(p**abs_prec)."""
         check_prime(p)
-        return cls(p, abs_prec, 0, 0)
+        return _padic(p, abs_prec, 0, 0)
 
-    @classmethod
-    def _normalised(cls, p, v, raw, rel):
+    @staticmethod
+    def _normalised(p, v, raw, rel):
         """Value p**v * raw known mod p**(v + rel); raw may be non-unit."""
         n = v + rel
         raw %= p**rel
         if raw == 0:
-            return cls(p, n, 0, 0)
+            return _padic(p, n, 0, 0)
         if raw % p:
-            return cls(p, v, raw, rel)
+            return _padic(p, v, raw, rel)
         shift = int_valuation(raw, p)
         v += shift
         rel -= shift
-        return cls(p, v, raw // p**shift, rel)
+        return _padic(p, v, raw // p**shift, rel)
 
     @classmethod
     def from_int(cls, n, p, abs_prec=None, cap=DEFAULT_PRECISION_CAP):
         """The integer n to absolute precision abs_prec (default: v + cap)."""
         check_prime(p)
         if n == 0:
-            return cls(p, abs_prec if abs_prec is not None else cap, 0, 0)
+            return _padic(p, abs_prec if abs_prec is not None else cap, 0, 0)
         v = int_valuation(n, p)
         if abs_prec is None:
             abs_prec = v + cap
         rel = min(abs_prec - v, cap)
         if rel <= 0:
-            return cls(p, abs_prec, 0, 0)
+            return _padic(p, abs_prec, 0, 0)
         return cls._normalised(p, v, n // p**v, rel)
 
     @classmethod
@@ -116,13 +133,13 @@ class Padic:
         if abs_prec is None:
             abs_prec = cap
         if a == 0:
-            return cls(p, abs_prec, 0, 0)
+            return _padic(p, abs_prec, 0, 0)
         va = int_valuation(a, p)
         vb = int_valuation(b, p)
         v = va - vb
         rel = min(abs_prec - v, cap)
         if rel <= 0:
-            return cls(p, abs_prec, 0, 0)
+            return _padic(p, abs_prec, 0, 0)
         ua = a // p**va
         ub = b // p**vb
         modulus = p**rel
@@ -205,7 +222,7 @@ class Padic:
                 f"cannot raise precision from {own} to {abs_prec}"
             )
         if not self.unit or self.v >= abs_prec:
-            return Padic(self.p, abs_prec, 0, 0)
+            return _padic(self.p, abs_prec, 0, 0)
         return Padic._normalised(self.p, self.v, self.unit, abs_prec - self.v)
 
     # ----------------------------------------------------------- arithmetic
@@ -222,7 +239,7 @@ class Padic:
         # an exact constant never bounds the result: it is built at least
         # as precise as this value, in absolute and in relative precision
         if other == 0:
-            return Padic(self.p, max(self.abs_prec, self.rel), 0, 0)
+            return _padic(self.p, max(self.abs_prec, self.rel), 0, 0)
         q = Fraction(other)
         v = int_valuation(q.numerator, self.p) - int_valuation(q.denominator, self.p)
         rel = max(self.rel, self.abs_prec - v, 1)
@@ -250,14 +267,25 @@ class Padic:
     def __neg__(self):
         if not self.unit:
             return self
-        return Padic(self.p, self.v, -self.unit % self.p**self.rel, self.rel)
+        return _padic(self.p, self.v, -self.unit % self.p**self.rel, self.rel)
 
     def __sub__(self, other):
         if type(other) is not Padic or other.p != self.p:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        return self + (-other)
+        n = min(self.abs_prec, other.abs_prec)
+        # the parts of self + (-other): an operand that vanishes mod p**n
+        # contributes nothing
+        if self.v >= n:
+            return -other.truncate(n)
+        if other.v >= n:
+            return self.truncate(n)
+        v = min(self.v, other.v)
+        s = self.unit * self.p ** (self.v - v) - other.unit * self.p ** (
+            other.v - v
+        )
+        return Padic._normalised(self.p, v, s, n - v)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -269,9 +297,9 @@ class Padic:
                 return NotImplemented
         if not self.unit or not other.unit:
             # v(xy) >= bound(x) + bound(y)
-            return Padic(self.p, self.v + other.v, 0, 0)
+            return _padic(self.p, self.v + other.v, 0, 0)
         rel = min(self.rel, other.rel)
-        return Padic(self.p, self.v + other.v, self.unit * other.unit % self.p**rel, rel)
+        return _padic(self.p, self.v + other.v, self.unit * other.unit % self.p**rel, rel)
 
     __rmul__ = __mul__
 
@@ -281,7 +309,7 @@ class Padic:
             raise DivisionByZeroError(
                 f"cannot invert 0 + O({self.p}^{self.abs_prec})"
             )
-        return Padic(self.p, -self.v, inv_mod(self.unit, self.p**self.rel), self.rel)
+        return _padic(self.p, -self.v, inv_mod(self.unit, self.p**self.rel), self.rel)
 
     def __truediv__(self, other):
         if type(other) is not Padic or other.p != self.p:
@@ -301,7 +329,7 @@ class Padic:
             return NotImplemented
         if e < 0:
             return self.invert() ** (-e)
-        result = Padic(self.p, 0, 1, max(self.rel, 1))
+        result = _padic(self.p, 0, 1, max(self.rel, 1))
         base = self
         while e:
             if e & 1:
@@ -393,16 +421,34 @@ class Padic:
         if not m:
             return cls.zero(p, abs_prec)
         # the unit is known mod p**(abs_prec - v): decide before building it
-        if not power_prints(p, abs_prec - v):
-            raise DomainError(
-                f"relative precision too fine: {p}^(abs_prec - valuation) "
-                f"has more than {str_digit_limit()} digits"
-            )
+        _check_unit_modulus_prints(p, abs_prec - v)
         return cls._normalised(p, v, m, abs_prec - v)
 
 
 # the slots' own setters: Padic.__setattr__ refuses every write
 _set_p, _set_v, _set_unit, _set_rel = (Padic.__dict__[name].__set__ for name in Padic.__slots__)
+_new = object.__new__
+
+
+def _padic(p, v, unit, rel):
+    """The Padic of parts already in normal form, unchecked: the builder
+    of every value the library makes from parts it has checked."""
+    x = _new(Padic)
+    _set_p(x, p)
+    _set_v(x, v)
+    _set_unit(x, unit)
+    _set_rel(x, rel)
+    return x
+
+
+def _check_unit_modulus_prints(p, rel):
+    """DomainError unless p**rel, the modulus of a unit known to rel digits,
+    prints: the JSON, compact and pretty forms refuse a finer unit alike."""
+    if not power_prints(p, rel):
+        raise DomainError(
+            f"relative precision too fine: {p}^(abs_prec - valuation) "
+            f"has more than {str_digit_limit()} digits"
+        )
 
 
 def _mod_power(n, p, k):
@@ -427,6 +473,8 @@ class ResidueClass:
 
     def __init__(self, p, level, value):
         check_prime(p)
+        if type(level) is not int or type(value) is not int:
+            raise DomainError("residue level and value must be integers")
         if level < 0:
             raise DomainError("level must be nonnegative")
         object.__setattr__(self, "p", p)

@@ -7,7 +7,7 @@ rather than Fermat exponentiation, so they are O(log p) and rely on
 primality only through the nonzero precondition.
 """
 
-from .errors import DivisionByZeroError, PrimeMismatchError
+from .errors import DivisionByZeroError, DomainError, PrimeMismatchError
 from .intmath import check_prime, inv_mod
 
 
@@ -18,6 +18,8 @@ class FpElement:
 
     def __init__(self, value, p):
         check_prime(p)
+        if type(value) is not int:
+            raise DomainError(f"an element of F_{p} must be an integer, got {type(value).__name__}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "value", value % p)
 

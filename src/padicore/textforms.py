@@ -10,8 +10,8 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .intmath import power_prints, str_digit_limit
-from .padics import DEFAULT_PRECISION_CAP, Padic
+from .intmath import int_valuation, power_prints, str_digit_limit
+from .padics import DEFAULT_PRECISION_CAP, Padic, _check_unit_modulus_prints
 
 # The series, polynomial, clopen-set and family forms import their modules
 # inside the functions that build them: a command then loads only the
@@ -146,7 +146,9 @@ def _padic_from_pretty(text, cap):
 
     A term d*p^e with e < 0 is summed as the rational d / p**-e, so an
     exponent far below zero would build a huge power and a value of as
-    many digits; past the precision cap it is refused.
+    many digits; past the precision cap it is refused.  The value keeps
+    every digit it is given: as in the JSON form, a unit known mod
+    p**(N - v) is refused when that power does not print.
     """
     parts = [part.strip() for part in text.split("+")]
     if not parts:
@@ -156,7 +158,7 @@ def _padic_from_pretty(text, cap):
         raise ParseError(f"p-adic literal must end with O(p^N): {text!r}")
     p = _int(om.group(1))
     abs_prec = _int(om.group(2))
-    total = Fraction(0)
+    total, low = Fraction(0), abs_prec
     for part in parts[:-1]:
         tm = _PADIC_TERM_RE.match(part.replace(" ", ""))
         if not tm:
@@ -170,11 +172,17 @@ def _padic_from_pretty(text, cap):
             exp = _int(tm.group(3)) if tm.group(3) is not None else 1
         if exp < -cap:
             raise ParseError(f"p-adic term exponent {exp} is below -{cap}, the precision cap")
-        if exp < abs_prec:  # a term in p**abs_prec vanishes; never build it
+        if exp < abs_prec and digit:  # a zero term or one in p**abs_prec: never build it
             total += Fraction(digit) * Fraction(p) ** exp
+            low = min(low, exp)
     if total == 0:
         return Padic.zero(p, abs_prec)
-    return Padic.from_rational(total, 1, p, abs_prec, cap=10**6)
+    # v(total) >= low: the valuation is needed only when p**(abs_prec - low) does not print
+    if not power_prints(p, abs_prec - low):
+        rel = abs_prec - int_valuation(total.numerator, p) + int_valuation(total.denominator, p)
+        if rel > 0:
+            _check_unit_modulus_prints(p, rel)
+    return Padic.from_rational(total, 1, p, abs_prec, cap=abs_prec - low)
 
 
 def padic_from_json(data):

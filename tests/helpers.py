@@ -118,6 +118,31 @@ def lift_oracle(op, a, b=None):
     return lift_parts(p, qa * qb, va + vb + min(ra, rb))
 
 
+def horner_evaluate(f, x):
+    """Evaluation oracle: Horner's rule on Padic values, acc * x + c,
+    with every product and sum a Padic operation."""
+    acc = f.coeffs[-1]
+    for c in reversed(f.coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def horner_recenter(f, x0):
+    """Taylor-shift oracle: the coefficients of f(x0 + y), by n - 1
+    synthetic-division passes a[j] = a[j] + a[j + 1] * x0 on Padic values."""
+    a = list(f.coeffs)
+    n = len(a)
+    for low in range(n - 1):
+        for j in range(n - 2, low - 1, -1):
+            a[j] = a[j] + a[j + 1] * x0
+    return a
+
+
+def parts(x):
+    """The parts (p, v, unit, rel) of a Padic."""
+    return (x.p, x.v, x.unit, x.rel)
+
+
 def random_fp_series(rng, p, prec, zero_constant=False):
     from padicore import PrimeFieldCoefficients
 

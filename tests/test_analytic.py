@@ -15,7 +15,7 @@ from padicore import (
     radius_of_convergence,
 )
 from padicore.errors import UnsupportedRuleError
-from helpers import random_padic, random_unit, rng_for
+from helpers import horner_evaluate, horner_recenter, parts, random_padic, random_unit, rng_for
 
 
 def _poly(p, coeffs, prec=12):
@@ -84,6 +84,60 @@ def test_trailing_literal_zeros_trimmed():
     assert f.degree == 1
     g = PadicPolynomial(5, [1, 2, Padic.zero(5, 4)])
     assert g.degree == 2  # uncertainty is not an exact zero
+
+
+# ------------------------------------------------------- Horner on parts
+
+
+def _differential_coefficient(rng, p):
+    """A coefficient of any kind the polynomials hold: a unit or non-unit of
+    random valuation (negative included) and relative precision, a zero to
+    a random precision, or exact int and Fraction data."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Padic.zero(p, rng.randrange(-3, 9))
+    if kind == 1:
+        return rng.choice([0, 1, -1, p, -3 * p**2 + 2, Fraction(1, p), Fraction(-2, 3)])
+    return random_padic(rng, p, rng.randrange(1, 9), -3, 4)
+
+
+def _differential_argument(rng, p):
+    """An argument of any kind: random valuation and precision, a zero to
+    precision, a large valuation that vanishes at the sums' precision, an
+    int or a Fraction."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Padic.zero(p, rng.randrange(-2, 7))
+    if kind == 1:
+        return Padic(p, rng.randrange(6, 12), 1, rng.randrange(1, 3))
+    if kind == 2:
+        return rng.choice([3, -p, Fraction(1, p), Fraction(p + 1, 5)])
+    return random_padic(rng, p, rng.randrange(1, 9), -3, 4)
+
+
+@pytest.mark.parametrize("p", [2, 7, 65537, 2**61 - 1])
+def test_horner_on_parts_matches_padic_horner(p):
+    """evaluate and recenter give, part for part, what Horner's rule on
+    Padic values gives, on every kind of coefficient and argument."""
+    rng = rng_for(f"horner-parts-{p}")
+    kinds = set()
+    for _ in range(300):
+        coeffs = [_differential_coefficient(rng, p) for _ in range(rng.randrange(1, 7))]
+        f = PadicPolynomial(p, coeffs, abs_prec=rng.choice([None, 3, 8]))
+        x = _differential_argument(rng, p)
+        px = x if isinstance(x, Padic) else Padic.from_rational(Fraction(x), 1, p)
+        assert parts(f.evaluate(x)) == parts(horner_evaluate(f, px)), (f, x)
+        shifted = f.recenter(x)
+        assert [parts(c) for c in shifted.coeffs] == [parts(c) for c in horner_recenter(f, px)]
+        kinds.add(type(x).__name__)
+        kinds.add("x zero" if px.is_zero else "x vanishes" if px.v > 5 else "x below 0" if px.v < 0 else "x")
+        kinds.update("c zero" if c.is_zero else "c below 0" if c.v < 0 else "c" for c in f.coeffs)
+        if len({c.abs_prec for c in f.coeffs}) > 1:
+            kinds.add("mixed precisions")
+    assert kinds == {
+        "int", "Fraction", "Padic", "x zero", "x vanishes", "x below 0", "x",
+        "c zero", "c below 0", "c", "mixed precisions",
+    }
 
 
 # --------------------------------------------------------------- invariants

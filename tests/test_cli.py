@@ -573,7 +573,8 @@ UNPRINTABLE_INTS = [
 # inputs that hung or ended in a traceback: an n-th root seed that scanned
 # range(p), decimal exponents and pretty p-adic terms that built a huge
 # power, an l^r norm that built 2**(10**8), a residue and a JSON operand
-# that built 7**(10**8), and unprintable answers: (argv, exit code, stdout)
+# that built 7**(10**8), a pretty operand cut to 10**6 digits, and
+# unprintable answers: (argv, exit code, stdout)
 UNBOUNDED_INPUT_REPROS = [
     (["hensel", "nthroot", "--p", "1000000009", "--n", "3", "--prec", "2", "5"], 1, ""),
     (["hensel", "nthroot", "--p", "1000000009", "--n", "3", "--prec", "2", "8"], 0, "2 + O(1000000009^2)\n"),
@@ -588,6 +589,8 @@ UNBOUNDED_INPUT_REPROS = [
     (["padic", "reduce", "--p", "7", "--prec", "8", "--level", "100000001", _FAR], 1, ""),
     (["padic", "reduce", "--p", "7", "--prec", "8", "--level", "3", _FINE], 1, ""),
     (["hensel", "sqrt", "--p", "7", "--prec", "8", _FINE], 1, ""),
+    (["padic", "add", "--p", "7", "--prec", "8", "1 + O(7^100000001)", "1 + O(7^100000001)"], 1, ""),
+    (["padic", "digits", "--p", "7", "--prec", "8", "1 + O(7^100000001)"], 1, ""),
 ] + [(argv, 1, "") for argv in UNPRINTABLE_SUMS + UNPRINTABLE_SERIES + UNPRINTABLE_INTS]
 
 

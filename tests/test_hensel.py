@@ -30,6 +30,7 @@ from padicore.errors import (
     EnumerationGuardError,
     IndeterminateConditionError,
 )
+from padicore.hensel import _exact
 from padicore.intmath import newton_lift, root_mod
 from helpers import (
     best_time,
@@ -40,6 +41,8 @@ from helpers import (
     fixed_point_solve,
     inverting_newton_solve,
     least_residue_root,
+    parts,
+    random_padic,
     random_unit,
     rng_for,
     teichmuller_by_p_power,
@@ -268,6 +271,22 @@ def test_lifted_inverse_agrees_with_inverting_newton(monkeypatch):
             )
         )
     assert all(any(case[i] for case in seen) for i in range(5))
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101])
+def test_inverse_update_has_the_parts_of_the_two_subtraction_form(p):
+    """solve's y * (2 - a*y), with 2 exact to `work` digits, has the parts of
+    y - y*(a*y - 1): a stands for f'(x), of valuation vfp, and y for an
+    approximate inverse lifted to abs_prec work - vfp, as solve lifts it."""
+    rng = rng_for(f"inverse-update-{p}")
+    for _ in range(300):
+        work, vfp = rng.randrange(1, 40), rng.randrange(0, 3)
+        a = random_padic(rng, p, rng.randrange(1, work + 3), vfp, vfp)
+        known = rng.randrange(1, a.rel + 1)
+        y = _exact(a.truncate(vfp + known).invert(), work - vfp)
+        one = Padic(p, 0, 1, work)
+        two = Padic(2, 1, 1, work) if p == 2 else Padic(p, 0, 2, work)
+        assert parts(y * (two - a * y)) == parts(y - y * (a * y - one))
 
 
 def test_solve_classical_wild_cube_root():

@@ -17,7 +17,7 @@ from padicore import (
     PrimeMismatchError,
     ResidueClass,
 )
-from helpers import lift_oracle, random_padic, random_unit, rng_for
+from helpers import lift_oracle, parts, random_padic, random_unit, rng_for
 
 PRIMES = [2, 3, 5, 7]
 
@@ -111,15 +111,39 @@ def test_product_valuation_mixed_signs():
     assert (x * y).valuation() == 1
 
 
+@pytest.mark.parametrize(
+    "p, v, unit, rel, message",
+    [
+        (4, 0, 1, 2, "4 is not prime"),
+        (7, 0, 1.5, 2, "must be integers"),
+        (7, 0, True, 2, "must be integers"),
+        (7, 0, 1, -1, "relative precision -1 is negative"),
+        (7, 0, 14, 2, "not in normal form"),
+        (7, 0, 49, 2, "not in normal form"),
+        (7, 3, 0, 2, "not in normal form"),
+    ],
+    ids=["composite-p", "float-unit", "bool-unit", "negative-rel", "p-divides-unit", "unit-past-p-rel", "zero-with-rel"],
+)
+def test_public_constructor_refuses_parts_it_cannot_hold(p, v, unit, rel, message):
+    with pytest.raises(DomainError, match=message):
+        Padic(p, v, unit, rel)
+
+
+def test_public_constructor_takes_normal_form_parts():
+    assert (Padic(7, -2, 48, 2).abs_prec, Padic(2, 5, 0, 0).abs_prec) == (0, 5)
+    assert Padic(7, 0, 1, 10**8 + 1).rel == 10**8 + 1  # decided without building 7**rel
+
+
+def test_residue_class_refuses_a_float_value():
+    with pytest.raises(DomainError, match="must be integers"):
+        ResidueClass(7, 2, 1.5)
+
+
 def test_exact_cancellation_gives_zero():
     a = Padic.from_rational(1, 2, 5, 4)
     b = Padic.from_rational(-1, 2, 5, 4)
     assert (a + b).is_zero
     assert (a + b).abs_prec == 4
-
-
-def _parts(x):
-    return (x.p, x.v, x.unit, x.rel)
 
 
 def test_operand_vanishing_at_the_sum_precision_builds_no_power():
@@ -131,9 +155,9 @@ def test_operand_vanishing_at_the_sum_precision_builds_no_power():
     huge = Padic.from_json_dict({"p": 7, "valuation": 10**7, "digits": [1], "abs_prec": 10**7 + 1})
     one = Padic.from_int(1, 7, 8)
     started = time.perf_counter()
-    assert _parts(huge + one) == _parts(one + huge) == _parts(one)
-    assert _parts(one - huge) == _parts(one)
-    assert _parts(huge - one) == _parts(-one)
+    assert parts(huge + one) == parts(one + huge) == parts(one)
+    assert parts(one - huge) == parts(one)
+    assert parts(huge - one) == parts(-one)
     r = huge.residue(2)
     assert (r.p, r.level, r.value) == (7, 2, 0)
     assert time.perf_counter() - started < 0.5
@@ -147,7 +171,7 @@ def test_sum_and_residue_agree_with_the_lifts(p):
         for y in (Padic.from_int(3, p, 6), Padic.from_rational(1, p, p, 5), Padic.zero(p, 4)):
             n = min(x.abs_prec, y.abs_prec)
             expected = Padic.from_rational(x.lift() + y.lift(), 1, p, n, cap=100)
-            assert _parts(x + y) == _parts(y + x) == _parts(expected)
+            assert parts(x + y) == parts(y + x) == parts(expected)
         for j in range(0, min(x.abs_prec, 8) + 1):
             if v >= 0:
                 r = x.residue(j)
@@ -172,7 +196,7 @@ def _check_against_lifts(op, a, b, run):
             run()
         return
     got = run()
-    assert _parts(got) == expected, (op, a, b)
+    assert parts(got) == expected, (op, a, b)
     _, _, unit, rel = expected
     assert (0 < unit < got.p**rel and unit % got.p) or unit == rel == 0
 
@@ -196,6 +220,24 @@ def test_operations_agree_with_the_lifts(p):
         for n in {a.abs_prec + 1, a.abs_prec, a.abs_prec - 1, a.v, a.v - 1}:
             _check_against_lifts("truncate", a, n, lambda: a.truncate(n))
     assert all(x.truncate(x.abs_prec) == x for x in xs)
+
+
+@pytest.mark.parametrize("p", [2, 7, 65537, 2**61 - 1])
+def test_subtraction_is_adding_the_negative(p):
+    """a - b has the parts of a + (-b), with either operand vanishing at
+    the shared precision or exact."""
+    xs = list(_lift_operands(p)) + [Padic(p, 6, 1, 1), Padic(p, 3, p - 1, 4)]
+    exacts = [0, 1, -3, p, Fraction(1, p), Fraction(-2, 3)]
+    vanishing = set()
+    for a in xs:
+        for b in xs + exacts:
+            assert parts(a - b) == parts(a + (-b)), (a, b)
+            if not isinstance(b, Padic):
+                assert parts(b - a) == parts(b + (-a)), (b, a)
+                continue
+            n = min(a.abs_prec, b.abs_prec)
+            vanishing.add((a.v >= n, b.v >= n))
+    assert vanishing == {(False, False), (True, False), (False, True), (True, True)}
 
 
 def test_add_sub_mul_precision_rules():

@@ -56,6 +56,11 @@ def test_mismatched_primes_rejected():
         FpElement(1, 5) * FpElement(1, 7)
 
 
+def test_non_integer_value_rejected():
+    with pytest.raises(DomainError, match="must be an integer"):
+        FpElement(3.5, 7)
+
+
 def test_composite_modulus_rejected():
     with pytest.raises(DomainError):
         FpElement(1, 6)

@@ -12,6 +12,7 @@ from padicore import (
     ClopenSet,
     FiniteFamily,
     LaurentSeries,
+    DomainError,
     Padic,
     PadicPolynomial,
     ParseError,
@@ -311,6 +312,28 @@ def test_pretty_padic_terms_stop_at_minus_the_cap():
     started = time.perf_counter()
     with pytest.raises(ParseError):
         tf.parse_padic("1*7^-1000000 + O(7^3)", 7, 8, cap)
+    assert time.perf_counter() - started < 0.5
+
+
+def test_pretty_padic_keeps_every_digit_or_is_refused_as_json_is():
+    """The pretty form's unit is known mod p**(N - v), as in the JSON form:
+    it is read in full while that power prints, and refused past it with
+    the JSON form's message, never cut to fewer digits."""
+    assert tf.parse_padic("1 + O(7^5088)").rel == 5088  # 7**5088 has 4300 digits
+    assert tf.parse_padic("1*7^5 + O(7^5093)").rel == 5088
+    assert tf.parse_padic("7 + O(7^5089)").rel == 5088  # the digit 7 is 1*7^1
+    started = time.perf_counter()
+    for text, json_form in [
+        ("1 + O(7^5089)", {"valuation": 0, "abs_prec": 5089}),
+        ("1*7^-1 + O(7^5088)", {"valuation": -1, "abs_prec": 5088}),
+        ("1 + O(7^100000001)", {"valuation": 0, "abs_prec": 100000001}),
+    ]:
+        with pytest.raises(DomainError) as pretty:
+            tf.parse_padic(text)
+        with pytest.raises(DomainError) as from_json:
+            tf.padic_from_json(dict(json_form, p=7, digits=[1]))
+        assert str(pretty.value) == str(from_json.value)
+        assert str(pretty.value).startswith("relative precision too fine")
     assert time.perf_counter() - started < 0.5
 
 
