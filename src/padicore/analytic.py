@@ -7,6 +7,10 @@ addition, so it gives the parts that Horner on ``Padic`` values gives
 while building only the result.  Taylor recentering is n - 1
 synthetic-division passes of the same Horner step, and the two
 quantitative bounds are integer minima over coefficient valuations.
+The derivative is taken on parts too: with j = p**e * k and k prime to
+p, the coefficient j * c_j of parts (v, u, r) is (v + e, u * k mod p**r,
+r), the product of c_j with j exact to r digits, and a zero to precision
+O(p**v) becomes O(p**(v + e)).
 
 Radii are restricted to integer powers of p and handled through their
 exponents.  Real thresholds that fall between value-group elements (the
@@ -32,7 +36,7 @@ from fractions import Fraction
 
 from .errors import DomainError, PrimeMismatchError, UnsupportedRuleError
 from .intmath import check_prime, int_valuation
-from .padics import DEFAULT_PRECISION_CAP, Padic, _padic
+from .padics import DEFAULT_PRECISION_CAP, Padic, _add_parts, _mul_parts, _padic
 
 
 class PadicPolynomial:
@@ -114,16 +118,20 @@ class PadicPolynomial:
         return _padic(self.p, *parts[0])
 
     def derivative(self):
-        """Formal derivative with the integer factors folded in exactly."""
-        out = []
+        """Formal derivative with the integer factors folded in exactly.
+
+        With j = p**e * k, k prime to p, the coefficient j * c_j has the
+        parts of the product of c_j with (e, k, rel(c_j)), j exact to the
+        coefficient's relative precision: (v + e, unit * k mod p**rel, rel),
+        or (v + e, 0, 0) for a zero to precision.
+        """
+        p, out = self.p, []
         for j in range(1, len(self.coeffs)):
-            c = self.coeffs[j] * j
-            # non-archimedean sanity: multiplying by an integer never grows
-            assert c.valuation_bound >= self.coeffs[j].valuation_bound
-            out.append(c)
+            c, e = self.coeffs[j], int_valuation(j, p)
+            out.append(_padic(p, *_mul_parts(p, (c.v, c.unit, c.rel), (e, j // p**e, c.rel))))
         if not out:
-            return PadicPolynomial(self.p, [Padic.zero(self.p, 1)])
-        return PadicPolynomial(self.p, out)
+            return PadicPolynomial(p, [Padic.zero(p, 1)])
+        return PadicPolynomial(p, out)
 
     def recenter(self, x0):
         """The polynomial g with g(y) = f(x0 + y), by exact Taylor shift."""
@@ -142,50 +150,13 @@ def _horner(p, parts, x, low):
     """Horner's rule at x on (v, unit, rel) parts, in place.
 
     For j from len(parts) - 2 down to low, parts[j] becomes
-    parts[j + 1] * x + parts[j], each product and sum with exactly the
-    parts that ``Padic.__mul__`` and ``Padic.__add__`` give.  So
-    parts[low] ends as the value at x of the polynomial of coefficients
-    parts[low:].
+    parts[j + 1] * x + parts[j] through the part functions of
+    ``Padic.__mul__`` and ``Padic.__add__``.  So parts[low] ends as the
+    value at x of the polynomial of coefficients parts[low:].
     """
-    xv, xu, xr = x
-    av, au, ar = parts[-1]
+    acc = parts[-1]
     for j in range(len(parts) - 2, low - 1, -1):
-        # acc * x: relative precision min(r_acc, r_x), or a zero whose
-        # valuation bound is the sum of the bounds
-        av += xv
-        if au and xu:
-            if xr < ar:
-                ar = xr
-            au = au * xu % p**ar
-        else:
-            au = ar = 0
-        # + c: absolute precision min(N_acc, N_c); an operand that
-        # vanishes mod p**n adds nothing
-        cv, cu, cr = parts[j]
-        n = av + ar
-        if cv + cr < n:
-            n = cv + cr
-        if av >= n:  # c is nonzero mod p**n exactly when v(c) < n
-            if cv >= n:
-                av, au, ar = n, 0, 0
-            elif cv + cr > n:
-                av, au, ar = cv, cu % p ** (n - cv), n - cv
-            else:
-                av, au, ar = cv, cu, cr
-        elif cv >= n:
-            if av + ar > n:
-                au, ar = au % p ** (n - av), n - av
-        else:
-            v = av if av < cv else cv
-            ar = n - v
-            au = (au * p ** (av - v) + cu * p ** (cv - v)) % p**ar
-            av = v
-            if not au:
-                av, ar = n, 0
-            elif not au % p:
-                shift = int_valuation(au, p)
-                av, au, ar = v + shift, au // p**shift, ar - shift
-        parts[j] = (av, au, ar)
+        acc = parts[j] = _add_parts(p, _mul_parts(p, acc, x), parts[j])
 
 
 def lipschitz_bound(f, radius_exp):

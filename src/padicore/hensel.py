@@ -14,7 +14,12 @@ v(f'(x)) = v(f'(x0)), and v(f(x) - f(y)) = v(f'(x0)) + v(x - y) exactly.
 iterates, with y an approximate inverse of f'(x) lifted alongside x:
 y = f'(x0)**-1 once, then y -> y * (2 - f'(x) * y) at each later step,
 so one modular inversion serves the whole solve (von zur Gathen and
-Gerhard, Modern Computer Algebra, ch. 9).  Each iterate, y
+Gerhard, Modern Computer Algebra, ch. 9).  The loop runs on the
+(valuation, unit, relative precision) parts of the values: the parts of
+the coefficients of f and f' are read once, and each step is Horner's
+rule on them and the update under the part functions of ``Padic``'s own
+operators, so the parts are those the same loop on ``Padic`` values
+would give, and a ``Padic`` is built only for the root.  Each iterate, y
 included, is lifted to more digits than the data carry, so only the
 coefficients and z bring uncertainty.  Each step gains at least
 gap = t_exp + mu2 - v(f'(x0)) >= 1 digits.  When the residual
@@ -40,7 +45,7 @@ f on every residue of the ball is the oracle in the tests.
 import math
 from collections import namedtuple
 
-from .analytic import PadicPolynomial, lipschitz_bound, quadratic_bound
+from .analytic import PadicPolynomial, _horner, lipschitz_bound, quadratic_bound
 from .errors import (
     ConditionNotMetError,
     DomainError,
@@ -49,7 +54,7 @@ from .errors import (
     NoRootError,
 )
 from .intmath import newton_lift, power_prints, root_mod, str_digit_limit
-from .padics import Padic, _padic
+from .padics import DEFAULT_PRECISION_CAP, Padic, _add_parts, _exact_parts, _mul_parts, _padic
 
 
 class ConditionReport(
@@ -73,11 +78,12 @@ def check_condition(f, x0, m, t_exp):
     return _condition(f, f.derivative(), x0, m, t_exp)[0]
 
 
-def _center(f, x0):
-    """x0 as a value of f's prime, once f is known to be a PadicPolynomial."""
+def _center(f, x0, cap=DEFAULT_PRECISION_CAP):
+    """x0 as a value of f's prime, once f is known to be a PadicPolynomial;
+    an int is exact, and is read to cap digits past its valuation."""
     if not isinstance(f, PadicPolynomial):
         raise DomainError("expected a PadicPolynomial")
-    return x0 if isinstance(x0, Padic) else Padic.from_int(x0, f.p)
+    return x0 if isinstance(x0, Padic) else Padic.from_int(x0, f.p, cap=cap)
 
 
 def _condition(f, fprime, x0, m, t_exp):
@@ -139,15 +145,6 @@ class HenselProblem:
         return self.report.derivative_valuation + self.t_exp
 
 
-def _exact(x, abs_prec):
-    """The representative p**v * unit of x, as a value known mod p**abs_prec."""
-    if x.abs_prec >= abs_prec:
-        return x.truncate(abs_prec)
-    if x.is_zero:
-        return Padic.zero(x.p, abs_prec)
-    return _padic(x.p, x.v, x.unit, abs_prec - x.v)
-
-
 def solve(problem, z):
     """The unique x in the certified ball with f(x) = z, to the proven precision.
 
@@ -169,21 +166,30 @@ def solve(problem, z):
     # >= low or the answer (z.abs_prec - vfp <= work digits) can use
     low = min([0] + [c.valuation_bound + j * min(problem.m, 0) for j, c in enumerate(f.coeffs)])
     work = z.abs_prec - low
-    # y ~ f'(x)**-1, exact like x; its Newton update y * (2 - f'(x) * y)
-    # needs no inversion, and two is exact to `work` digits (p**1 * 1 at p = 2)
+    # the loop runs on (v, unit, rel) parts; y ~ f'(x)**-1, exact like x;
+    # its Newton update y * (2 - f'(x) * y) needs no inversion, and two is
+    # exact to `work` digits (p**1 * 1 at p = 2)
     p, digits = f.p, max(work, 1)
-    x, y = problem.x0, problem.fprime_x0.invert()
-    two = _padic(2, 1, 1, digits) if p == 2 else _padic(p, 0, 2, digits)
+    fc = [(c.v, c.unit, c.rel) for c in f.coeffs]
+    dc = [(c.v, c.unit, c.rel) for c in problem.fprime.coeffs]
+    x0, y = problem.x0, problem.fprime_x0.invert()
+    x, y, z = (x0.v, x0.unit, x0.rel), (y.v, y.unit, y.rel), (z.v, z.unit, z.rel)
+    two = (1, 1, digits) if p == 2 else (0, 2, digits)
     for step in range(max(work - problem.t_exp, 0) + 2):  # gap >= 1 digit a step
-        x = _exact(x, work)
-        r = f.evaluate(x) - z
-        if r.is_zero:
-            assert (x - problem.x0).valuation_bound >= problem.t_exp
-            return x.truncate(r.abs_prec - vfp)
+        x = _exact_parts(p, x, work)
+        fx = fc.copy()
+        _horner(p, fx, x, 0)
+        r = _add_parts(p, fx[0], z, -1)
+        if not r[1]:
+            root = _padic(p, *x)
+            assert (root - x0).valuation_bound >= problem.t_exp
+            return root.truncate(r[0] - vfp)  # r = O(p**r[0])
         if step:
-            y = _exact(y, work - vfp)
-            y = y * (two - problem.fprime.evaluate(x) * y)
-        x = x - r * y
+            dx = dc.copy()
+            _horner(p, dx, x, 0)
+            y = _exact_parts(p, y, work - vfp)
+            y = _mul_parts(p, y, _add_parts(p, two, _mul_parts(p, dx[0], y), -1))
+        x = _add_parts(p, x, _mul_parts(p, r, y), -1)
     raise AssertionError("Newton iteration failed to settle; internal invariant broken")
 
 
@@ -354,11 +360,11 @@ def ball_image(f, x0, t_exp, level):
     condition with m = t_exp = k; any other piece splits into its p
     children.  Near a critical point the pieces grow about linearly with
     the level; past 10**6 pieces the image is refused.  f and x0 must be
-    integral and known mod p**level.
+    integral and known mod p**level; an int x0 is exact.
     """
     from . import measure
 
-    x0 = _center(f, x0)
+    x0 = _center(f, x0, max(level, DEFAULT_PRECISION_CAP))
     _check_integral(f, x0)
     _check_known(f, x0, level)
     p, guard = f.p, measure._BALL_GUARD
@@ -389,12 +395,12 @@ def ball_image_check(f, x0, m, t_exp, level):
     Verifies that f maps B(x0, p**-t_exp) onto
     B(f(x0), p**-(v(f'(x0)) + t_exp)) mod p**level.  When the contraction
     condition fails the checker reports that and makes no claim.  The
-    coefficients and x0 must be known mod p**level, and p**level must
-    print.
+    coefficients and x0 must be known mod p**level (an int x0 is exact),
+    and p**level must print.
     """
     from . import measure
 
-    x0 = _center(f, x0)
+    x0 = _center(f, x0, max(level, DEFAULT_PRECISION_CAP))
     _check_integral(f, x0)
     try:
         report = _condition(f, f.derivative(), x0, m, t_exp)[0]

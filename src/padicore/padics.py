@@ -91,16 +91,7 @@ class Padic:
     @staticmethod
     def _normalised(p, v, raw, rel):
         """Value p**v * raw known mod p**(v + rel); raw may be non-unit."""
-        n = v + rel
-        raw %= p**rel
-        if raw == 0:
-            return _padic(p, n, 0, 0)
-        if raw % p:
-            return _padic(p, v, raw, rel)
-        shift = int_valuation(raw, p)
-        v += shift
-        rel -= shift
-        return _padic(p, v, raw // p**shift, rel)
+        return _padic(p, *_normalised_parts(p, v, raw, rel))
 
     @classmethod
     def from_int(cls, n, p, abs_prec=None, cap=DEFAULT_PRECISION_CAP):
@@ -114,7 +105,8 @@ class Padic:
         rel = min(abs_prec - v, cap)
         if rel <= 0:
             return _padic(p, abs_prec, 0, 0)
-        return cls._normalised(p, v, n // p**v, rel)
+        # n // p**v is prime to p, and so is its residue mod p**rel
+        return _padic(p, v, _mod_power(n // p**v, p, rel), rel)
 
     @classmethod
     def from_rational(cls, a, b=1, p=None, abs_prec=None, cap=DEFAULT_PRECISION_CAP):
@@ -221,9 +213,7 @@ class Padic:
             raise PrecisionError(
                 f"cannot raise precision from {own} to {abs_prec}"
             )
-        if not self.unit or self.v >= abs_prec:
-            return _padic(self.p, abs_prec, 0, 0)
-        return Padic._normalised(self.p, self.v, self.unit, abs_prec - self.v)
+        return _padic(self.p, *_exact_parts(self.p, (self.v, self.unit, self.rel), abs_prec))
 
     # ----------------------------------------------------------- arithmetic
 
@@ -250,17 +240,8 @@ class Padic:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        n = min(self.abs_prec, other.abs_prec)
-        # an operand that vanishes mod p**n (zero included) adds nothing
-        if self.v >= n:
-            return other.truncate(n)
-        if other.v >= n:
-            return self.truncate(n)
-        v = min(self.v, other.v)
-        s = self.unit * self.p ** (self.v - v) + other.unit * self.p ** (
-            other.v - v
-        )
-        return Padic._normalised(self.p, v, s, n - v)
+        a, b = (self.v, self.unit, self.rel), (other.v, other.unit, other.rel)
+        return _padic(self.p, *_add_parts(self.p, a, b))
 
     __radd__ = __add__
 
@@ -274,18 +255,8 @@ class Padic:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        n = min(self.abs_prec, other.abs_prec)
-        # the parts of self + (-other): an operand that vanishes mod p**n
-        # contributes nothing
-        if self.v >= n:
-            return -other.truncate(n)
-        if other.v >= n:
-            return self.truncate(n)
-        v = min(self.v, other.v)
-        s = self.unit * self.p ** (self.v - v) - other.unit * self.p ** (
-            other.v - v
-        )
-        return Padic._normalised(self.p, v, s, n - v)
+        a, b = (self.v, self.unit, self.rel), (other.v, other.unit, other.rel)
+        return _padic(self.p, *_add_parts(self.p, a, b, -1))
 
     def __rsub__(self, other):
         return -(self - other)
@@ -295,11 +266,8 @@ class Padic:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        if not self.unit or not other.unit:
-            # v(xy) >= bound(x) + bound(y)
-            return _padic(self.p, self.v + other.v, 0, 0)
-        rel = min(self.rel, other.rel)
-        return _padic(self.p, self.v + other.v, self.unit * other.unit % self.p**rel, rel)
+        a, b = (self.v, self.unit, self.rel), (other.v, other.unit, other.rel)
+        return _padic(self.p, *_mul_parts(self.p, a, b))
 
     __rmul__ = __mul__
 
@@ -439,6 +407,74 @@ def _padic(p, v, unit, rel):
     _set_unit(x, unit)
     _set_rel(x, rel)
     return x
+
+
+# The precision rules on parts, the triple (v, unit, rel) of a value in
+# normal form.  Each is the one implementation of its operation: the Padic
+# operators call it, and so do the loops that run on parts without
+# building values (analytic._horner, hensel.solve).
+
+
+def _normalised_parts(p, v, raw, rel):
+    """The parts of p**v * raw known mod p**(v + rel); raw may be non-unit."""
+    raw %= p**rel
+    if not raw:
+        return v + rel, 0, 0
+    if raw % p:
+        return v, raw, rel
+    shift = int_valuation(raw, p)
+    return v + shift, raw // p**shift, rel - shift
+
+
+def _exact_parts(p, a, n):
+    """The parts of the representative p**v * unit of a, known mod p**n.
+
+    Below a's own precision this is truncation; above it the unit is
+    taken as exact and lifted, so a zero stays zero and a unit stays the
+    same integer.  A unit reduced mod p**k, k >= 1, is still a unit, so
+    no valuation scan is needed.
+    """
+    v, u, r = a
+    if not u or v >= n:
+        return n, 0, 0
+    if v + r > n:
+        return v, u % p ** (n - v), n - v
+    return v, u, n - v
+
+
+def _add_parts(p, a, b, sign=1):
+    """The parts of a + b, or of a - b for sign = -1.
+
+    Absolute precision min(N_a, N_b); the valuation of the sum is
+    computed, never assumed, so full cancellation gives a zero.  An
+    operand that vanishes mod p**n contributes nothing.
+    """
+    av, au, ar = a
+    bv, bu, br = b
+    n = av + ar
+    if bv + br < n:
+        n = bv + br
+    if av >= n:
+        b = _exact_parts(p, b, n)
+        if sign < 0 and b[1]:
+            b = b[0], -b[1] % p ** b[2], b[2]
+        return b
+    if bv >= n:
+        return _exact_parts(p, a, n)
+    v = av if av < bv else bv
+    return _normalised_parts(p, v, au * p ** (av - v) + sign * bu * p ** (bv - v), n - v)
+
+
+def _mul_parts(p, a, b):
+    """The parts of a * b: relative precision min(r_a, r_b); a product
+    with a zero is a zero whose valuation bound is the sum of the bounds.
+    A product of units is a unit, so it needs no valuation scan."""
+    av, au, ar = a
+    bv, bu, br = b
+    if not au or not bu:
+        return av + bv, 0, 0
+    rel = ar if ar < br else br
+    return av + bv, au * bu % p**rel, rel
 
 
 def _check_unit_modulus_prints(p, rel):

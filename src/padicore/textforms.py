@@ -10,7 +10,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .intmath import int_valuation, power_prints, str_digit_limit
+from .intmath import check_prime, int_valuation, power_prints, str_digit_limit
 from .padics import DEFAULT_PRECISION_CAP, Padic, _check_unit_modulus_prints
 
 # The series, polynomial, clopen-set and family forms import their modules
@@ -144,11 +144,13 @@ def _padic_from_compact(m):
 def _padic_from_pretty(text, cap):
     """A Padic from ``d*p^e + ... + O(p^N)``; no term exponent below -cap.
 
-    A term d*p^e with e < 0 is summed as the rational d / p**-e, so an
-    exponent far below zero would build a huge power and a value of as
-    many digits; past the precision cap it is refused.  The value keeps
-    every digit it is given: as in the JSON form, a unit known mod
-    p**(N - v) is refused when that power does not print.
+    The terms below p**N are summed over the integers as d * p**(e - low),
+    low the least exponent among them, and low becomes the valuation, so
+    no term builds its own power p**e.  An exponent far below zero would
+    make the value as large as p**(N - low); past the precision cap it is
+    refused.  The value keeps every digit it is given: as in the JSON
+    form, a unit known mod p**(N - v) is refused when that power does not
+    print, and v is then found from the terms before their sum is built.
     """
     parts = [part.strip() for part in text.split("+")]
     if not parts:
@@ -158,7 +160,7 @@ def _padic_from_pretty(text, cap):
         raise ParseError(f"p-adic literal must end with O(p^N): {text!r}")
     p = _int(om.group(1))
     abs_prec = _int(om.group(2))
-    total, low = Fraction(0), abs_prec
+    terms, low = [], abs_prec
     for part in parts[:-1]:
         tm = _PADIC_TERM_RE.match(part.replace(" ", ""))
         if not tm:
@@ -173,16 +175,37 @@ def _padic_from_pretty(text, cap):
         if exp < -cap:
             raise ParseError(f"p-adic term exponent {exp} is below -{cap}, the precision cap")
         if exp < abs_prec and digit:  # a zero term or one in p**abs_prec: never build it
-            total += Fraction(digit) * Fraction(p) ** exp
+            terms.append((digit, exp))
             low = min(low, exp)
-    if total == 0:
+    if not terms:
         return Padic.zero(p, abs_prec)
-    # v(total) >= low: the valuation is needed only when p**(abs_prec - low) does not print
+    # the valuation is needed only when p**(abs_prec - low) does not print
     if not power_prints(p, abs_prec - low):
-        rel = abs_prec - int_valuation(total.numerator, p) + int_valuation(total.denominator, p)
+        rel = abs_prec - _sum_valuation(p, terms)
         if rel > 0:
             _check_unit_modulus_prints(p, rel)
-    return Padic.from_rational(total, 1, p, abs_prec, cap=abs_prec - low)
+    check_prime(p)
+    total = sum(digit * p ** (exp - low) for digit, exp in terms)
+    return Padic._normalised(p, low, total, abs_prec - low)
+
+
+def _sum_valuation(p, terms):
+    """The valuation of the sum of digit * p**exp over terms, digits > 0.
+
+    The terms are walked from the least exponent with the sum so far
+    divided by p**pos, pos the exponent reached: the sum's valuation is
+    found as soon as that quotient is not divisible by p up to the next
+    exponent, and no power of p larger than the quotient is built.
+    """
+    carry = pos = 0
+    for digit, exp in sorted(terms, key=lambda term: term[1]):
+        if carry:
+            k = int_valuation(carry, p)
+            if k < exp - pos:
+                return pos + k
+            carry //= p ** (exp - pos)
+        carry, pos = carry + digit, exp
+    return pos + int_valuation(carry, p)
 
 
 def padic_from_json(data):

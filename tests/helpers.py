@@ -19,7 +19,7 @@ from padicore import (
     solve,
 )
 from padicore.errors import ConditionNotMetError, IndeterminateConditionError
-from padicore.hensel import BallImageReport, _exact
+from padicore.hensel import BallImageReport
 from padicore.plog import isometry_threshold, log_series_polynomial, series_degree
 
 
@@ -284,6 +284,16 @@ def fixed_point_solve(problem, z):
     raise AssertionError("contraction failed to settle")
 
 
+def exact(x, abs_prec):
+    """The representative p**v * unit of x, as a value known mod p**abs_prec:
+    the lift that solve applies to its iterates, on Padic values."""
+    if x.abs_prec >= abs_prec:
+        return x.truncate(abs_prec)
+    if x.is_zero:
+        return Padic.zero(x.p, abs_prec)
+    return Padic(x.p, x.v, x.unit, abs_prec - x.v)
+
+
 def inverting_newton_solve(problem, z):
     """Solve oracle: solve's Newton loop with f'(x) inverted at every step,
     one modular inversion a step, and the number of steps it took."""
@@ -299,7 +309,7 @@ def inverting_newton_solve(problem, z):
     work = z.abs_prec - low
     x = problem.x0
     for steps in range(max(work - problem.t_exp, 0) + 2):
-        x = _exact(x, work)
+        x = exact(x, work)
         r = f.evaluate(x) - z
         if r.is_zero:
             assert (x - problem.x0).valuation_bound >= problem.t_exp

@@ -224,13 +224,33 @@ def test_p_power_dichotomy(p):
 
 
 def test_derivative_never_grows():
+    """Each coefficient of f' has the parts of c_j * j, the product with the
+    int j, and a valuation no lower than c_j's: at degrees 2p to p**2 + 1,
+    so that j meets multiples of p and of p**2, with zeros to precision
+    among the coefficients, and at degree 65537 over Z_65537."""
     rng = rng_for("derivative-growth")
-    for p in (2, 3, 5):
-        for _ in range(20):
-            coeffs = [random_padic(rng, p, 10, 0, 2) for _ in range(5)]
-            f = PadicPolynomial(p, coeffs)
-            for j, c in enumerate(f.derivative().coeffs):
-                assert c.valuation_bound >= f.coeffs[j + 1].valuation_bound
+
+    def coefficient(p):
+        if rng.random() < 0.25:
+            return Padic.zero(p, rng.randrange(-2, 12))
+        return random_padic(rng, p, rng.randrange(1, 10), -2, 2)
+
+    polys = [
+        PadicPolynomial(p, [coefficient(p) for _ in range(rng.randrange(2 * p, p * p + 2) + 1)])
+        for p in (2, 3, 5)
+        for _ in range(20)
+    ]
+    p = 65537
+    sparse = [Padic.zero(p, 7)] * (p + 1)
+    for j in (1, 2, 3, p - 1, p):
+        sparse[j] = coefficient(p)
+    polys.append(PadicPolynomial(p, sparse))
+    for f in polys:
+        derivative = f.derivative().coeffs
+        assert len(derivative) == f.degree
+        for j, c in enumerate(derivative, 1):
+            assert parts(c) == parts(f.coeffs[j] * j)
+            assert c.valuation_bound >= f.coeffs[j].valuation_bound
 
 
 # --------------------------------------------------- radius of convergence

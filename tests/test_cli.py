@@ -286,6 +286,9 @@ def test_domain_error_exit_1():
     code, out, err = run(["hensel", "sqrt", "--p", "5", "--prec", "3", "3"])
     assert code == 1 and out == ""
     assert "not a quadratic residue" in err
+    # a pretty form's prime is checked before the value is built
+    code, out, err = run(["padic", "add", "--p", "7", "--prec", "8", "1*0^-1 + O(0^3)", "1"])
+    assert (code, out, err) == (1, "", "error: modulus must be an integer >= 2, got 0\n")
 
 
 def test_divergent_log_exit_1():
@@ -591,6 +594,8 @@ UNBOUNDED_INPUT_REPROS = [
     (["hensel", "sqrt", "--p", "7", "--prec", "8", _FINE], 1, ""),
     (["padic", "add", "--p", "7", "--prec", "8", "1 + O(7^100000001)", "1 + O(7^100000001)"], 1, ""),
     (["padic", "digits", "--p", "7", "--prec", "8", "1 + O(7^100000001)"], 1, ""),
+    (["padic", "add", "--p", "7", "--prec", "8", "1*7^99999 + O(7^100000)", "1"], 0, "1 + O(7^8)\n"),
+    (["padic", "add", "--p", "7", "--prec", "8", "1*7^9999999 + O(7^10000000)", "1"], 0, "1 + O(7^8)\n"),
 ] + [(argv, 1, "") for argv in UNPRINTABLE_SUMS + UNPRINTABLE_SERIES + UNPRINTABLE_INTS]
 
 

@@ -30,7 +30,7 @@ from padicore.errors import (
     EnumerationGuardError,
     IndeterminateConditionError,
 )
-from padicore.hensel import _exact
+from padicore import hensel
 from padicore.intmath import newton_lift, root_mod
 from helpers import (
     best_time,
@@ -38,6 +38,7 @@ from helpers import (
     covered_residues,
     enumerated_ball_image,
     enumerated_ball_image_report,
+    exact,
     fixed_point_solve,
     inverting_newton_solve,
     least_residue_root,
@@ -169,20 +170,23 @@ def _fixed_problems():
 def _counted_solve(monkeypatch, problem, z):
     """solve(problem, z) and the number of Newton steps it took."""
     calls = []
-    evaluate = PadicPolynomial.evaluate
 
-    def counting(self, *args, **kwargs):
+    def counting(*args):
         calls.append(1)
-        return evaluate(self, *args, **kwargs)
+        return horner(*args)
 
-    monkeypatch.setattr(PadicPolynomial, "evaluate", counting)
+    horner = hensel._horner
+    monkeypatch.setattr(hensel, "_horner", counting)
     try:
         x = solve(problem, z)
     finally:
-        monkeypatch.setattr(PadicPolynomial, "evaluate", evaluate)
-    # one evaluation of f per step and of f' per step after the first (the
-    # first uses the problem's f'(x0)), one of f for the final residual
-    return x, len(calls) // 2
+        monkeypatch.setattr(hensel, "_horner", horner)
+    # one Horner pass over f per step and over f' per step after the first
+    # (the first uses the problem's f'(x0)), one over f for the final
+    # residual; a solve that answers takes a step unless z = f(x0)
+    steps = len(calls) // 2
+    assert calls and (steps or (z - problem.f_x0).is_zero)
+    return x, steps
 
 
 def test_newton_route_agrees(monkeypatch):
@@ -283,7 +287,7 @@ def test_inverse_update_has_the_parts_of_the_two_subtraction_form(p):
         work, vfp = rng.randrange(1, 40), rng.randrange(0, 3)
         a = random_padic(rng, p, rng.randrange(1, work + 3), vfp, vfp)
         known = rng.randrange(1, a.rel + 1)
-        y = _exact(a.truncate(vfp + known).invert(), work - vfp)
+        y = exact(a.truncate(vfp + known).invert(), work - vfp)
         one = Padic(p, 0, 1, work)
         two = Padic(2, 1, 1, work) if p == 2 else Padic(p, 0, 2, work)
         assert parts(y * (two - a * y)) == parts(y - y * (a * y - one))
@@ -683,3 +687,19 @@ def test_ball_image_refusals():
     # a source ball at the level, or finer than it, maps to one point
     assert ball_image(f, big, 10**4, 10**4).max_level() == 10**4
     assert ball_image(_poly(7, [1, 1], 3), 0, 5, 3) == ClopenSet(7, [Ball(7, 3, 1)])
+
+
+def test_int_center_is_read_to_the_level():
+    """An int center is exact: past the default 64 digits it is read to the
+    level, and gives what the same center known to 80 digits gives."""
+    f = _poly(7, [-2, 0, 1], 80)
+    known = Padic.from_int(3, 7, 80, cap=80)
+    assert ball_image_check(f, 3, 0, 1, 70) == ("verified", True, 70, 7**69, 7**69, 7**69)
+    for level in (64, 65, 70, 80):
+        assert ball_image_check(f, 3, 0, 1, level) == ball_image_check(f, known, 0, 1, level)
+        assert ball_image(f, 3, 1, level) == ball_image(f, known, 1, level)
+    # read to a level far past what prints, the int builds no power that large
+    started = time.perf_counter()
+    with pytest.raises(PrecisionError, match=r"known only mod p\^80, cannot reduce mod p\^100000000"):
+        ball_image_check(f, 3, 0, 1, 10**8)
+    assert time.perf_counter() - started < 0.5

@@ -20,9 +20,9 @@ from padicore import (
     PrimeFieldCoefficients,
 )
 from padicore import textforms as tf
-from padicore.intmath import str_digit_limit
+from padicore.intmath import int_valuation, str_digit_limit
 from padicore.padics import DEFAULT_PRECISION_CAP
-from helpers import random_padic, rng_for
+from helpers import parts, random_padic, rng_for
 
 F3 = PrimeFieldCoefficients(3)
 
@@ -70,6 +70,29 @@ def test_pretty_terms_at_or_past_the_precision_build_no_power():
         w = tf.parse_padic(f"4 + 1*5^{e} + O(5^3)")
         u = Padic.from_int(4 + 5**e, 5, 3)
         assert (w.v, w.unit, w.rel) == (u.v, u.unit, u.rel)
+
+
+def test_pretty_terms_are_summed_over_the_integers():
+    """The pretty form's value is the rational sum of its terms below p^N,
+    digits past p and repeated exponents included, and the valuation the
+    carry walk finds is that of the integer sum."""
+    rng = rng_for("pretty-integer-sum")
+    for _ in range(400):
+        p = rng.choice((2, 3, 5, 7, 101))
+        n = rng.randrange(-3, 12)
+        digits = (1, p - 1, p, p * p + 1, rng.randrange(1, p**3))
+        terms = [(rng.choice(digits), rng.randrange(-4, 14)) for _ in range(rng.randrange(1, 6))]
+        text = " + ".join(f"{d}*{p}^{e}" for d, e in terms) + f" + O({p}^{n})"
+        kept = [(d, e) for d, e in terms if e < n]
+        x = tf.parse_padic(text)
+        if not kept:
+            assert parts(x) == (p, n, 0, 0)
+            continue
+        low = min(e for _, e in kept)
+        value = sum(Fraction(d) * Fraction(p) ** e for d, e in kept)
+        assert parts(x) == parts(Padic.from_rational(value, 1, p, n, cap=n - low))
+        total = sum(d * p ** (e - low) for d, e in kept)
+        assert tf._sum_valuation(p, kept) == low + int_valuation(total, p)
 
 
 def test_padic_operand_must_match_the_given_prime():
@@ -327,6 +350,8 @@ def test_pretty_padic_keeps_every_digit_or_is_refused_as_json_is():
         ("1 + O(7^5089)", {"valuation": 0, "abs_prec": 5089}),
         ("1*7^-1 + O(7^5088)", {"valuation": -1, "abs_prec": 5088}),
         ("1 + O(7^100000001)", {"valuation": 0, "abs_prec": 100000001}),
+        ("1 + 1*7^9999999 + O(7^10000000)", {"valuation": 0, "abs_prec": 10**7}),
+        ("6 + 6*7 + 6*7^2 + 1 + 1*7^9999999 + O(7^10000000)", {"valuation": 3, "abs_prec": 10**7}),
     ]:
         with pytest.raises(DomainError) as pretty:
             tf.parse_padic(text)
