@@ -10,7 +10,9 @@ quantitative bounds are integer minima over coefficient valuations.
 The derivative is taken on parts too: with j = p**e * k and k prime to
 p, the coefficient j * c_j of parts (v, u, r) is (v + e, u * k mod p**r,
 r), the product of c_j with j exact to r digits, and a zero to precision
-O(p**v) becomes O(p**(v + e)).
+O(p**v) becomes O(p**(v + e)).  An int or Fraction argument is exact:
+it is read to as many digits as Horner's rule on the coefficients can
+use, so it never bounds a result.
 
 Radii are restricted to integer powers of p and handled through their
 exponents.  Real thresholds that fall between value-group elements (the
@@ -36,7 +38,7 @@ from fractions import Fraction
 
 from .errors import DomainError, PrimeMismatchError, UnsupportedRuleError
 from .intmath import check_prime, int_valuation
-from .padics import DEFAULT_PRECISION_CAP, Padic, _add_parts, _mul_parts, _padic
+from .padics import DEFAULT_PRECISION_CAP, Padic, _add_parts, _exact_valuation, _mul_parts, _padic
 
 
 class PadicPolynomial:
@@ -105,7 +107,7 @@ class PadicPolynomial:
         (v(x) >= min_valuation) or a DomainError is raised.
         """
         if not isinstance(x, Padic):
-            x = Padic.from_rational(Fraction(x), 1, self.p)
+            x = _exact_argument(self, x)
         if x.p != self.p:
             raise PrimeMismatchError("argument from a different prime")
         if min_valuation is not None and x.valuation_bound < min_valuation:
@@ -136,7 +138,7 @@ class PadicPolynomial:
     def recenter(self, x0):
         """The polynomial g with g(y) = f(x0 + y), by exact Taylor shift."""
         if not isinstance(x0, Padic):
-            x0 = Padic.from_rational(Fraction(x0), 1, self.p)
+            x0 = _exact_argument(self, x0)
         if x0.p != self.p:
             raise PrimeMismatchError("center from a different prime")
         p, x = self.p, (x0.v, x0.unit, x0.rel)
@@ -144,6 +146,22 @@ class PadicPolynomial:
         for low in range(len(parts) - 1):
             _horner(p, parts, x, low)
         return PadicPolynomial(p, [_padic(p, *part) for part in parts])
+
+
+def _exact_argument(f, x, least=1):
+    """The int or Fraction x as a Padic that no evaluation or Taylor shift
+    of f is bounded by, known to at least max(least, 1) digits past its
+    valuation; DomainError for any other type.
+
+    x is read to max_j N(c_j) - min(0, min_j v(c_j)) digits.  A nonzero
+    Horner value keeps at most the largest relative precision of the
+    coefficients, max_j N(c_j) - v(c_j), and a zero x that many digits
+    puts every product x * acc at or past max_j N(c_j); so x gives the
+    parts that it gives known to any more digits.
+    """
+    p = f.p
+    rel = max(max(c.abs_prec for c in f.coeffs) - min([0] + [c.v for c in f.coeffs]), least, 1)
+    return Padic.from_rational(x, 1, p, _exact_valuation(p, x) + rel, cap=rel)
 
 
 def _horner(p, parts, x, low):

@@ -35,17 +35,23 @@ is a center, B(x, r) = B(y, r), so ``ball_image`` tests the condition
 again at the center of each piece of the ball, taking the piece whole
 where it holds and splitting it into its p sub-balls where it fails:
 the ball form of Hensel's lemma (Robert, A Course in p-adic Analysis,
-ch. 2).  The condition at (x0, m, t_exp) implies the test of the piece
-B(x0, p**-t_exp) at x0, since v(c_j) + (j - 2) m >= mu2 for the Taylor
-coefficients c_j of f at x0 and t_exp >= m; so wherever the condition
-holds, ``ball_image_check`` compares one piece with the predicted ball.
-f on every residue of the ball is the oracle in the tests.
+ch. 2).  The test of a piece B(a, p**-k) reads the Taylor coefficients
+c_j of f at a: f'(a) is c_1 and mu2 their quadratic bound, so the
+piece passes when c_1 is nonzero and k + mu2 > v(c_1).  The condition
+at (x0, m, t_exp) implies the test of the piece B(x0, p**-t_exp) at x0,
+since v(c_j) + (j - 2) m >= mu2 for j >= 2 and t_exp >= m; so wherever
+the condition holds, ``ball_image_check`` compares one piece with the
+predicted ball.  f on every residue of the ball is the oracle in the
+tests.
+
+An int or Fraction center or target is exact: it is read to as many
+digits as f's coefficients can use, so it never bounds an answer.
 """
 
 import math
 from collections import namedtuple
 
-from .analytic import PadicPolynomial, _horner, lipschitz_bound, quadratic_bound
+from .analytic import PadicPolynomial, _exact_argument, _horner, lipschitz_bound, quadratic_bound
 from .errors import (
     ConditionNotMetError,
     DomainError,
@@ -54,7 +60,7 @@ from .errors import (
     NoRootError,
 )
 from .intmath import newton_lift, power_prints, root_mod, str_digit_limit
-from .padics import DEFAULT_PRECISION_CAP, Padic, _add_parts, _exact_parts, _mul_parts, _padic
+from .padics import Padic, _add_parts, _exact_parts, _exact_valuation, _mul_parts, _padic
 
 
 class ConditionReport(
@@ -78,12 +84,13 @@ def check_condition(f, x0, m, t_exp):
     return _condition(f, f.derivative(), x0, m, t_exp)[0]
 
 
-def _center(f, x0, cap=DEFAULT_PRECISION_CAP):
+def _center(f, x0, least=1):
     """x0 as a value of f's prime, once f is known to be a PadicPolynomial;
-    an int is exact, and is read to cap digits past its valuation."""
+    an int or Fraction is exact: it bounds no value of f or f', and is
+    known to at least `least` digits past its valuation."""
     if not isinstance(f, PadicPolynomial):
         raise DomainError("expected a PadicPolynomial")
-    return x0 if isinstance(x0, Padic) else Padic.from_int(x0, f.p, cap=cap)
+    return x0 if isinstance(x0, Padic) else _exact_argument(f, x0, least)
 
 
 def _condition(f, fprime, x0, m, t_exp):
@@ -154,7 +161,10 @@ def solve(problem, z):
     """
     f = problem.f
     if not isinstance(z, Padic):
-        z = Padic.from_int(z, f.p)
+        # exact: read mod p**n, n the highest coefficient precision, which
+        # the residual f(x) - z never passes
+        n = max(c.abs_prec for c in f.coeffs)
+        z = Padic.from_rational(z, 1, f.p, n, cap=n - _exact_valuation(f.p, z))
     shift = z - problem.f_x0
     if shift.valuation_bound < problem.target_valuation():
         raise ConditionNotMetError(
@@ -199,10 +209,7 @@ def solve_classical(f, x0, z=0):
     Requires v(f(x0) - z) > 2 v(f'(x0)); recenters f at x0 so the general
     ball condition applies with t_exp = v(f(x0) - z) - v(f'(x0)).
     """
-    if not isinstance(x0, Padic):
-        x0 = Padic.from_int(x0, f.p)
-    if not isinstance(z, Padic):
-        z = Padic.from_int(z, f.p)
+    x0 = _center(f, x0)
     fprime_x0 = f.derivative().evaluate(x0)
     if fprime_x0.is_zero:
         raise IndeterminateConditionError("f'(x0) is zero to precision")
@@ -216,8 +223,7 @@ def solve_classical(f, x0, z=0):
             f"must exceed 2 v(f'(x0)) = {2 * vfp}"
         )
     t_exp = fx0.valuation() - vfp
-    g = f.recenter(x0)
-    problem = HenselProblem(g, Padic.zero(f.p, max(z.abs_prec, t_exp + 1)), m=t_exp, t_exp=t_exp)
+    problem = HenselProblem(f.recenter(x0), 0, m=t_exp, t_exp=t_exp)
     y = solve(problem, z)
     return x0 + y
 
@@ -355,16 +361,18 @@ def ball_image(f, x0, t_exp, level):
     Every point of a ball is a center, so a piece B(a, p**-k) of the ball
     is judged at its own center a, with g(y) = f(a + y) the Taylor shift.
     It contributes the point f(a) when the Lipschitz bound of g puts its
-    image in one residue mod p**level, as it does at the level; it maps
-    onto B(f(a), p**-(v(f'(a)) + k)) when g passes the contraction
-    condition with m = t_exp = k; any other piece splits into its p
-    children.  Near a critical point the pieces grow about linearly with
-    the level; past 10**6 pieces the image is refused.  f and x0 must be
-    integral and known mod p**level; an int x0 is exact.
+    image in one residue mod p**level, as it does at the level.  Else it
+    reads f'(a) = c1 and mu2 off g's coefficients: the piece maps onto
+    B(f(a), p**-(v(c1) + k)) when c1 is nonzero and k + mu2 > v(c1), the
+    contraction condition with m = t_exp = k, and any other piece splits
+    into its p children.  Near a critical point the pieces grow about
+    linearly with the level; past 10**6 pieces the image is refused.  f
+    and x0 must be integral and known mod p**level; an int or Fraction
+    x0 is exact.
     """
     from . import measure
 
-    x0 = _center(f, x0, max(level, DEFAULT_PRECISION_CAP))
+    x0 = _center(f, x0, t_exp)
     _check_integral(f, x0)
     _check_known(f, x0, level)
     p, guard = f.p, measure._BALL_GUARD
@@ -374,17 +382,14 @@ def ball_image(f, x0, t_exp, level):
         k, image_exp = piece.level, level
         g = f.recenter(Padic.from_int(piece.center, p, level, cap=level))
         if g.degree > 0 and lipschitz_bound(g, k) + k < level:
-            try:
-                report = _condition(g, g.derivative(), Padic.zero(p, level), k, k)[0]
-            except IndeterminateConditionError:
-                report = None
-            if report is None or not report.ok:
+            c1 = g.coeffs[1]  # f'(a)
+            if c1.is_zero or k + quadratic_bound(g, k) <= c1.v:
                 count += p
                 if count > guard:
                     raise EnumerationGuardError(f"the image needs more than {guard} pieces")
                 pieces += piece.split()
                 continue
-            image_exp = min(report.derivative_valuation + k, level)
+            image_exp = min(c1.v + k, level)
         images.append(measure.Ball(p, image_exp, g.coeffs[0].residue(level).value))
     return measure.ClopenSet(p, images)
 
@@ -395,12 +400,12 @@ def ball_image_check(f, x0, m, t_exp, level):
     Verifies that f maps B(x0, p**-t_exp) onto
     B(f(x0), p**-(v(f'(x0)) + t_exp)) mod p**level.  When the contraction
     condition fails the checker reports that and makes no claim.  The
-    coefficients and x0 must be known mod p**level (an int x0 is exact),
-    and p**level must print.
+    coefficients and x0 must be known mod p**level (an int or Fraction x0
+    is exact), and p**level must print.
     """
     from . import measure
 
-    x0 = _center(f, x0, max(level, DEFAULT_PRECISION_CAP))
+    x0 = _center(f, x0, t_exp)
     _check_integral(f, x0)
     try:
         report = _condition(f, f.derivative(), x0, m, t_exp)[0]

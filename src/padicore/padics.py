@@ -95,8 +95,13 @@ class Padic:
 
     @classmethod
     def from_int(cls, n, p, abs_prec=None, cap=DEFAULT_PRECISION_CAP):
-        """The integer n to absolute precision abs_prec (default: v + cap)."""
+        """The integer n to absolute precision abs_prec (default: v + cap).
+
+        An n that is not an int (a bool included) raises DomainError.
+        """
         check_prime(p)
+        if type(n) is not int:
+            raise DomainError(f"from_int needs an int, got {type(n).__name__}")
         if n == 0:
             return _padic(p, abs_prec if abs_prec is not None else cap, 0, 0)
         v = int_valuation(n, p)
@@ -114,7 +119,14 @@ class Padic:
 
         For b prime to p the unit part is a * b**-1 through a modular
         inverse; powers of p in a and b move into the valuation first.
+        An a that is not an int or Fraction, or a b that is not an int (a
+        bool included), raises DomainError.
         """
+        if not (type(a) is int or isinstance(a, Fraction)) or type(b) is not int:
+            raise DomainError(
+                "from_rational needs an int or Fraction over an int, "
+                f"got {type(a).__name__} / {type(b).__name__}"
+            )
         if isinstance(a, Fraction):
             a, b = a.numerator, a.denominator * b
         if p is None:
@@ -231,7 +243,7 @@ class Padic:
         if other == 0:
             return _padic(self.p, max(self.abs_prec, self.rel), 0, 0)
         q = Fraction(other)
-        v = int_valuation(q.numerator, self.p) - int_valuation(q.denominator, self.p)
+        v = _exact_valuation(self.p, q)
         rel = max(self.rel, self.abs_prec - v, 1)
         return Padic.from_rational(q, 1, self.p, v + rel, cap=rel)
 
@@ -475,6 +487,14 @@ def _mul_parts(p, a, b):
         return av + bv, 0, 0
     rel = ar if ar < br else br
     return av + bv, au * bu % p**rel, rel
+
+
+def _exact_valuation(p, x):
+    """The valuation of the int or Fraction x, 0 for zero; DomainError for
+    any other type, a bool or float included."""
+    if type(x) is not int and not isinstance(x, Fraction):
+        raise DomainError(f"expected a Padic, int or Fraction, got {type(x).__name__}")
+    return int_valuation(x.numerator, p) - int_valuation(x.denominator, p) if x else 0
 
 
 def _check_unit_modulus_prints(p, rel):

@@ -140,6 +140,33 @@ def test_horner_on_parts_matches_padic_horner(p):
     }
 
 
+@pytest.mark.parametrize("p", [2, 7, 65537])
+def test_exact_arguments_never_bound_a_result(p):
+    """An int or Fraction argument of evaluate and recenter gives, part for
+    part, what it gives as a Padic known to far more digits, also where the
+    coefficients are known past the default 64-digit cap."""
+    rng = rng_for(f"exact-argument-{p}")
+    for _ in range(150):
+        coeffs = [_differential_coefficient(rng, p) for _ in range(rng.randrange(1, 7))]
+        f = PadicPolynomial(p, coeffs, abs_prec=rng.choice([None, 3, 100, 150]))
+        x = rng.choice([0, 3, -p, p**70 + 1, Fraction(1, p), Fraction(p + 1, 5), Fraction(-2, p**2)])
+        far = Padic.from_rational(x, 1, p, 1000, cap=1100)
+        assert parts(f.evaluate(x)) == parts(f.evaluate(far)), (f, x)
+        assert [parts(c) for c in f.recenter(x).coeffs] == [parts(c) for c in f.recenter(far).coeffs]
+    f = _poly(7, [-2, 0, 1], 100)
+    assert f.evaluate(3) == f.evaluate(Padic.from_int(3, 7, 100, cap=100)) == Padic(7, 1, 1, 99)
+    assert [c.abs_prec for c in f.recenter(3).coeffs] == [100, 100, 100]
+
+
+def test_exact_arguments_are_ints_or_fractions():
+    f = _poly(7, [-2, 0, 1])
+    for x in (0.5, 3.0, True, "3"):
+        with pytest.raises(DomainError, match="expected a Padic, int or Fraction"):
+            f.evaluate(x)
+        with pytest.raises(DomainError, match="expected a Padic, int or Fraction"):
+            f.recenter(x)
+
+
 # --------------------------------------------------------------- invariants
 
 

@@ -830,6 +830,11 @@ EDGE_VALUE_CASES = [
     ["hensel", "solve", "--p", "7", "--prec", "64", "--poly", "x^256-2", "--x0", "1", "--t", "1"],
     ["hensel", "check", "--p", P61, "--prec", "64", "--poly", "x^256-2", "--x0", "1", "--t", "100000000"],
     ["hensel", "image", "--p", P31, "--prec", "64", "--poly", "x^2-2", "--x0", "3", "--t", "1", "--level", "2"],
+    # each branch of the image's piece test: a point at the level, a
+    # contraction with v(f'(x0)) = 1, and f'(x0) zero to precision
+    ["hensel", "image", "--p", "7", "--prec", "8", "--poly", "x^2-2", "--x0", "3", "--t", "3", "--level", "3"],
+    ["hensel", "image", "--p", "2", "--prec", "12", "--poly", "x^2-17", "--x0", "1", "--t", "2", "--level", "6"],
+    ["hensel", "image", "--p", "7", "--prec", "4", "--poly", "5", "--x0", "1", "--t", "1", "--level", "2"],
     ["hensel", "nthroot", "--p", P61, "--prec", "64", "--n", "256", "2"],
     ["hensel", "nthroot", "--p", P61, "--prec", "64", "--n", "6", "64"],
     ["hensel", "nthroot", "--p", "13", "--prec", "8", "--n", "12", "1"],

@@ -146,8 +146,8 @@ def _certified_cubic(rng, p, N):
     coeffs = [c0, c1, c2, c3]
     root = x0 + p**t_exp * rng.randrange(q)
     z = sum(c * root**j for j, c in enumerate(coeffs)) % q
-    f = PadicPolynomial(p, [Padic.from_int(c, p, N) for c in coeffs])
-    return HenselProblem(f, Padic.from_int(x0, p, N), m=0, t_exp=t_exp), Padic.from_int(z, p, N)
+    f = PadicPolynomial(p, [Padic.from_int(c, p, N, cap=N) for c in coeffs])
+    return HenselProblem(f, Padic.from_int(x0, p, N, cap=N), m=0, t_exp=t_exp), Padic.from_int(z, p, N, cap=N)
 
 
 def _fixed_problems():
@@ -321,6 +321,76 @@ def test_solve_classical_route():
     assert (y - Padic.from_int(1, 5, 8)).is_zero
     with pytest.raises(ConditionNotMetError):
         solve_classical(_poly(2, [-3, 0, 1], 8), Padic.from_int(1, 2, 8))
+
+
+# ------------------------------------------------------- exact arguments
+
+
+def _far(x, p):
+    """The int or Fraction x as a Padic known to far more digits than any case uses."""
+    return Padic.from_rational(x, 1, p, 1000, cap=1100)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101])
+def test_exact_center_and_target_never_bound_the_answer(p):
+    """An int or Fraction center or target gives, part for part, what it gives
+    as a Padic known to far more digits, with coefficients known past the
+    default 64-digit cap or below it."""
+    rng = rng_for(f"exact-solve-{p}")
+    for _ in range(12):
+        N = rng.choice((12, 70, 100))
+        problem, z = _certified_cubic(rng, p, N)
+        f, x0, t_exp = problem.f, problem.x0.residue(N).value, problem.t_exp
+        k = problem.report.derivative_valuation
+        targets = [z.residue(N).value, z.residue(N).value + Fraction(p ** (k + t_exp), 3 if p == 2 else 2)]
+        for target in targets:
+            x = solve(HenselProblem(f, x0, m=0, t_exp=t_exp), target)
+            assert x == solve(HenselProblem(f, _far(x0, p), m=0, t_exp=t_exp), _far(target, p))
+            assert x.abs_prec == N - k
+            # v(f(x0) - z) >= k + t_exp > 2k: the textbook condition holds too
+            assert solve_classical(f, x0, target) == solve_classical(f, _far(x0, p), _far(target, p))
+        assert check_condition(f, x0, 0, t_exp) == check_condition(f, _far(x0, p), 0, t_exp)
+
+
+def test_exact_arguments_past_the_default_cap():
+    """x**2 - 2 known to 100 digits: an int center and target were read to 64."""
+    f = _poly(7, [-2, 0, 1], 100)
+    problem = HenselProblem(f, 3)
+    assert solve(problem, 0) == solve(problem, Padic.zero(7, 100)) == solve(problem, Padic.zero(7, 1000))
+    assert solve(problem, 0).abs_prec == 100
+    assert solve_classical(f, 3) == solve_classical(f, Padic.from_int(3, 7, 1000, cap=1000))
+    assert solve_classical(f, 3).abs_prec == 100
+
+
+def test_fraction_arguments_are_read_as_fractions():
+    """1/2 was read as 0: solve answered x**2 = 2, and ball_image gave the image of B(0, 1/7)."""
+    f = _poly(7, [-2, 0, 1], 12)
+    problem = HenselProblem(f, 3)
+    with pytest.raises(ConditionNotMetError, match="outside the image ball"):
+        solve(problem, Fraction(1, 2))  # 1/2 = 4 mod 7 is not f(3) = 0 mod 7
+    x = solve(problem, Fraction(7, 2))
+    assert x == solve(problem, Padic.from_rational(7, 2, 7, 12)) and (x * x - Fraction(11, 2)).is_zero
+    half = Padic.from_rational(1, 2, 7, 3)
+    assert ball_image(f, Fraction(1, 2), 1, 3) == ball_image(f, half, 1, 3) != ball_image(f, 0, 1, 3)
+    assert ball_image_check(f, Fraction(1, 2), 0, 1, 3) == ball_image_check(f, half, 0, 1, 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: HenselProblem(f, 3.0),
+        lambda f: check_condition(f, 0.5, 0, 1),
+        lambda f: solve(HenselProblem(f, 3), 0.5),
+        lambda f: solve_classical(f, 3.0),
+        lambda f: ball_image(f, 0.5, 1, 3),
+        lambda f: ball_image_check(f, True, 0, 1, 3),
+    ],
+    ids=["problem", "check", "solve", "classical", "image", "image-check"],
+)
+def test_float_and_bool_arguments_are_refused(call):
+    """A float center ended in AttributeError; a bool was read as an int."""
+    with pytest.raises(DomainError, match="expected a Padic, int or Fraction"):
+        call(_poly(7, [-2, 0, 1], 12))
 
 
 # --------------------------------------------------------------- invariants
@@ -623,7 +693,8 @@ def test_ball_image_guard():
 def _image_cases(name):
     """(f, x0, t_exp, level) on random balls: p in {2, 3, 5, 7} on every
     (level, t_exp) with p**(2*level - t_exp) <= 10**6, which the enumeration
-    reached, and p = 65537 at level 1."""
+    reached, and p = 65537 at level 1; then x**2 or x**3 plus p**level * x,
+    known to level + 3 digits, on balls around 0."""
     rng = rng_for(name)
     grid = [
         (p, level, t)
@@ -638,6 +709,12 @@ def _image_cases(name):
             modulus = p**level
             coeffs = [rng.randrange(modulus) * rng.choice((1, p)) for _ in range(rng.randint(2, 5))]
             yield _poly(p, coeffs, level), Padic.from_int(rng.randrange(modulus), p, level), t, level
+    # f'(0) = p**level: 0 mod p**level, but nonzero at its own precision
+    for p, level, t in grid:
+        if p < 65537:
+            modulus = p**level
+            coeffs = [rng.randrange(modulus), modulus] + [0] * rng.randrange(2) + [1]
+            yield _poly(p, coeffs, level + 3), Padic.from_int(p**t * rng.randrange(modulus), p, level), t, level
 
 
 def test_ball_image_agrees_with_enumeration():
@@ -690,8 +767,8 @@ def test_ball_image_refusals():
 
 
 def test_int_center_is_read_to_the_level():
-    """An int center is exact: past the default 64 digits it is read to the
-    level, and gives what the same center known to 80 digits gives."""
+    """An int center is exact: past the default 64 digits it gives what the
+    same center known to the coefficients' 80 digits gives."""
     f = _poly(7, [-2, 0, 1], 80)
     known = Padic.from_int(3, 7, 80, cap=80)
     assert ball_image_check(f, 3, 0, 1, 70) == ("verified", True, 70, 7**69, 7**69, 7**69)

@@ -134,6 +134,35 @@ def test_public_constructor_takes_normal_form_parts():
     assert Padic(7, 0, 1, 10**8 + 1).rel == 10**8 + 1  # decided without building 7**rel
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Padic.from_int(Fraction(1, 2), 7),
+        lambda: Padic.from_int(0.5, 7),
+        lambda: Padic.from_int(True, 7),
+        lambda: Padic.from_int(3.0, 7, 4),
+        lambda: Padic.from_rational(0.5, 1, p=7, abs_prec=4),
+        lambda: Padic.from_rational("1/2", 1, p=7, abs_prec=4),
+        lambda: Padic.from_rational(False, 1, p=7, abs_prec=4),
+        lambda: Padic.from_rational(1, 2.0, p=7, abs_prec=4),
+        lambda: Padic.from_rational(Fraction(1, 3), Fraction(1, 2), p=7, abs_prec=4),
+    ],
+    ids=["from_int-fraction", "from_int-float", "from_int-bool", "from_int-float-int-valued",
+         "from_rational-float", "from_rational-str", "from_rational-bool", "from_rational-float-b",
+         "from_rational-fraction-b"],
+)
+def test_classmethods_refuse_what_is_not_an_integer_or_rational(build):
+    """They read an int (and from_rational a Fraction over an int) and
+    nothing else: 1/2 was read as 0 and 0.5 as O(7^4)."""
+    with pytest.raises(DomainError, match="needs an int"):
+        build()
+
+
+def test_classmethods_read_fractions_over_ints():
+    assert Padic.from_rational(Fraction(1, 2), 3, p=7, abs_prec=4) == Padic.from_rational(1, 6, 7, 4)
+    assert Padic.from_int(-49, 7, 5) == Padic(7, 2, 7**3 - 1, 3)
+
+
 def test_residue_class_refuses_a_float_value():
     with pytest.raises(DomainError, match="must be integers"):
         ResidueClass(7, 2, 1.5)
