@@ -60,7 +60,15 @@ from .errors import (
     NoRootError,
 )
 from .intmath import newton_lift, power_prints, root_mod, str_digit_limit
-from .padics import Padic, _add_parts, _exact_parts, _exact_valuation, _mul_parts, _padic
+from .padics import (
+    Padic,
+    _add_parts,
+    _exact_parts,
+    _exact_valuation,
+    _mul_parts,
+    _padic,
+    _read_int,
+)
 
 
 class ConditionReport(
@@ -207,7 +215,9 @@ def solve_classical(f, x0, z=0):
     """Solve f(x) = z near x0 under the textbook condition.
 
     Requires v(f(x0) - z) > 2 v(f'(x0)); recenters f at x0 so the general
-    ball condition applies with t_exp = v(f(x0) - z) - v(f'(x0)).
+    ball condition applies with t_exp = v(f(x0) - z) - v(f'(x0)).  When
+    f(x0) - z is zero to precision N, x0 is the answer to N - v(f'(x0))
+    digits, and IndeterminateConditionError is raised if N <= 2 v(f'(x0)).
     """
     x0 = _center(f, x0)
     fprime_x0 = f.derivative().evaluate(x0)
@@ -216,7 +226,15 @@ def solve_classical(f, x0, z=0):
     vfp = fprime_x0.valuation()
     fx0 = f.evaluate(x0) - z
     if fx0.is_zero:
-        return x0
+        # f(x0) = z mod p**N pins the root only to N - v(f'(x0)) digits,
+        # and only when N > 2 v(f'(x0))
+        n = fx0.abs_prec
+        if n <= 2 * vfp:
+            raise IndeterminateConditionError(
+                f"f(x0) - z is zero to precision O(p^{n}), which does not exceed "
+                f"2 v(f'(x0)) = {2 * vfp}; the condition cannot be decided"
+            )
+        return x0.truncate(min(x0.abs_prec, n - vfp))
     if fx0.valuation() <= 2 * vfp:
         raise ConditionNotMetError(
             f"classical condition fails: v(f(x0) - z) = {fx0.valuation()} "
@@ -312,7 +330,7 @@ def teichmuller(a, p=None, abs_prec=None):
             raise ValueError("prime p is required for integer input")
         if abs_prec is None:
             raise ValueError("abs_prec is required for integer input")
-        seed = a % p
+        seed = _read_int(a, "teichmuller") % p
         if seed == 0:
             raise DomainError("Teichmuller lift is defined for units only")
 

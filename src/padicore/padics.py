@@ -100,8 +100,7 @@ class Padic:
         An n that is not an int (a bool included) raises DomainError.
         """
         check_prime(p)
-        if type(n) is not int:
-            raise DomainError(f"from_int needs an int, got {type(n).__name__}")
+        _read_int(n, "from_int")
         if n == 0:
             return _padic(p, abs_prec if abs_prec is not None else cap, 0, 0)
         v = int_valuation(n, p)
@@ -487,6 +486,14 @@ def _mul_parts(p, a, b):
         return av + bv, 0, 0
     rel = ar if ar < br else br
     return av + bv, au * bu % p**rel, rel
+
+
+def _read_int(n, reader):
+    """n itself if it is an int; DomainError naming the reader for any
+    other type, a bool, float or Fraction included."""
+    if type(n) is not int:
+        raise DomainError(f"{reader} needs an int, got {type(n).__name__}")
+    return n
 
 
 def _exact_valuation(p, x):

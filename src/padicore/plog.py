@@ -13,16 +13,24 @@ shows the threshold is sharp at p = 2.
 Both directions work on integers mod p**N and build a Padic only at the
 end.  log1p sums the series after argument reduction (Brent 1976):
 log(1 + x) = p**-k log((1 + x)**(p**k)), with the series in the p**k-th
-power summed to N + k digits.  There is no p-adic exponential here:
-log_inverse is Newton's method on log1p itself, whose derivative
-1/(1 + x) inverts exactly, at doubling precision, and the isometry
-v(log(1 + x) - log(1 + y)) = v(x - y) turns one vanishing residual at
-full precision into the certificate that pins x mod p**N.  The
-truncated polynomial of log_series_polynomial serves the plog poly
+power summed to N + k digits.  k is chosen per call from the cost of
+each side: about k*log2(p) squarings for the power against the shorter
+series, whose degree d falls as (N + k) / (v(x) + k).  The d terms are
+put over one denominator, lcm(1..d), so a sum makes one modular
+inversion, and summed by baby steps and giant steps (Paterson and
+Stockmeyer 1973) in about 2*sqrt(d) full products; the other d products
+are by coefficients of about 1.44*d bits.  There is no p-adic
+exponential here: log_inverse is Newton's method on log1p itself, whose
+derivative 1/(1 + x) inverts exactly, at doubling precision, and the
+isometry v(log(1 + x) - log(1 + y)) = v(x - y) turns one vanishing
+residual at full precision into the certificate that pins x mod p**N.
+The truncated polynomial of log_series_polynomial serves the plog poly
 command and, with the Hensel solver, the inversion oracle in the tests.
 """
 
 import math
+from functools import lru_cache
+from operator import mul
 
 from .analytic import PadicPolynomial
 from .errors import DivergenceError, DomainError
@@ -40,16 +48,60 @@ def series_degree(p, abs_prec, domain_valuation):
 
     Term j has valuation at least j*s - floor(log_p j) for v(x) >= s;
     that bound is nondecreasing in j when s >= 1, so indices beyond the
-    returned degree contribute nothing modulo p**abs_prec.
+    returned degree contribute nothing modulo p**abs_prec.  The bound is
+    at most j*s, so the scan starts at (abs_prec - 1) // s and steps past
+    it only about log_p(degree) / s times.
     """
     if domain_valuation < 1:
         raise DomainError("domain valuation bound must be at least 1")
-    j = 1
-    last = 0
-    while j * domain_valuation - floor_log(j, p) < abs_prec:
-        last = j
+    j = max(abs_prec - 1, 0) // domain_valuation
+    while (j + 1) * domain_valuation - floor_log(j + 1, p) < abs_prec:
         j += 1
-    return last
+    return j
+
+
+@lru_cache(maxsize=256)
+def _plan(p, n, v):
+    """How _log_int sums log(1 + x) mod p**n at v(x) = v: (k, d, e, s).
+
+    k is the depth of the argument reduction, d the degree of the series
+    in y = (1 + x)**(p**k) - 1, e = floor_log(d, p) and s ~ sqrt(d) the
+    number of baby steps.  k is chosen from the cost of each side: the
+    power costs about k*log2(p) squarings; the series has degree about
+    (n + k) / (v + k) and costs about 2*sqrt(d) products, plus d products
+    by coefficients of about 1.44*d bits (lcm(1..d) ~ exp(d)), each that
+    many bits over the (n + k)*log2(p) of a full product.  k runs from 0
+    to Brent's isqrt(n // bitlen(p)), the fixed rule, which ignores v and
+    at large p spends more on the power than the shorter series saves.
+    """
+    bits = math.log2(p)
+    k, best = 0, math.inf
+    for depth in range(math.isqrt(n // p.bit_length()) + 1):
+        m = n + depth
+        d = m // (v + depth) + 1
+        cost = depth * bits + 2 * math.sqrt(d) + d * min(1.0, 1.44 * d / (m * bits))
+        if cost < best:
+            k, best = depth, cost
+    # v(y) = v + k for odd p; at p = 2 the first squaring gains 2 when v = 1
+    w = v + k if p > 2 or k == 0 else max(v, 2) + k
+    degree = series_degree(p, n + k, w)
+    if degree == 0:  # y = 0 mod p**(n + k)
+        return k, 0, 0, 1
+    return k, degree, floor_log(degree, p), math.isqrt(degree) + 1
+
+
+_COEFFICIENTS = {}  # degree -> _log_coefficients(degree), for degrees up to 128
+
+
+def _log_coefficients(degree):
+    """lcm(1..degree) and the list of c_j = (-1)**(j+1) * lcm / j, j = 0..degree (c_0 = 0)."""
+    found = _COEFFICIENTS.get(degree)
+    if found is None:
+        lcm = math.lcm(*range(1, degree + 1))
+        found = lcm, [0] + [lcm // j if j % 2 else -(lcm // j) for j in range(1, degree + 1)]
+        if degree <= 128:
+            _COEFFICIENTS[degree] = found
+    return found
 
 
 def _log_int(x, p, n):
@@ -57,29 +109,35 @@ def _log_int(x, p, n):
 
     Argument reduction (Brent 1976): y = (1 + x)**(p**k) - 1 has
     v(y) >= v(x) + k and log(1 + y) = p**k * log(1 + x), so the series in
-    y is summed mod p**(n + k) and divided by p**k.  A p-th power costs
-    about log2(p) squarings, so k ~ sqrt(n / log2(p)) balances the
-    powering against the ~ (n + k) / (v(x) + k) terms of the series.
+    y is summed mod p**(n + k) and divided by p**k; _plan picks k.
+
+    The terms share one denominator, so a call makes one modular
+    inversion.  With d the degree, e = floor_log(d, p) and L the p-free
+    part of lcm(1..d) = L * p**e, each c_j = (-1)**(j+1) * L * p**e / j is
+    an integer, and S = sum of c_j * y**j mod p**(n + k + e) is divisible
+    by p**e, with log(1 + y) = (S / p**e) * L**-1 mod p**(n + k).
+
+    S is summed by baby steps and giant steps (Paterson and Stockmeyer
+    1973), as _kernels.compose sums a series: the powers y**0 .. y**(s-1)
+    with s ~ sqrt(d); the chunk sums of c_(i*s+t) * y**t, which multiply
+    by coefficients only; and Horner's rule in y**s.  That is about
+    2*sqrt(d) full products in place of d.
     """
-    k = math.isqrt(n // p.bit_length())
-    m = n + k
-    y = pow(1 + x, p**k, p**m) - 1
+    k, degree, e, s = _plan(p, n, int_valuation(x, p) if x else n)
+    modulus = p ** (n + k)
+    y = (pow(1 + x, p**k, modulus) - 1) % modulus
     if y == 0:
         return 0
-    degree = series_degree(p, m, int_valuation(y, p))
-    # y**j / j needs y**j to v_p(j) more digits than the sum
-    top = p ** (m + floor_log(degree, p))
-    modulus = p**m
+    top = modulus * p**e
+    lcm, coeffs = _log_coefficients(degree)
+    powers = [1, y]
+    while len(powers) <= s:  # baby steps y**0 .. y**s
+        powers.append(powers[-1] * y % top)
+    giant = powers.pop()
     total = 0
-    power = 1
-    for j in range(1, degree + 1):
-        power = power * y % top
-        e, rest = 0, j
-        while rest % p == 0:
-            e, rest = e + 1, rest // p
-        term = power // p**e * pow(rest, -1, modulus)
-        total += term if j % 2 else -term
-    return total % modulus // p**k
+    for i in reversed(range(0, degree + 1, s)):  # giant steps, from the top
+        total = (total * giant + sum(map(mul, coeffs[i : i + s], powers))) % top
+    return total // p**e * pow(lcm // p**e, -1, modulus) % modulus // p**k
 
 
 def log1p(x, abs_prec=None):

@@ -316,11 +316,32 @@ def test_solve_classical_route():
     f = _poly(2, [-17, 0, 1], 10)
     x = solve_classical(f, Padic.from_int(1, 2, 10))
     assert (x * x - Padic.from_int(17, 2, 10)).is_zero
-    g = _poly(5, [-1, 0, 0, 0, 0, 1], 8)  # x^5 - 1 near 1: v(f'(1)) = 0
+    g = _poly(5, [-1, 0, 0, 0, 0, 1], 8)  # x^5 - 1 near 1: v(f'(1)) = v(5) = 1
     y = solve_classical(g, Padic.from_int(1, 5, 8))
     assert (y - Padic.from_int(1, 5, 8)).is_zero
     with pytest.raises(ConditionNotMetError):
         solve_classical(_poly(2, [-3, 0, 1], 8), Padic.from_int(1, 2, 8))
+
+
+def test_solve_classical_exact_start_claims_only_what_f_pins():
+    """f(x0) = z to precision N certifies x0 to N - v(f'(x0)) digits,
+    whatever precision x0 itself carries."""
+    f = _poly(7, [-2, 0, 1], 12)  # x^2 - 2 known to 12 digits
+    root = solve_classical(f, Padic.from_int(3, 7, 12))
+    x = solve_classical(f, Padic.from_int(root.unit, 7, 30, cap=30))
+    assert x.abs_prec == 12  # v(f'(x0)) = v(2 x0) = 0
+    assert x == root
+    # x^5 - 1 at the root 1 over Q_5: v(f'(1)) = 1, so 8 digits of f pin 7
+    g = _poly(5, [-1, 0, 0, 0, 0, 1], 8)
+    y = solve_classical(g, Padic.from_int(1, 5, 30, cap=30))
+    assert y == Padic.from_int(1, 5, 7)
+
+
+def test_solve_classical_zero_residual_below_twice_the_derivative_valuation():
+    """f(x0) = z to precision N <= 2 v(f'(x0)) proves no root near x0."""
+    g = _poly(5, [-1, 0, 0, 0, 0, 1], 2)  # v(f'(1)) = 1 and N = 2
+    with pytest.raises(IndeterminateConditionError):
+        solve_classical(g, Padic.from_int(1, 5, 30, cap=30))
 
 
 # ------------------------------------------------------- exact arguments
@@ -610,6 +631,19 @@ def test_teichmuller_oracle_and_cross_check():
     problem = HenselProblem(f, Padic.from_int(2, 5, 3), m=0, t_exp=1)
     via_solve = solve(problem, Padic.zero(5, 3))
     assert via_solve.residue(3).value == 57
+
+
+@pytest.mark.parametrize("a", [Fraction(1, 2), 0.5, True, False])
+def test_teichmuller_refuses_a_non_int(a):
+    """A Fraction, float or bool is not read as an integer residue."""
+    with pytest.raises(DomainError, match="teichmuller needs an int"):
+        teichmuller(a, 7, 4)
+
+
+def test_teichmuller_reads_an_int():
+    assert teichmuller(1, 7, 4) == Padic.from_int(1, 7, 4)
+    assert teichmuller(-1, 7, 4) == Padic.from_int(-1, 7, 4)
+    assert teichmuller(2, 5, 3).residue(3).value == 57
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -236,6 +236,73 @@ def test_valuation_at_or_past_the_precision(p):
             assert log_inverse(x, n) == Padic.zero(p, n)
 
 
+# ---------------------------------------- one-denominator baby-step sum
+
+
+def _with_valuation(rng, p, v, n):
+    """A random integer of valuation exactly v below p**n."""
+    return p**v * (p * rng.randrange(p ** (n - v - 1)) + rng.randrange(1, p))
+
+
+@pytest.mark.parametrize("p", [2, 5, 65537])
+@pytest.mark.parametrize("v", [1, 2])
+def test_log_sum_at_high_precision(p, v):
+    """At N = 1024 the baby-step/giant-step sum equals the term-by-term one."""
+    rng = rng_for(f"log-bsgs-{p}-{v}")
+    n = 1024
+    x = _with_valuation(rng, p, v, n)
+    assert plog._log_int(x, p, n) == log_partial_sum(x, p, n)
+
+
+@pytest.mark.parametrize(
+    "p, n, v, deep",
+    [
+        (65537, 64, 2, False),  # a p**k-th power costs more than it saves
+        (10**6 + 3, 32, 1, False),
+        (101, 16, 2, False),
+        (2, 64, 2, True),
+        (7, 64, 1, True),
+        (5003, 256, 1, True),
+    ],
+)
+def test_log_sum_with_and_without_argument_reduction(p, n, v, deep):
+    """Inputs on both sides of the cost rule: k = 0 and k >= 1."""
+    k = plog._plan(p, n, v)[0]
+    assert (k >= 1) == deep
+    rng = rng_for(f"log-depth-{p}-{n}-{v}")
+    for _ in range(5):
+        x = _with_valuation(rng, p, v, n)
+        assert plog._log_int(x, p, n) == log_partial_sum(x, p, n)
+
+
+@pytest.mark.parametrize("p, n", [(2, 64), (2, 256), (3, 64), (3, 200)])
+def test_log_sum_with_terms_divisible_by_p_squared(p, n):
+    """The degree reaches p**2 and beyond, so the common denominator carries
+    p**e with e >= 2 and terms lose up to e digits to their index."""
+    rng = rng_for(f"log-deep-index-{p}-{n}")
+    for v in (1, 2, 3):
+        assert plog._plan(p, n, v)[2] >= 2
+        for _ in range(5):
+            x = _with_valuation(rng, p, v, n)
+            assert plog._log_int(x, p, n) == log_partial_sum(x, p, n)
+
+
+def test_log_sum_makes_one_modular_inversion(monkeypatch):
+    """Each _log_int call inverts once, whatever the degree."""
+    inversions = []
+
+    def counting_pow(base, exp, mod=None):
+        if exp == -1:
+            inversions.append(mod)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(plog, "pow", counting_pow, raising=False)
+    for p, n in ((2, 256), (7, 64), (65537, 64)):
+        inversions.clear()
+        assert plog._log_int(p * 12345, p, n) == log_partial_sum(p * 12345, p, n)
+        assert len(inversions) == 1
+
+
 def test_log_inverse_certificate_rejects_an_unconverged_iterate(monkeypatch):
     """The full-precision residual check refuses an iterate Newton left short."""
     monkeypatch.setattr(plog, "newton_lift", lambda step, x, start, n: x)
