@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .errors import DomainError, PrimeMismatchError, UnsupportedRuleError
 from .intmath import check_prime, int_valuation
-from .padics import DEFAULT_PRECISION_CAP, Padic, _add_parts, _exact_valuation, _mul_parts, _padic
+from .padics import Padic, _add_parts, _mul_parts, _padic, _read_exact
 
 
 class PadicPolynomial:
@@ -56,15 +56,9 @@ class PadicPolynomial:
                     raise PrimeMismatchError("coefficient from a different prime")
                 converted.append(c)
                 literal_zero.append(False)
-            elif isinstance(c, (int, Fraction)):
-                # exact data carries abs_prec digits whatever the cap; a
-                # power of p in the denominator needs as many more
-                q = Fraction(c)
-                cap = DEFAULT_PRECISION_CAP
-                if abs_prec is not None:
-                    cap = abs_prec + int_valuation(q.denominator, p)
-                converted.append(Padic.from_rational(q, 1, p, abs_prec, cap=cap))
-                literal_zero.append(q == 0)
+            elif type(c) is int or isinstance(c, Fraction):  # a bool is not an int
+                converted.append(Padic.from_rational(c, 1, p, abs_prec))
+                literal_zero.append(c == 0)
             else:
                 raise DomainError(f"cannot use {c!r} as a coefficient")
         # trailing exact (literal) zeros are trimmed; zero-to-precision
@@ -159,9 +153,8 @@ def _exact_argument(f, x, least=1):
     puts every product x * acc at or past max_j N(c_j); so x gives the
     parts that it gives known to any more digits.
     """
-    p = f.p
     rel = max(max(c.abs_prec for c in f.coeffs) - min([0] + [c.v for c in f.coeffs]), least, 1)
-    return Padic.from_rational(x, 1, p, _exact_valuation(p, x) + rel, cap=rel)
+    return _read_exact(f.p, x, None, rel)
 
 
 def _horner(p, parts, x, low):

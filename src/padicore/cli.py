@@ -3,9 +3,9 @@
 One invocation, one result, deterministic output.  Exit codes: 0 on
 success, 1 for domain errors (non-residue square roots, divergent
 logarithms, mismatched primes, ...), 2 for parse and usage errors.
-``--prec`` always means absolute precision in digits; ``--order`` means
-T-adic order for series.  The environment variable PADICORE_PREC_CAP
-overrides the construction-time precision cap (default 64).
+``--prec`` always means absolute precision in digits, to which a
+rational operand is read; ``--order`` means T-adic order for series.
+PADICORE_PREC_CAP sets the largest ``--prec`` (default 64).
 """
 
 import argparse

@@ -64,9 +64,9 @@ from .padics import (
     Padic,
     _add_parts,
     _exact_parts,
-    _exact_valuation,
     _mul_parts,
     _padic,
+    _read_exact,
     _read_int,
 )
 
@@ -171,8 +171,7 @@ def solve(problem, z):
     if not isinstance(z, Padic):
         # exact: read mod p**n, n the highest coefficient precision, which
         # the residual f(x) - z never passes
-        n = max(c.abs_prec for c in f.coeffs)
-        z = Padic.from_rational(z, 1, f.p, n, cap=n - _exact_valuation(f.p, z))
+        z = _read_exact(f.p, z, max(c.abs_prec for c in f.coeffs))
     shift = z - problem.f_x0
     if shift.valuation_bound < problem.target_valuation():
         raise ConditionNotMetError(
@@ -250,9 +249,9 @@ def _unit_root(u, n, seed, t_exp):
     """The root of x**n = u in B(seed, p**-t_exp), to the precision of u."""
     p, prec = u.p, u.abs_prec
     f = PadicPolynomial(
-        p, [-u] + [Padic.zero(p, prec)] * (n - 1) + [Padic.from_int(1, p, prec, cap=prec)]
+        p, [-u] + [Padic.zero(p, prec)] * (n - 1) + [Padic.from_int(1, p, prec)]
     )
-    problem = HenselProblem(f, Padic.from_int(seed, p, prec, cap=prec), m=0, t_exp=t_exp)
+    problem = HenselProblem(f, Padic.from_int(seed, p, prec), m=0, t_exp=t_exp)
     return solve(problem, Padic.zero(p, prec))
 
 
@@ -339,7 +338,7 @@ def teichmuller(a, p=None, abs_prec=None):
         return (x - (pow(x, p, modulus) - x) * pow(p - 1, -1, modulus)) % modulus
 
     x = newton_lift(step, pow(seed, p, p * p), 2, abs_prec)
-    return Padic.from_int(x, p, abs_prec, cap=abs_prec)
+    return Padic.from_int(x, p, abs_prec)
 
 
 class BallImageReport(
@@ -398,7 +397,7 @@ def ball_image(f, x0, t_exp, level):
     while pieces:
         piece = pieces.pop()
         k, image_exp = piece.level, level
-        g = f.recenter(Padic.from_int(piece.center, p, level, cap=level))
+        g = f.recenter(Padic.from_int(piece.center, p, level))
         if g.degree > 0 and lipschitz_bound(g, k) + k < level:
             c1 = g.coeffs[1]  # f'(a)
             if c1.is_zero or k + quadratic_bound(g, k) <= c1.v:

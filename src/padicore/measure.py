@@ -220,7 +220,7 @@ class ClopenSet:
         A carry crosses digits, so the shifted centers are built again
         into a trie, as the constructor does.
         """
-        if not isinstance(c, int):
+        if type(c) is not int:  # a bool is not an int
             raise DomainError(f"a shift must be an integer, got {c!r}")
         by_level = {}
         for level, xs in self.levels():

@@ -28,12 +28,13 @@ public constructor checks the prime and the normal form; the library's
 own results, whose parts are normal by construction, go through the
 unchecked ``_padic``.
 
-A construction-time cap (default 64 digits) bounds the relative precision
-of freshly made values; since no operation ever increases relative
-precision, the cap bounds the whole computation.  It is plain function
-input, not ambient mutable state.  A plain ``int`` or ``Fraction``
-operand is exact: it is built at least as precise as the other operand,
-in absolute and relative precision, so it never bounds a result.
+An exact number read to absolute precision N is the ball x + O(p**N),
+whatever N is.  The cap (default 64 digits) is only the precision when
+none is given; the CLI bounds its input by ``--prec <= cap`` and by
+refusing a pretty term exponent below -cap.  A plain ``int`` or
+``Fraction`` operand is exact: it is read at least as precise as the
+other operand, in absolute and relative precision, so it never bounds
+a result.
 """
 
 from fractions import Fraction
@@ -95,31 +96,22 @@ class Padic:
 
     @classmethod
     def from_int(cls, n, p, abs_prec=None, cap=DEFAULT_PRECISION_CAP):
-        """The integer n to absolute precision abs_prec (default: v + cap).
-
-        An n that is not an int (a bool included) raises DomainError.
+        """The integer n known mod p**abs_prec (default: to cap digits past
+        its valuation).  An n that is not an int (a bool included) raises
+        DomainError.
         """
         check_prime(p)
         _read_int(n, "from_int")
-        if n == 0:
-            return _padic(p, abs_prec if abs_prec is not None else cap, 0, 0)
-        v = int_valuation(n, p)
         if abs_prec is None:
-            abs_prec = v + cap
-        rel = min(abs_prec - v, cap)
-        if rel <= 0:
-            return _padic(p, abs_prec, 0, 0)
-        # n // p**v is prime to p, and so is its residue mod p**rel
-        return _padic(p, v, _mod_power(n // p**v, p, rel), rel)
+            return _exact_padic(p, n, 1, None, cap)
+        return _exact_padic(p, n, 1, abs_prec)
 
     @classmethod
     def from_rational(cls, a, b=1, p=None, abs_prec=None, cap=DEFAULT_PRECISION_CAP):
-        """The rational a/b to absolute precision abs_prec.
-
-        For b prime to p the unit part is a * b**-1 through a modular
-        inverse; powers of p in a and b move into the valuation first.
-        An a that is not an int or Fraction, or a b that is not an int (a
-        bool included), raises DomainError.
+        """The rational a/b known mod p**abs_prec (default: mod p**cap, and
+        to at most cap digits past its valuation).  An a that is not an int
+        or Fraction, or a b that is not an int (a bool included), raises
+        DomainError.
         """
         if not (type(a) is int or isinstance(a, Fraction)) or type(b) is not int:
             raise DomainError(
@@ -134,20 +126,8 @@ class Padic:
         if b == 0:
             raise DivisionByZeroError("denominator is zero")
         if abs_prec is None:
-            abs_prec = cap
-        if a == 0:
-            return _padic(p, abs_prec, 0, 0)
-        va = int_valuation(a, p)
-        vb = int_valuation(b, p)
-        v = va - vb
-        rel = min(abs_prec - v, cap)
-        if rel <= 0:
-            return _padic(p, abs_prec, 0, 0)
-        ua = a // p**va
-        ub = b // p**vb
-        modulus = p**rel
-        raw = ua * inv_mod(ub, modulus) % modulus
-        return cls._normalised(p, v, raw, rel)
+            return _exact_padic(p, a, b, cap, cap)
+        return _exact_padic(p, a, b, abs_prec)
 
     # -------------------------------------------------------------- queries
 
@@ -235,16 +215,15 @@ class Padic:
                     f"cannot combine {self.p}-adic and {other.p}-adic values"
                 )
             return other
-        if not isinstance(other, (int, Fraction)):
-            return None
-        # an exact constant never bounds the result: it is built at least
+        if type(other) is not int and not isinstance(other, Fraction):
+            return None  # a bool or float included
+        # an exact constant never bounds the result: it is read at least
         # as precise as this value, in absolute and in relative precision
-        if other == 0:
+        if not other:
             return _padic(self.p, max(self.abs_prec, self.rel), 0, 0)
-        q = Fraction(other)
-        v = _exact_valuation(self.p, q)
-        rel = max(self.rel, self.abs_prec - v, 1)
-        return Padic.from_rational(q, 1, self.p, v + rel, cap=rel)
+        p, num, den = self.p, other.numerator, other.denominator
+        v = int_valuation(num, p) - int_valuation(den, p)
+        return _exact_padic(p, num, den, max(self.abs_prec, v + max(self.rel, 1)))
 
     def __add__(self, other):
         if type(other) is not Padic or other.p != self.p:
@@ -304,7 +283,7 @@ class Padic:
         return other * self.invert()
 
     def __pow__(self, e):
-        if not isinstance(e, int):
+        if type(e) is not int:  # a bool or float included
             return NotImplemented
         if e < 0:
             return self.invert() ** (-e)
@@ -496,12 +475,33 @@ def _read_int(n, reader):
     return n
 
 
-def _exact_valuation(p, x):
-    """The valuation of the int or Fraction x, 0 for zero; DomainError for
+def _exact_padic(p, num, den, abs_prec, rel=None):
+    """num/den, den nonzero, known mod p**min(abs_prec, v + rel), v its
+    valuation (0 for num = 0) and None no bound: the one reader of exact
+    numbers.  With p's powers moved into v, num * den**-1 is prime to p,
+    so its residue is a unit in normal form."""
+    va = int_valuation(num, p) if num else 0
+    vb = int_valuation(den, p) if num and den != 1 else 0
+    v = va - vb
+    if rel is not None and (abs_prec is None or v + rel < abs_prec):
+        abs_prec = v + rel
+    rel = abs_prec - v
+    if not num or rel <= 0:
+        return _padic(p, abs_prec, 0, 0)
+    if va or vb:
+        num, den = num // p**va, den // p**vb
+    if den == 1:
+        return _padic(p, v, _mod_power(num, p, rel), rel)
+    modulus = p**rel
+    return _padic(p, v, num * inv_mod(den, modulus) % modulus, rel)
+
+
+def _read_exact(p, x, abs_prec, rel=None):
+    """The int or Fraction x as ``_exact_padic`` reads it; DomainError for
     any other type, a bool or float included."""
     if type(x) is not int and not isinstance(x, Fraction):
         raise DomainError(f"expected a Padic, int or Fraction, got {type(x).__name__}")
-    return int_valuation(x.numerator, p) - int_valuation(x.denominator, p) if x else 0
+    return _exact_padic(p, x.numerator, x.denominator, abs_prec, rel)
 
 
 def _check_unit_modulus_prints(p, rel):

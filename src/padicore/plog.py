@@ -167,7 +167,7 @@ def log1p(x, abs_prec=None):
     if 2 * v - (x.p == 2) >= abs_prec:  # every term past x vanishes mod p**abs_prec
         return x.truncate(abs_prec)
     value = _log_int(x.unit * x.p**v, x.p, abs_prec)
-    return Padic.from_int(value, x.p, abs_prec, cap=abs_prec)
+    return Padic.from_int(value, x.p, abs_prec)
 
 
 def log_series_polynomial(p, abs_prec, domain_valuation):
@@ -184,10 +184,7 @@ def log_series_polynomial(p, abs_prec, domain_valuation):
     coeffs = [Padic.zero(p, abs_prec)]
     for j in range(1, degree + 1):
         sign = 1 if j % 2 == 1 else -1
-        needed = abs_prec + floor_log(j, p)
-        coeffs.append(
-            Padic.from_rational(sign, j, p, abs_prec=abs_prec, cap=needed + 1)
-        )
+        coeffs.append(Padic.from_rational(sign, j, p, abs_prec))
     if degree == 0:
         coeffs.append(Padic.from_int(1, p, abs_prec))
     return PadicPolynomial(p, coeffs)
@@ -227,4 +224,4 @@ def log_inverse(z, abs_prec=None):
     x = newton_lift(step, target, z.v + 1, n)
     if _log_int(x, p, n) != target:
         raise AssertionError("log_inverse: nonzero residual at full precision")
-    return Padic.from_int(x, p, n, cap=n)
+    return Padic.from_int(x, p, n)

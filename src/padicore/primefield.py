@@ -33,7 +33,7 @@ class FpElement:
                     f"cannot combine elements mod {self.p} and mod {other.p}"
                 )
             return other.value
-        if isinstance(other, int):
+        if type(other) is int:  # a bool is not an int
             return other % self.p
         return None
 
@@ -75,7 +75,7 @@ class FpElement:
         return self * FpElement(v, self.p).inverse()
 
     def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
+        if type(e) is not int or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
         return FpElement(pow(self.value, e, self.p), self.p)
 

@@ -48,7 +48,7 @@ class PrimeFieldCoefficients:
             if x.p != self.p:
                 raise FieldMismatchError("FpElement from a different prime")
             return x.value
-        if isinstance(x, int):
+        if type(x) is int:  # a bool is not an int
             return x % self.p
         if isinstance(x, Fraction) and x.denominator == 1:
             return x.numerator % self.p
@@ -91,7 +91,7 @@ class RationalCoefficients:
     one = Fraction(1)
 
     def coerce(self, x):
-        if isinstance(x, (int, Fraction)):
+        if type(x) is int or isinstance(x, Fraction):  # a bool is not an int
             return Fraction(x)
         raise DomainError(f"cannot coerce {x!r} into the rationals")
 

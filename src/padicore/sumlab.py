@@ -67,7 +67,7 @@ class FiniteFamily:
             raise DomainError("labels must be distinct")
         if not values:
             raise DomainError("family must be nonempty")
-        if all(isinstance(v, (int, Fraction)) for v in values):
+        if all(type(v) is int or isinstance(v, Fraction) for v in values):
             mode = "rational"
             p = None
             values = tuple(Fraction(v) for v in values)
@@ -77,6 +77,8 @@ class FiniteFamily:
             if len(primes) != 1:
                 raise PrimeMismatchError("family mixes primes")
             p = primes.pop()
+        elif any(type(v) is not int and not isinstance(v, (Fraction, Padic)) for v in values):
+            raise DomainError("family values must be ints, Fractions or Padics")
         else:
             raise DomainError("family mixes rational and p-adic values")
         object.__setattr__(self, "labels", labels)
@@ -115,7 +117,7 @@ def norms(family, r):
     sup = family.sup_norm()
     if r == "inf":
         return NormReport(sup=sup, r="inf", lr_power=sup)
-    if not isinstance(r, int) or r < 1:
+    if type(r) is not int or r < 1:  # a bool is not an int
         raise DomainError("r must be a positive integer or 'inf'")
     total = sum((_abs_exact(v) ** r for v in family.values), Fraction(0))
     return NormReport(sup=sup, r=r, lr_power=total)

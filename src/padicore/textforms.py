@@ -100,8 +100,8 @@ def parse_rational(text):
 def parse_padic(text, p=None, abs_prec=None, cap=None):
     """A Padic from JSON, compact, pretty, or rational literal text.
 
-    A rational literal is read at prime p and precision abs_prec; any
-    other form must be p-adic for that p when p is given.  A pretty term
+    A rational literal is read at prime p, mod p**abs_prec; any other
+    form must be p-adic for that p when p is given.  A pretty term
     exponent below -cap (default: the default precision cap) is refused.
     """
     text = text.strip()
@@ -118,8 +118,7 @@ def parse_padic(text, p=None, abs_prec=None, cap=None):
             raise ParseError(
                 f"rational literal {text!r} needs --p and --prec context"
             )
-        kwargs = {"cap": cap} if cap is not None else {}
-        return Padic.from_rational(rational, 1, p, abs_prec, **kwargs)
+        return Padic.from_rational(rational, 1, p, abs_prec)
     if p is not None and value.p != p:
         raise ParseError(f"operand is {value.p}-adic but --p is {p}")
     return value
@@ -259,10 +258,10 @@ def _coeff_to_json(field, c):
 
 def _coeff_from_json(field, raw):
     if field.kind == "fp":
-        if not isinstance(raw, int):
+        if type(raw) is not int:  # JSON true is not an int
             raise ParseError(f"prime-field coefficient must be an int: {raw!r}")
         return raw
-    if isinstance(raw, int):
+    if type(raw) is int:
         return Fraction(raw)
     return _fraction(str(raw), "series coefficient")
 

@@ -225,7 +225,7 @@ def _repros():
 
 
 def argvs():
-    """Every corpus argv, in the order of the file."""
+    """Every corpus argv, in the order of the file; new rows go at the end."""
     out = []
     for i in range(ROUNDS):
         rng = random.Random(SEED + i)
@@ -233,7 +233,9 @@ def argvs():
             for sub in subcommands:
                 for fmt in FORMATS:
                     out.append([group, sub, *_DRAW[group](rng, sub), "--format", fmt])
-    for argv in _repros() + _many_balls():
+    from test_cli import RATIONAL_OPERAND_REPROS
+
+    for argv in _repros() + _many_balls() + RATIONAL_OPERAND_REPROS:
         out += [argv + ["--format", fmt] for fmt in FORMATS]
     return out
 

@@ -158,6 +158,13 @@ def test_exact_arguments_never_bound_a_result(p):
     assert [c.abs_prec for c in f.recenter(3).coeffs] == [100, 100, 100]
 
 
+def test_a_bool_coefficient_is_refused():
+    for coeffs in ([True, 1], [1, False]):
+        with pytest.raises(DomainError, match="as a coefficient"):
+            PadicPolynomial(7, coeffs)
+    assert PadicPolynomial(7, [Fraction(1, 2), 1], 4).coeffs[0] == Padic.from_rational(1, 2, 7, 4)
+
+
 def test_exact_arguments_are_ints_or_fractions():
     f = _poly(7, [-2, 0, 1])
     for x in (0.5, 3.0, True, "3"):

@@ -853,6 +853,29 @@ EDGE_VALUE_CASES = [
     ["measure", "translate", "--shift", P64, '{"p":2,"balls":[{"level":4000,"center":1}]}'],
 ]
 
+# rational operands of negative valuation, which were read to fewer digits
+# than --prec asked for: 1/7 to O(7^63) at --prec 64, 1/2^100 to O(2^-36)
+# at --prec 8, and 3/25 to abs_prec 62 at --prec 64
+RATIONAL_OPERAND_REPROS = [
+    ["padic", "add", "--p", "7", "--prec", "64", "1/7", "0"],
+    ["padic", "add", "--p", "2", "--prec", "8", f"1/{2**100}", "0"],
+    ["padic", "digits", "--p", "5", "--prec", "64", "3/25"],
+]
+
+
+def test_a_rational_operand_is_read_to_prec():
+    """x + O(p^N) read at --prec N is that ball, whatever the valuation of x."""
+    seven, two, digits = RATIONAL_OPERAND_REPROS
+    assert run(seven) == (0, "1*7^-1 + O(7^64)\n", "")
+    assert run(two) == (0, "1*2^-100 + O(2^8)\n", "")
+    code, out, err = run(digits + ["--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"valuation": -2, "digits": [3] + [0] * 65, "abs_prec": 64}
+    # a --poly coefficient was already read to --prec
+    code, out, _ = run(["analytic", "eval", "--p", "7", "--prec", "64", "--poly", "1/7", "0"])
+    assert (code, out) == (0, "1*7^-1 + O(7^64)\n")
+
+
 # the slowest edge case above takes under a second on a 2-vCPU host
 FUZZ_CALL_SECONDS = 10
 
@@ -881,7 +904,7 @@ def test_cli_never_crashes_on_fuzzed_argv():
         ]
     )
 
-    repros = MALFORMED_OPTION_AND_SHAPE_REPROS + EDGE_VALUE_CASES + [
+    repros = MALFORMED_OPTION_AND_SHAPE_REPROS + EDGE_VALUE_CASES + RATIONAL_OPERAND_REPROS + [
         argv for argv, _, _ in DISCARDED_POWER_REPROS + UNBOUNDED_INPUT_REPROS
     ]
 

@@ -326,6 +326,14 @@ def test_set_operations_match_residue_sets():
     assert checked > 10_000
 
 
+def test_a_shift_must_be_an_int():
+    s = ClopenSet(5, [Ball(5, 2, 7)])
+    assert s.translate(1) == ClopenSet(5, [Ball(5, 2, 8)])
+    for shift in (True, False, 1.0, Fraction(1)):
+        with pytest.raises(DomainError, match="a shift must be an integer"):
+            s.translate(shift)
+
+
 def test_ball_center_must_be_an_int():
     for center in (1.5, True, "3", None, Fraction(1, 2)):
         with pytest.raises(DomainError):

@@ -50,9 +50,58 @@ def test_from_rational_zero_denominator():
         Padic.from_rational(1, 0, 5, 4)
 
 
-def test_precision_cap_clamps():
+def test_precision_cap_sets_only_the_default():
+    """A given abs_prec is the ball asked for, whatever the cap; the cap
+    sets the precision only when none is given."""
     x = Padic.from_rational(1, 3, 5, 100, cap=10)
-    assert x.rel == 10
+    assert (x.abs_prec, x.rel) == (100, 100)
+    assert Padic.from_int(3, 5, 100, cap=10).abs_prec == 100
+    assert Padic.from_rational(1, 5**70, 5, 8, cap=10) == Padic(5, -70, 1, 78)
+    assert Padic.from_rational(1, 3, 5, cap=10).rel == 10
+    assert Padic.from_int(25, 5, cap=10) == Padic(5, 2, 1, 10)
+    assert Padic.from_int(0, 5, cap=10) == Padic.zero(5, 10)
+
+
+def test_default_precisions():
+    assert Padic.from_int(49, 7).abs_prec == 66
+    assert Padic.from_rational(1, 7, 7).abs_prec == 63
+    assert Padic.from_rational(49, 1, 7).abs_prec == 64
+    assert Padic.from_rational(0, 49, 7).abs_prec == 64
+    assert Padic.from_rational(0, 49, 7, 5) == Padic.zero(7, 5)
+
+
+def _valuation(q, p):
+    """v_p of a nonzero int or Fraction; infinity for zero."""
+    q = Fraction(q)
+    if not q:
+        return float("inf")
+    v, num, den = 0, q.numerator, q.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+@pytest.mark.parametrize("p", [2, 7, 65537, 2**61 - 1])
+def test_exact_numbers_are_read_to_the_precision_asked(p):
+    """from_int and from_rational give exactly the ball q + O(p**abs_prec):
+    that precision (or zero at it), and a lift congruent to q."""
+    rng = rng_for(f"exact-read-{p}")
+    for _ in range(150):
+        num = rng.randrange(-10**6, 10**6) * p ** rng.randrange(0, 40)
+        n = rng.randrange(-50, 301)
+        if rng.random() < 0.3:
+            q, x = num, Padic.from_int(num, p, n)
+        else:
+            q = Fraction(num, rng.randrange(1, 10**4) * p ** rng.randrange(0, 40))
+            x = Padic.from_rational(q, 1, p, n)
+        assert x.abs_prec == n
+        assert _valuation(x.lift() - q, p) >= n
+        if x.is_zero:
+            assert _valuation(q, p) >= n
+        else:
+            assert x.valuation() == _valuation(q, p) < n
 
 
 def test_from_rational_strips_common_p_powers():
@@ -156,6 +205,24 @@ def test_classmethods_refuse_what_is_not_an_integer_or_rational(build):
     nothing else: 1/2 was read as 0 and 0.5 as O(7^4)."""
     with pytest.raises(DomainError, match="needs an int"):
         build()
+
+
+@pytest.mark.parametrize(
+    "combine",
+    [operator.add, operator.sub, operator.mul, operator.truediv, lambda x, b: b + x, lambda x, b: b / x],
+    ids=["add", "sub", "mul", "truediv", "radd", "rtruediv"],
+)
+def test_a_bool_operand_is_refused_as_a_float_is(combine):
+    """x + True was x + 1; a bool, like a float, is no exact operand."""
+    with pytest.raises(TypeError):
+        combine(Padic.from_int(3, 7, 4), True)
+
+
+def test_a_bool_exponent_is_refused():
+    x = Padic.from_int(3, 7, 4)
+    for e in (True, False):
+        with pytest.raises(TypeError):
+            x**e
 
 
 def test_classmethods_read_fractions_over_ints():

@@ -180,3 +180,12 @@ def test_negation_and_subtraction(p, a, b):
     x, y = FpElement(a, p), FpElement(b, p)
     assert x - y == x + (-y)
     assert (x - y) + y == x
+
+
+def test_a_bool_operand_or_exponent_is_refused():
+    x = FpElement(3, 5)
+    for combine in (lambda b: x + b, lambda b: b * x, lambda b: x - b, lambda b: x / b):
+        with pytest.raises(TypeError):
+            combine(True)
+    with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
+        x**True

@@ -342,3 +342,10 @@ def test_trusted_results_match_the_public_constructor(make):
             assert inverted.tail == -laurent.tail and inverted.order_bound is None
         for result in results:
             _assert_checked_equal(result)
+
+
+def test_a_bool_coefficient_is_refused():
+    for field in (F5, QQ):
+        with pytest.raises(DomainError, match="cannot coerce True"):
+            PowerSeries(field, [True, 1], 3)
+        assert PowerSeries(field, [1, 1], 3).coeffs == PowerSeries(field, [Fraction(1), 1], 3).coeffs

@@ -67,6 +67,19 @@ def test_norm_examples():
     assert lr_norm_le(fam, 2, 1)
 
 
+def test_norm_exponent_must_be_an_int():
+    fam = FiniteFamily([0, 1], [1, 2])
+    for r in (True, False, 1.0, 0, "1"):
+        with pytest.raises(DomainError, match="r must be a positive integer"):
+            norms(fam, r)
+
+
+def test_a_bool_family_value_is_refused():
+    for values in ([True], [1, False], [0.5]):
+        with pytest.raises(DomainError, match="must be ints, Fractions or Padics"):
+            FiniteFamily(range(len(values)), values)
+
+
 def test_singleton_family_norms():
     fam = FiniteFamily(["x"], [Fraction(-3, 2)])
     assert norms(fam, 1).lr_power == Fraction(3, 2)

@@ -367,3 +367,9 @@ def test_norm_exponent_is_capped():
     for bad in (str(tf.MAX_NORM_EXPONENT + 1), "100000000"):
         with pytest.raises(ParseError, match="exceeds the limit"):
             tf.parse_norm_exponent(bad)
+
+
+def test_a_json_true_is_no_series_coefficient():
+    for field, message in (({"Fp": 5}, "must be an int"), ("QQ", "not a rational literal")):
+        with pytest.raises(ParseError, match=message):
+            tf.series_from_json({"field": field, "order_prec": 3, "coeffs": [True, 1]})
