@@ -9,6 +9,7 @@ PADICORE_PREC_CAP sets the largest ``--prec`` (default 64).
 """
 
 import argparse
+import functools
 import json
 import math
 import operator
@@ -24,9 +25,10 @@ from .padics import DEFAULT_PRECISION_CAP
 # Each group has one _<group>_arguments(parser, subcommand), which adds the
 # arguments of one of its subcommands, beside its _run_<group>, which imports
 # the group's modules.  A command builds the parser of its own subcommand
-# alone, so that one call builds one parser and loads only its group.  The
-# parser of every group answers the rest: help and usage errors at the top
-# and group levels.
+# alone, so that one call builds one parser and loads only its group; that
+# parser has no help and never renders text.  The parser of every group
+# answers the rest: help and usage errors at the top and group levels, and
+# help asked for within a subcommand.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -540,6 +542,11 @@ _GROUPS = {
 }
 
 
+# argparse builds a formatter for each argument it adds, to check the
+# metavar; with a width given, it does not ask the terminal for one
+_FixedWidthFormatter = functools.partial(argparse.HelpFormatter, width=78)
+
+
 def _build_parser():
     """The top-level parser, with every group and subcommand."""
     parser = _Parser(prog="padicore", description=__doc__)
@@ -552,14 +559,41 @@ def _build_parser():
     return parser
 
 
+def _asks_help(tokens):
+    """Whether argparse, given -h/--help, could read one of tokens as that
+    option or name it in an error: -h alone or joined to more, or a long
+    option whose name before any "=" is a prefix of --help, as in --he,
+    --help=1 or --=x (ambiguous among every option, --help too).  argparse
+    reads every token after the first "--" as an operand."""
+    for token in tokens:
+        if token == "--":
+            return False
+        if token.startswith("-h") or (
+            token.startswith("--") and "--help".startswith(token.partition("=")[0])
+        ):
+            return True
+    return False
+
+
 def _parse(argv):
     """argv parsed by its subcommand's parser alone when it starts with a
-    group and one of that group's subcommands, and by the parser of every
-    group otherwise.  argparse hands a subcommand every token after its
-    name, so the two parse such an argv alike."""
-    if len(argv) < 2 or argv[0] not in _GROUPS or argv[1] not in _GROUPS[argv[0]][1]:
+    group and one of that group's subcommands and asks for no help, and by
+    the parser of every group otherwise.  argparse hands a subcommand every
+    token after its name, so the two parse such an argv alike.  The
+    subcommand's parser reports errors without usage text, so it is built
+    without -h/--help and at a fixed width, asking neither gettext nor the
+    terminal for text it would never print.
+    """
+    if (
+        len(argv) < 2
+        or argv[0] not in _GROUPS
+        or argv[1] not in _GROUPS[argv[0]][1]
+        or _asks_help(argv[2:])
+    ):
         return _build_parser().parse_args(argv)
-    parser = _Parser(prog=f"padicore {argv[0]} {argv[1]}")
+    parser = _Parser(
+        prog=f"padicore {argv[0]} {argv[1]}", add_help=False, formatter_class=_FixedWidthFormatter
+    )
     _GROUPS[argv[0]][2](parser, argv[1])
     args = parser.parse_args(argv[2:])
     args.command, args.subcommand = argv[0], argv[1]

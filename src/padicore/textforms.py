@@ -118,6 +118,13 @@ def parse_padic(text, p=None, abs_prec=None, cap=None):
             raise ParseError(
                 f"rational literal {text!r} needs --p and --prec context"
             )
+        # as in the other forms, a unit known mod p**(abs_prec - v) that does
+        # not print is refused; -v is below the bit length of the denominator
+        num, den = rational.numerator, rational.denominator
+        if num and not power_prints(check_prime(p), abs_prec + den.bit_length()):
+            rel = abs_prec - int_valuation(num, p) + int_valuation(den, p)
+            if rel > 0:
+                _check_unit_modulus_prints(p, rel)
         return Padic.from_rational(rational, 1, p, abs_prec)
     if p is not None and value.p != p:
         raise ParseError(f"operand is {value.p}-adic but --p is {p}")

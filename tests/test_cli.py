@@ -704,10 +704,16 @@ def test_ball_image_guard_compares_exponents(monkeypatch):
         code, out, err = run(_IMAGE + ["--level", level])
         assert code == 1 and out == ""
         assert err == f"error: known only mod p^4, cannot reduce mod p^{level}\n"
-    deep = ["hensel", "image", "--p", "7", "--prec", "6000", "--poly", "x^2-2", "--x0", "3", "--t", "1"]
+    # x0 = 7^1000 is known mod 7^6000 to 5000 digits past its valuation, which print
+    deep = ["hensel", "image", "--p", "7", "--prec", "6000", "--poly", "x^2+x", "--x0", str(7**1000), "--t", "1"]
     code, out, err = run(deep + ["--level", "6000"], env_cap=6000, monkeypatch=monkeypatch)
     assert code == 1 and out == ""
     assert err == "error: level 6000 too fine: 7^6000 has more than 4300 digits\n"
+    # a unit x0 known mod 7^6000 is refused as an operand, before any level
+    deep[deep.index("--x0") + 1] = "3"
+    code, out, err = run(deep + ["--level", "6000"], env_cap=6000, monkeypatch=monkeypatch)
+    assert (code, out) == (1, "")
+    assert err == "error: relative precision too fine: 7^(abs_prec - valuation) has more than 4300 digits\n"
 
 
 def test_nthroot_degree_is_capped():
@@ -874,6 +880,24 @@ def test_a_rational_operand_is_read_to_prec():
     # a --poly coefficient was already read to --prec
     code, out, _ = run(["analytic", "eval", "--p", "7", "--prec", "64", "--poly", "1/7", "0"])
     assert (code, out) == (0, "1*7^-1 + O(7^64)\n")
+
+
+def test_a_rational_operand_whose_answer_would_not_read_back_is_refused():
+    """1/2^k at --prec 64 is a unit known mod 2^(64 + k); past the largest
+    power of 2 that prints (2^14284 under the 4300-digit limit) the literal is
+    refused as its JSON form is, so every answer reads back as an operand."""
+    add = ["padic", "add", "--p", "2", "--prec", "64", "--format", "json"]
+    code, out, err = run(add + [f"1/{2**14220}", "0"])
+    assert (code, err) == (0, "")
+    assert run(add + [out.strip(), "0"]) == (0, out, "")
+    refused = (1, "", "error: relative precision too fine: 2^(abs_prec - valuation) has more than 4300 digits\n")
+    one_more = out.strip().replace('"valuation": -14220', '"valuation": -14221')
+    assert run(add + [one_more, "0"]) == refused
+    for k in (14221, 14280):
+        assert run(add + [f"1/{2**k}", "1"]) == refused
+        assert run(add + [f"3/{2**k}", "1"]) == refused
+    # a nonzero numerator of positive valuation is read to --prec as zero
+    assert run(add + [f"{2**14280}/3", "0"]) == (0, '{"abs_prec": 64, "digits": [], "p": 2}\n', "")
 
 
 # the slowest edge case above takes under a second on a 2-vCPU host

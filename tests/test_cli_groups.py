@@ -15,6 +15,7 @@ import inspect
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
@@ -155,6 +156,13 @@ EDGE_ARGVS = [
     ["measure", "translate", "--shift", "-5", _BALLS],
     ["padic", "add", "--p", "5", "--prec", "8", "-1/2", "1"],
     ["padic", "sub", "--p", "5", "--prec", "8", "--", "-1/2", "1"],
+    # help within a subcommand, which the parser of every group answers
+    ["padic", "add", "--p", "5", "--prec", "8", "1/3", "2/7", "-hx"],
+    ["padic", "add", "--p", "5", "--prec", "8", "1/3", "2/7", "--he"],
+    ["padic", "add", "--p", "5", "--prec", "8", "1/3", "2/7", "--help=1"],
+    ["padic", "add", "--p", "5", "--prec", "8", "--=x", "1/3", "2/7"],  # ambiguous, --help too
+    ["padic", "add", "--p", "5", "--prec", "8", "--", "1/3", "-h"],  # an operand: not help
+    ["analytic", "eval", "--p", "7", "--prec", "4", "--poly=-h", "3"],  # a value: not help
 ]
 
 
@@ -184,18 +192,18 @@ def help_and_usage_runs():
 
 def test_help_and_usage_match_the_all_groups_parser():
     runs = help_and_usage_runs()
-    assert len(runs) == 4 + 7 * 4 + 5 * 40 + 17  # 7 groups of 40 subcommands, 17 edge argv
+    assert len(runs) == 4 + 7 * 4 + 5 * 40 + 23  # 7 groups of 40 subcommands, 23 edge argv
     assert [argv for argv, output, oracle in runs if output != oracle] == []
     outputs = [output for _, output, _ in runs]
     helps = sum(code == 0 and out.startswith("usage: padicore") for code, out, _ in outputs)
-    assert helps == 1 + 7 * 2 + 40 + 2  # two edge argv ask for help
+    assert helps == 1 + 7 * 2 + 40 + 3  # three edge argv ask for help
     errors = [err for code, _, err in outputs if code == 2]
     assert all(err.startswith("usage error: ") and err.count("\n") == 1 for err in errors)
     for message in ("invalid choice", "the following arguments are required", "unrecognized arguments"):
         assert any(message in err for err in errors), message
 
 
-def test_a_command_builds_one_parser(monkeypatch):
+def _each_command_builds_one_parser(monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
     monkeypatch.setattr(
@@ -205,6 +213,26 @@ def test_a_command_builds_one_parser(monkeypatch):
         built.clear()
         assert run_main(argv)[0] == 0, argv
         assert [(type(p), p.prog) for p in built] == [(cli._Parser, "padicore " + " ".join(argv[:2]))], argv
+
+
+def test_a_command_builds_one_parser(monkeypatch):
+    _each_command_builds_one_parser(monkeypatch)
+
+
+def test_a_command_never_asks_the_terminal_size(monkeypatch):
+    def no_terminal(*args, **kwargs):
+        raise AssertionError("a subcommand's parser asked for the terminal size")
+
+    monkeypatch.setattr(shutil, "get_terminal_size", no_terminal)
+    _each_command_builds_one_parser(monkeypatch)
+
+
+def test_only_help_within_a_subcommand_goes_to_the_all_groups_parser():
+    for token in ("-h", "-hx", "--h", "--he", "--help", "--help=1", "--he=", "--=x", "--="):
+        assert cli._asks_help(["1/3", token, "--"]), token
+        assert not cli._asks_help(["1/3", "--", token]), token  # an operand
+    for token in ("--", "---", "--poly=-h", "--format=-h", "--p", "--hx", "--helpx", "-", "-5", "-H", "1/3"):
+        assert not cli._asks_help([token]), token
 
 
 if __name__ == "__main__":
