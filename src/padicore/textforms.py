@@ -118,17 +118,25 @@ def parse_padic(text, p=None, abs_prec=None, cap=None):
             raise ParseError(
                 f"rational literal {text!r} needs --p and --prec context"
             )
-        # as in the other forms, a unit known mod p**(abs_prec - v) that does
-        # not print is refused; -v is below the bit length of the denominator
-        num, den = rational.numerator, rational.denominator
-        if num and not power_prints(check_prime(p), abs_prec + den.bit_length()):
-            rel = abs_prec - int_valuation(num, p) + int_valuation(den, p)
-            if rel > 0:
-                _check_unit_modulus_prints(p, rel)
-        return Padic.from_rational(rational, 1, p, abs_prec)
+        return _rational_ball(rational, p, abs_prec)
     if p is not None and value.p != p:
         raise ParseError(f"operand is {value.p}-adic but --p is {p}")
     return value
+
+
+def _rational_ball(rational, p, abs_prec):
+    """The ball rational + O(p**abs_prec): the one reader of a rational
+    literal at (p, --prec), for operands and text polynomial coefficients.
+
+    As in the other forms, a unit known mod p**(abs_prec - v) that does
+    not print is refused; -v is below the bit length of the denominator.
+    """
+    num, den = rational.numerator, rational.denominator
+    if num and not power_prints(check_prime(p), abs_prec + den.bit_length()):
+        rel = abs_prec - int_valuation(num, p) + int_valuation(den, p)
+        if rel > 0:
+            _check_unit_modulus_prints(p, rel)
+    return Padic.from_rational(rational, 1, p, abs_prec)
 
 
 def _padic_from_compact(m):
@@ -276,27 +284,13 @@ def _coeff_from_json(field, raw):
 def series_to_json(s):
     from .series import LaurentSeries
 
-    if isinstance(s, LaurentSeries):
-        if s.is_zero:
-            data = {
-                "field": _field_to_json(s.field),
-                "order_prec": s.order_bound,
-                "coeffs": [],
-                "tail_valuation": 0,
-            }
-        else:
-            data = {
-                "field": _field_to_json(s.field),
-                "order_prec": s.unit.prec,
-                "coeffs": [_coeff_to_json(s.field, c) for c in s.unit.coeffs],
-                "tail_valuation": s.tail,
-            }
-        return json.dumps(data, sort_keys=True)
-    data = {
-        "field": _field_to_json(s.field),
-        "order_prec": s.prec,
-        "coeffs": [_coeff_to_json(s.field, c) for c in s.coeffs],
-    }
+    data, unit = {"field": _field_to_json(s.field)}, s
+    if isinstance(s, LaurentSeries):  # T**tail * unit; the zero series has no unit and tail 0
+        data["tail_valuation"], unit = s.tail, s.unit
+    if unit is None:
+        data.update(order_prec=s.order_bound, coeffs=[])
+    else:
+        data.update(order_prec=unit.prec, coeffs=[_coeff_to_json(s.field, c) for c in unit.coeffs])
     return json.dumps(data, sort_keys=True)
 
 
@@ -315,6 +309,18 @@ def series_from_json(data):
         check_term_count(data["tail_valuation"], "series exponent")
         return LaurentSeries(field, coeffs, data["tail_valuation"], prec)
     return PowerSeries(field, coeffs, prec)
+
+
+def _term(tm, what):
+    """(exponent, coefficient) of a matched ``c``, ``c*X^e`` or ``X^e``
+    term of a series or polynomial; an exponent past MAX_TERMS is refused
+    as what."""
+    if tm.group(4) is not None:
+        return 0, parse_rational(tm.group(4))
+    coeff = parse_rational(tm.group(1)) if tm.group(1) else Fraction(1)
+    exp = _int(tm.group(3)) if tm.group(3) is not None else 1
+    check_term_count(exp, what)
+    return exp, coeff
 
 
 def parse_series(text, field=None):
@@ -341,13 +347,7 @@ def parse_series(text, field=None):
         tm = _SERIES_TERM_RE.match(part.replace(" ", ""))
         if not tm:
             raise ParseError(f"bad series term: {part!r}")
-        if tm.group(4) is not None:
-            exp = 0
-            coeff = parse_rational(tm.group(4))
-        else:
-            coeff = parse_rational(tm.group(1)) if tm.group(1) else Fraction(1)
-            exp = _int(tm.group(3)) if tm.group(3) is not None else 1
-        check_term_count(exp, "series exponent")
+        exp, coeff = _term(tm, "series exponent")
         if exp in terms:
             raise ParseError(f"repeated exponent {exp} in series literal")
         terms[exp] = coeff
@@ -376,8 +376,9 @@ def parse_laurent(text, field=None):
 def parse_polynomial(text, p, abs_prec):
     """A PadicPolynomial from JSON, or from text like ``x^2 - 2``.
 
-    Text coefficients are read at prime p and precision abs_prec; a JSON
-    polynomial must be p-adic for that p when p is given.
+    Each text coefficient is read at prime p to precision abs_prec as a
+    rational operand is, and refused as one is; trailing zero terms are
+    dropped.  A JSON polynomial must be p-adic for that p when p is given.
     """
     from .analytic import PadicPolynomial
 
@@ -388,9 +389,11 @@ def parse_polynomial(text, p, abs_prec):
             raise ParseError(f"polynomial is {poly.p}-adic but --p is {p}")
         return poly
     coeffs = parse_polynomial_rational_coeffs(text)
-    if p is None:
-        raise ParseError("text polynomials need --p")
-    return PadicPolynomial(p, coeffs, abs_prec=abs_prec)
+    if p is None or abs_prec is None:
+        raise ParseError("text polynomials need --p and --prec")
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return PadicPolynomial(p, [_rational_ball(c, p, abs_prec) for c in coeffs], abs_prec=abs_prec)
 
 
 def parse_polynomial_rational_coeffs(text):
@@ -412,13 +415,7 @@ def parse_polynomial_rational_coeffs(text):
         tm = _POLY_TERM_RE.match(part)
         if not tm:
             raise ParseError(f"bad polynomial term: {part!r}")
-        if tm.group(4) is not None:
-            exp = 0
-            coeff = parse_rational(tm.group(4))
-        else:
-            coeff = parse_rational(tm.group(1)) if tm.group(1) else Fraction(1)
-            exp = _int(tm.group(3)) if tm.group(3) is not None else 1
-        check_term_count(exp, "polynomial degree")
+        exp, coeff = _term(tm, "polynomial degree")
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coeff
     degree = max(coeffs)
     return [coeffs.get(e, Fraction(0)) for e in range(degree + 1)]

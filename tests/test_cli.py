@@ -704,16 +704,19 @@ def test_ball_image_guard_compares_exponents(monkeypatch):
         code, out, err = run(_IMAGE + ["--level", level])
         assert code == 1 and out == ""
         assert err == f"error: known only mod p^4, cannot reduce mod p^{level}\n"
-    # x0 = 7^1000 is known mod 7^6000 to 5000 digits past its valuation, which print
-    deep = ["hensel", "image", "--p", "7", "--prec", "6000", "--poly", "x^2+x", "--x0", str(7**1000), "--t", "1"]
+    # 7^1000, as x0 and as both coefficients, is known mod 7^6000 to 5000
+    # digits past its valuation, which print
+    c = str(7**1000)
+    deep = ["hensel", "image", "--p", "7", "--prec", "6000", "--poly", f"{c}*x^2+{c}*x", "--x0", c, "--t", "1"]
     code, out, err = run(deep + ["--level", "6000"], env_cap=6000, monkeypatch=monkeypatch)
     assert code == 1 and out == ""
     assert err == "error: level 6000 too fine: 7^6000 has more than 4300 digits\n"
-    # a unit x0 known mod 7^6000 is refused as an operand, before any level
-    deep[deep.index("--x0") + 1] = "3"
-    code, out, err = run(deep + ["--level", "6000"], env_cap=6000, monkeypatch=monkeypatch)
-    assert (code, out) == (1, "")
-    assert err == "error: relative precision too fine: 7^(abs_prec - valuation) has more than 4300 digits\n"
+    # a unit x0 or unit coefficients known mod 7^6000 are refused as operands, before any level
+    refused = (1, "", "error: relative precision too fine: 7^(abs_prec - valuation) has more than 4300 digits\n")
+    for option, text in (("--x0", "3"), ("--poly", "x^2+x")):
+        unit = list(deep)
+        unit[unit.index(option) + 1] = text
+        assert run(unit + ["--level", "6000"], env_cap=6000, monkeypatch=monkeypatch) == refused
 
 
 def test_nthroot_degree_is_capped():
@@ -861,17 +864,21 @@ EDGE_VALUE_CASES = [
 
 # rational operands of negative valuation, which were read to fewer digits
 # than --prec asked for: 1/7 to O(7^63) at --prec 64, 1/2^100 to O(2^-36)
-# at --prec 8, and 3/25 to abs_prec 62 at --prec 64
+# at --prec 8, and 3/25 to abs_prec 62 at --prec 64; then a --poly
+# coefficient whose answer did not read back (1/2^14280), and the last
+# power of 2 below it that is still read (1/2^14220)
 RATIONAL_OPERAND_REPROS = [
     ["padic", "add", "--p", "7", "--prec", "64", "1/7", "0"],
     ["padic", "add", "--p", "2", "--prec", "8", f"1/{2**100}", "0"],
     ["padic", "digits", "--p", "5", "--prec", "64", "3/25"],
+    ["analytic", "eval", "--p", "2", "--prec", "64", "--poly", f"1/{2**14280}", "0"],
+    ["analytic", "eval", "--p", "2", "--prec", "64", "--poly", f"1/{2**14220}", "0"],
 ]
 
 
 def test_a_rational_operand_is_read_to_prec():
     """x + O(p^N) read at --prec N is that ball, whatever the valuation of x."""
-    seven, two, digits = RATIONAL_OPERAND_REPROS
+    seven, two, digits = RATIONAL_OPERAND_REPROS[:3]
     assert run(seven) == (0, "1*7^-1 + O(7^64)\n", "")
     assert run(two) == (0, "1*2^-100 + O(2^8)\n", "")
     code, out, err = run(digits + ["--format", "json"])
@@ -898,6 +905,50 @@ def test_a_rational_operand_whose_answer_would_not_read_back_is_refused():
         assert run(add + [f"3/{2**k}", "1"]) == refused
     # a nonzero numerator of positive valuation is read to --prec as zero
     assert run(add + [f"{2**14280}/3", "0"]) == (0, '{"abs_prec": 64, "digits": [], "p": 2}\n', "")
+
+
+# every CLI argument read at (p, --prec), with {q} where the rational goes
+_AT_P_AND_PREC = ["--p", "2", "--prec", "64", "--format", "json"]
+RATIONAL_INPUT_BOUNDARY = [
+    ["padic", "add", *_AT_P_AND_PREC, "{q}", "0"],
+    ["analytic", "eval", *_AT_P_AND_PREC, "--poly", "x", "{q}"],
+    ["analytic", "recenter", *_AT_P_AND_PREC, "--poly", "x", "{q}"],
+    ["hensel", "sqrt", *_AT_P_AND_PREC, "{q}"],
+    ["hensel", "nthroot", *_AT_P_AND_PREC, "--n", "2", "{q}"],
+    ["hensel", "teichmuller", *_AT_P_AND_PREC, "{q}"],
+    ["plog", "log", *_AT_P_AND_PREC, "{q}"],
+    ["plog", "invert", *_AT_P_AND_PREC, "{q}"],
+    ["hensel", "check", *_AT_P_AND_PREC, "--poly", "x^2-2", "--x0", "{q}", "--t", "1"],
+    ["hensel", "solve", *_AT_P_AND_PREC, "--poly", "x", "--x0", "0", "--z", "{q}"],
+    ["analytic", "eval", *_AT_P_AND_PREC, "--poly", "{q}", "0"],
+    ["analytic", "eval", *_AT_P_AND_PREC, "--poly", "x^2+{q}*x", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", RATIONAL_INPUT_BOUNDARY, ids=lambda argv: " ".join(argv[:2] + argv[8:]))
+def test_every_rational_input_is_read_by_one_rule(argv):
+    """Operands, --x0, --z and --poly coefficients alike: 1/2^14280 at
+    --prec 64 is refused, 1/2^14220 is read, and a value answer reads back."""
+    refused = "error: relative precision too fine: 2^(abs_prec - valuation) has more than 4300 digits\n"
+    assert run([a.replace("{q}", f"1/{2**14280}") for a in argv]) == (1, "", refused)
+    code, out, err = run([a.replace("{q}", f"1/{2**14220}") for a in argv])
+    assert err != refused
+    if code == 0:
+        answer = json.loads(out)
+        for value in answer.get("coeffs", [answer]):
+            text = json.dumps(value)
+            assert run(["padic", "add", *_AT_P_AND_PREC, text, "0"])[0] == 0
+
+
+def test_a_poly_coefficient_past_the_print_limit_is_refused_at_once(monkeypatch):
+    """Under a raised cap, -1/3 at --prec 3000000 is a unit known mod
+    7^3000000: refused as the operand 1/3 is, before any arithmetic."""
+    argv = ["analytic", "eval", "--p", "7", "--prec", "3000000", "--poly", "x-1/3", "0"]
+    started = time.perf_counter()
+    code, out, err = run(argv, env_cap=100000000, monkeypatch=monkeypatch)
+    assert time.perf_counter() - started < FUZZ_CALL_SECONDS
+    assert (code, out) == (1, "")
+    assert err == "error: relative precision too fine: 7^(abs_prec - valuation) has more than 4300 digits\n"
 
 
 # the slowest edge case above takes under a second on a 2-vCPU host

@@ -171,6 +171,17 @@ def test_polynomial_grammar():
         tf.parse_polynomial_rational_coeffs("")
 
 
+def test_text_polynomial_coefficients_are_read_as_operands():
+    """Each coefficient is the operand it would be at (p, abs_prec); a zero
+    leading coefficient is dropped, interior zeros stay."""
+    f = tf.parse_polynomial("x^3 - x^3 + 1/7*x^2 + 2", 7, 8)
+    assert f.coeffs == tuple(tf.parse_padic(t, 7, 8) for t in ("2", "0", "1/7"))
+    assert f == PadicPolynomial(7, [2, 0, Fraction(1, 7)], abs_prec=8)
+    assert tf.parse_polynomial("x - x", 7, 8) == PadicPolynomial(7, [], abs_prec=8)
+    with pytest.raises(ParseError):
+        tf.parse_polynomial("x - 1", 7, None)
+
+
 def test_polynomial_json_round_trip():
     f = PadicPolynomial(7, [-2, 0, 1], abs_prec=5)
     data = json.loads(tf.polynomial_to_json(f))
