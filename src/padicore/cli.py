@@ -2,7 +2,9 @@
 
 One invocation, one result, deterministic output.  Exit codes: 0 on
 success, 1 for domain errors (non-residue square roots, divergent
-logarithms, mismatched primes, ...), 2 for parse and usage errors.
+logarithms, mismatched primes, ...), 2 for parse and usage errors, and
+141 from the console script, silently, when stdout's reader closed the
+pipe before the output was written.
 ``--prec`` always means absolute precision in digits, to which a
 rational operand is read; ``--order`` means T-adic order for series.
 PADICORE_PREC_CAP sets the largest ``--prec`` (default 64).
@@ -619,7 +621,21 @@ def main(argv=None):
 
 
 def entry():
-    sys.exit(main())
+    """The console script: exit with main's code, or 141 when stdout's reader has gone.
+
+    141 is 128 + SIGPIPE, what a shell reports for a process that SIGPIPE
+    ended.  Python ignores SIGPIPE, so a write to a closed pipe raises
+    BrokenPipeError instead: from ``print`` when stdout is unbuffered,
+    from the flush here otherwise.  Stdout then points at os.devnull, so
+    that the interpreter's own flush at exit has nowhere to fail.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

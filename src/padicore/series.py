@@ -1,15 +1,15 @@
 """Formal power series and Laurent series truncated modulo T**N.
 
 Series are plain coefficient tuples over a coefficient field descriptor:
-the prime field (raw values: reduced ints) or the exact rationals (raw
-values: Fraction).  Everything is an identity modulo T**N, so the
-representation is truncated rather than lazy.
+the prime field (raw values: residues, ints in [0, p)) or the exact
+rationals (raw values: Fraction).  Everything is an identity modulo
+T**N, so the representation is truncated rather than lazy.
 
 Products and compositions run through the one integer convolution in
-the kernel layer: prime-field coefficients as residues, rational ones
-scaled by a common denominator, so Fraction arithmetic happens only once
-per output coefficient.  Inverses come from Newton's iteration on these
-products.
+the kernel layer: prime-field coefficients as residues, in slots sized
+from p, rational ones scaled by a common denominator, so Fraction
+arithmetic happens only once per output coefficient.  Inverses come from
+Newton's iteration on these products.
 
 The T-adic size |f| = r**order(f) is kept symbolically as an RPower pair
 (r, exponent); no real arithmetic is ever done on it.
@@ -25,7 +25,13 @@ from .primefield import FpElement
 
 
 class PrimeFieldCoefficients:
-    """Coefficient field of integers mod p; raw values are reduced ints."""
+    """Coefficient field of integers mod p; raw values are residues, ints in [0, p).
+
+    Each raw value is the canonical member of its class mod p: ``coerce``
+    and every field operation reduce into [0, p), and series results are
+    built from such values.  ``_kernels.convolve_mod`` relies on this
+    invariant: it sizes its slots from p and never reads an operand.
+    """
 
     __slots__ = ("p",)
     kind = "fp"

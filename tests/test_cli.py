@@ -1033,3 +1033,25 @@ def test_every_group_rejects_a_strong_pseudoprime_modulus():
     for argv in commands:
         code, out, err = run(argv)
         assert (code, out, err) == (1, "", f"error: {n} is not prime\n"), argv
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_a_closed_stdout_exits_141_without_a_traceback(unbuffered):
+    """The console script's reader has gone before it writes: exit 141, nothing on stderr.
+
+    Unbuffered, ``print`` raises BrokenPipeError; buffered, the flush at
+    the end does.  The pipe's read end is closed before the process
+    starts, so its first write fails in both modes.
+    """
+    src = os.path.dirname(os.path.dirname(padicore.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "padicore.cli", "padic", "add", "--p", "5", "--prec", "4", "1/2", "1/2"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=30, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")

@@ -29,6 +29,12 @@ def lengths_past_the_product(a, b):
     return st.integers(min_value=0, max_value=len(a) + len(b) + 3)
 
 
+def residue_lists(p, max_size=24):
+    """Residues in [0, p), the edges 0 and p - 1 drawn often."""
+    residue = st.one_of(st.just(p - 1), st.just(0), st.integers(min_value=0, max_value=p - 1))
+    return st.lists(residue, max_size=max_size)
+
+
 def test_square_over_a_prime_above_2_32():
     p = 4294967311
     assert kernels.convolve_mod([p - 1, p - 1], [p - 1, p - 1], 2, p) == [1, 2]
@@ -59,12 +65,19 @@ SLOT_PRIMES = {1: 131, 2: 32771, 4: 2147483659, 8: 9223372036854775837, 9: 23611
 
 
 def test_slot_widths_round_up_to_machine_words():
-    """Natural widths 1-8 round up to 1, 2, 4 or 8 bytes; wider slots keep their width."""
+    """Natural widths 1-8 round up to 1, 2, 4 or 8 bytes; wider slots keep their width.
+
+    A signed slot holds magnitudes of up to 8w - 1 bits, an unsigned one
+    values of up to 8w bits.
+    """
     rounded = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8, 9: 9, 10: 10, 17: 17}
     for natural, width in rounded.items():
         for bits in (8 * natural - 8, 8 * natural - 1):  # the natural width's first and last bit counts
             assert kernels._slots(bits) == (width, 1 << (8 * width - 1)), bits
-    assert sorted(kernels._WORDS) == [1, 2, 4, 8]
+        for bits in (8 * natural - 7, 8 * natural):
+            assert kernels._width(bits) == width, bits
+    assert kernels._width(0) == 1
+    assert sorted(kernels._SIGNED) == sorted(kernels._UNSIGNED) == [1, 2, 4, 8]
 
 
 @pytest.mark.parametrize("width", sorted(SLOT_PRIMES))
@@ -81,9 +94,13 @@ def test_products_fill_each_slot_width(width):
     assert kernels.convolve(c, [top], 6) == [top, -top, 0, top, -top, 0]
     assert kernels.convolve([-top], c, 6) == [-top, top, 0, -top, top, 0]
     p = check_prime(SLOT_PRIMES[width])
-    a = [rng.randrange(top + 1) for _ in range(40)] + [top, top - p]  # top - p reduces to top
-    for b in ([1], [1 + p], [0, -p + 1]):
+    a = [rng.randrange(top + 1) for _ in range(40)] + [top, top]
+    for b in ([1], [0, 1]):
         out = kernels.convolve_mod(a, b, 45, p)
+        assert out == schoolbook_mul(a, b, 45, p) and max(out) == top
+    a[-1] = top - p  # unreduced operands take the integer product, reduced after
+    for b in ([1 + p], [0, -p + 1]):
+        out = [c % p for c in kernels.convolve(a, b, 45)]
         assert out == schoolbook_mul(a, b, 45, p) and max(out) == top
 
 
@@ -143,6 +160,8 @@ def test_compose_with_a_denominator_is_the_homogenised_composition(f, g, d, n):
     k = len(f[:n])
     scaled = [c * d ** (k - 1 - j) for j, c in enumerate(f[:n])]
     assert kernels.compose(f, g, n, d=d) == schoolbook_compose(scaled, g, n)
+    p = 65537  # mod p the powers of d are residues too
+    assert kernels.compose(f, g, n, p, d) == schoolbook_compose(scaled, g, n, p)
 
 
 def test_compose_slots_hold_a_full_chunk():
@@ -202,6 +221,10 @@ def test_convolve_matches_schoolbook(data, a, b):
 @settings(max_examples=300)
 @given(st.data(), st.sampled_from(PRIMES), signed_lists(), signed_lists())
 def test_convolve_mod_matches_schoolbook(data, p, a, b):
+    """Residues through convolve_mod; any integers through convolve, reduced after."""
+    n = data.draw(lengths_past_the_product(a, b))
+    assert [c % p for c in kernels.convolve(a, b, n)] == schoolbook_mul(a, b, n, p)
+    a, b = data.draw(residue_lists(p)), data.draw(residue_lists(p))
     n = data.draw(lengths_past_the_product(a, b))
     assert kernels.convolve_mod(a, b, n, p) == schoolbook_mul(a, b, n, p)
 
@@ -276,19 +299,73 @@ def test_two_point_products_match_schoolbook(width, top):
 
 
 def test_two_point_products_mod_p_and_zero_operands():
-    """convolve_mod at p = 2**61 - 1 about the size rule, and a 1-byte slot of an all-zero operand."""
+    """convolve_mod at p = 2**61 - 1 about the size rule, and a 1-byte slot of an all-zero operand.
+
+    Residues take convolve_mod; operands in [-p, p) take convolve, reduced after.
+    """
     p = 2**61 - 1
     rng = rng_for("kernel-two-point-mod-p")
-    for length in two_point_lengths(17):
+    lengths = two_point_lengths(16)  # (p - 1)**2 * length needs 16 bytes to 64 terms, 17 past it
+    sizes = [residue_slot_width(p, length) * length for length in lengths]
+    assert sizes[0] < kernels._TWO_POINT_BYTES <= sizes[1]
+    for length in lengths:
         a = [rng.randrange(p) for _ in range(length)]
         b = [rng.randrange(-p, p) for _ in range(length + 1)]
+        residues = [x % p for x in b]
         for n in (length, 2 * length + 2):
-            assert kernels.convolve_mod(a, b, n, p) == schoolbook_mul(a, b, n, p)
+            assert kernels.convolve_mod(a, residues, n, p) == schoolbook_mul(a, b, n, p)
+            assert [c % p for c in kernels.convolve(a, b, n)] == schoolbook_mul(a, b, n, p)
     length = kernels._TWO_POINT_BYTES
     zeros, small = [0] * length, [rng.randint(-63, 63) for _ in range(length)]
     assert slot_width(zeros, small) == 1
     assert kernels.convolve(zeros, small, length + 1) == [0] * (length + 1)
     assert kernels.convolve(small, zeros, 2 * length) == [0] * (2 * length)
+
+
+# (p, length): all-(p - 1) operands of this length put (p - 1)**2 * length in
+# every unsigned slot width, one point below _TWO_POINT_BYTES and two points
+# from it; 1 * 255, 130**2 * 3 and 65520**2 set the top bit of a 1-, 2- and 4-byte word
+RESIDUE_SLOT_CASES = [
+    (2, 1), (2, 255), (3, 63), (5, 15),  # 1 byte
+    (2, 256), (131, 3), (17, 255), (3, 600), (2, 1100),  # 2 bytes
+    (257, 1), (65521, 1), (257, 300),  # 4 bytes
+    (65537, 1), (2**31 + 11, 3), (65537, 200),  # 8 bytes
+    (2**31 + 11, 130), (2**61 - 1, 16), (2**61 - 1, 100), (2**63 + 29, 7),  # bytes
+    (2**63 + 29, 64), (2**64 - 59, 1), (2**64 - 59, 80), (2**89 - 1, 5), (2**89 - 1, 300),
+]
+
+
+def residue_slot_width(p, length):
+    return kernels._width(((p - 1) ** 2 * length).bit_length())
+
+
+def test_residue_slots_cover_each_width_about_the_size_rule():
+    """RESIDUE_SLOT_CASES reach every unsigned width on each side of the rule a width allows."""
+    widths = [(residue_slot_width(p, k), k) for p, k in RESIDUE_SLOT_CASES]
+    seen = {(w, w * k >= kernels._TWO_POINT_BYTES) for w, k in widths}
+    words = {(1, False)} | {(w, big) for w in (2, 4, 8) for big in (False, True)}  # 1 * 1024 > 255
+    assert {(w, big) for w, big in seen if w <= 8} == words
+    assert {big for w, big in seen if w > 8} == {False, True}
+    assert residue_slot_width(2, 255) == 1 and 255 >= 2**7  # each word's top bit is set
+    assert residue_slot_width(131, 3) == 2 and 130**2 * 3 >= 2**15
+    assert residue_slot_width(65521, 1) == 4 and 65520**2 >= 2**31
+
+
+@pytest.mark.parametrize("p, length", RESIDUE_SLOT_CASES)
+def test_all_p_minus_1_operands_fill_unsigned_slots(p, length):
+    """The square of f = (p - 1)(1 + T + ... + T**(k-1)) is sum of min(j + 1, 2k - 1 - j) * T**j mod p.
+
+    (p - 1)**2 = 1 mod p.  The coefficient of T**(k-1) is (p - 1)**2 * k
+    over the integers, the largest value a slot sized from p must hold.
+    """
+    ones = [p - 1] * length
+    n = 2 * length + 1
+    expect = [max(min(j + 1, 2 * length - 1 - j), 0) % p for j in range(n)]
+    assert kernels.convolve_mod(ones, ones, n, p) == expect
+    assert kernels.convolve_mod(ones, ones, length, p) == expect[:length]
+    if length <= 100:
+        g = [0] + ones[1:]
+        assert kernels.compose(ones, g, length, p) == schoolbook_compose(ones, g, length, p)
 
 
 @pytest.mark.parametrize("width, top", TWO_POINT_CASES + [(1, 0)])

@@ -3,17 +3,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicore import (
     QQ,
     DivisionByZeroError,
     DomainError,
     FieldMismatchError,
+    FpElement,
     LaurentSeries,
     PowerSeries,
     PrimeFieldCoefficients,
     RPower,
 )
+from padicore.textforms import parse_series, series_from_json
 from helpers import (
     compose_by_monomials,
     horner_compose_rational,
@@ -349,3 +353,53 @@ def test_a_bool_coefficient_is_refused():
         with pytest.raises(DomainError, match="cannot coerce True"):
             PowerSeries(field, [True, 1], 3)
         assert PowerSeries(field, [1, 1], 3).coeffs == PowerSeries(field, [Fraction(1), 1], 3).coeffs
+
+
+# ------------------------------------------------ the GF(p) residue invariant
+
+
+RESIDUE_PRIMES = [2, 3, 5, 131, 65537, 2**61 - 1, 2**64 - 59]
+
+
+def _raw_values(s):
+    if isinstance(s, LaurentSeries):
+        return () if s.is_zero else s.unit.coeffs
+    return s.coeffs
+
+
+@st.composite
+def unreduced_coefficients(draw, p, min_size=0, max_size=12):
+    """Representatives of GF(p) values: negative ints, ints from p up, FpElements, integral Fractions."""
+    x = st.integers(min_value=-3 * p, max_value=3 * p)
+    coefficient = st.one_of(x, x.map(lambda v: FpElement(v, p)), x.map(Fraction))
+    return draw(st.lists(coefficient, min_size=min_size, max_size=max_size))
+
+
+@settings(max_examples=150)
+@given(st.data(), st.sampled_from(RESIDUE_PRIMES))
+def test_gfp_series_store_residues(data, p):
+    """Every GF(p) series holds ints in [0, p): ``_kernels.convolve_mod`` sizes its slots on that."""
+    field = PrimeFieldCoefficients(p)
+    fs = data.draw(unreduced_coefficients(p, min_size=1))
+    gs = data.draw(unreduced_coefficients(p))
+    n = len(fs)
+    tail = data.draw(st.integers(min_value=-3, max_value=3))
+    f, g = PowerSeries(field, fs, n), PowerSeries(field, gs, n)
+    h = PowerSeries(field, [0] + gs[1:], n)
+    ints = [int(c) for c in fs]
+    text = " + ".join(f"{c}*T^{e}" for e, c in enumerate(ints)) + f" + O(T^{n})"
+    scalar = data.draw(st.integers(min_value=-3 * p, max_value=3 * p))
+    cut = data.draw(st.integers(min_value=0, max_value=n))
+    as_json = {"field": {"Fp": p}, "order_prec": n, "coeffs": ints}
+    results = [f, g, h, f + g, f - g, -f, f * g, f.scale(scalar), f.truncate(cut), f.derive()]
+    results += [f.compose(h), h.invert_one_minus()]
+    results += [series_from_json(as_json), series_from_json({**as_json, "tail_valuation": tail})]
+    results.append(parse_series(text, field))
+    laurent, other = LaurentSeries(field, fs, tail, n), LaurentSeries(field, gs, tail)
+    results += [laurent, other, laurent + other, laurent - other, -laurent, laurent * other]
+    if not laurent.is_zero:
+        results.append(laurent.invert())
+    if f.coeffs[0]:
+        results.append(f._inverse())
+    for s in results:
+        assert all(type(c) is int and 0 <= c < p for c in _raw_values(s)), s
