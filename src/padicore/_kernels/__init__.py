@@ -125,13 +125,16 @@ def _unpack(v, m, width, bias):
     return words.tolist()
 
 
-def convolve(a, b, n, p=None):
+def convolve(a, b, n, p=None, reduced=True):
     """First n coefficients of the product of integer polynomials a and b, mod p if given.
 
     Over the integers a and b may hold any ints; their largest magnitudes
     size signed slots.  With p given, a and b must be residues in [0, p),
     as every GF(p) series coefficient is: the unsigned slots are sized
-    from p and the shorter length alone, and the output is reduced mod p.
+    from p and the shorter length alone, and the output is reduced mod p,
+    unless reduced is false: then each coefficient is the exact sum of
+    products, below (p - 1)**2 * min(len a, len b), for a caller that
+    adds to it before reducing.
     """
     a, b = a[:n], b[:n]
     if not a or not b:
@@ -153,7 +156,7 @@ def convolve(a, b, n, p=None):
         out = [0] * n
         out[0::2] = _unpack((plus + minus) >> 1, (n + 1) // 2, width, bias)
         out[1::2] = _unpack((plus - minus) >> (s + 1), n // 2, width, bias)
-    return out if p is None else [c % p for c in out]
+    return out if p is None or not reduced else [c % p for c in out]
 
 
 def convolve_mod(a, b, n, p):
@@ -205,7 +208,7 @@ def compose(f, g, n, p=None, d=1):
         if acc is None:
             scale = dpowers[len(part)]  # the power of d the next chunk carries beyond acc
         else:
-            chunk = [scale * c + s for c, s in zip(chunk, convolve(acc, powers[m], keep, p))]
+            chunk = [scale * c + s for c, s in zip(chunk, convolve(acc, powers[m], keep, p, False))]
             scale *= dpowers[m]
         acc = reduce(chunk)
     return acc

@@ -19,15 +19,22 @@ Gerhard, Modern Computer Algebra, ch. 9).  The loop runs on the
 the coefficients of f and f' are read once, and each step is Horner's
 rule on them and the update under the part functions of ``Padic``'s own
 operators, so the parts are those the same loop on ``Padic`` values
-would give, and a ``Padic`` is built only for the root.  Each iterate, y
-included, is lifted to more digits than the data carry, so only the
-coefficients and z bring uncertainty.  Each step gains at least
-gap = t_exp + mu2 - v(f'(x0)) >= 1 digits.  When the residual
-r = f(x) - z is zero to its precision, the isometry gives
-v(x - root) >= r.abs_prec - v(f'(x0)), and that is the precision
-returned: what the certificate proves from the data.  The contraction
-map of the paper, x -> x0 + f'(x0)**-1 * (z - f(x0) - g0(x)) with
-g0(x) = f(x) - f(x0) - f'(x0) * (x - x0), is the oracle in the tests.
+would give, and a ``Padic`` is built only for the root.  Each step gains
+at least gap = t_exp + mu2 - v(f'(x0)) >= 1 digits, and from d correct
+digits it reaches 2d - (t_exp - gap), so the steps run at doubling
+precision: up the ladder n, n//2 + 1, n//4 + 1, ... of
+``intmath.doubling_ladder``, read from the digits x0 holds, each step
+truncates x and y to the digits it can gain, and the part functions
+reduce every product and sum to the less precise operand.  Only the top
+rung runs at full precision, where the iterate carries more digits than
+the data, so only the coefficients and z bring uncertainty.  When the
+residual r = f(x) - z is zero to its precision there (or, below it, to
+a precision the data set, not x, which is the full-precision residual
+too), the isometry gives v(x - root) >= r.abs_prec - v(f'(x0)), and that
+is the precision returned: what the certificate proves from the data.
+The contraction map of the paper, x -> x0 + f'(x0)**-1 * (z - f(x0) -
+g0(x)) with g0(x) = f(x) - f(x0) - f'(x0) * (x - x0), is the oracle in
+the tests.
 
 Derived conveniences: square roots, n-th roots prime to p, Teichmuller
 lifts, and the image of a ball as a clopen set.  Every point of a ball
@@ -50,6 +57,7 @@ digits as f's coefficients can use, so it never bounds an answer.
 
 import math
 from collections import namedtuple
+from itertools import chain, repeat
 
 from .analytic import PadicPolynomial, _exact_argument, _horner, lipschitz_bound, quadratic_bound
 from .errors import (
@@ -59,7 +67,7 @@ from .errors import (
     IndeterminateConditionError,
     NoRootError,
 )
-from .intmath import newton_lift, power_prints, root_mod, str_digit_limit
+from .intmath import doubling_ladder, newton_lift, power_prints, root_mod, str_digit_limit
 from .padics import (
     Padic,
     _add_parts,
@@ -164,8 +172,10 @@ def solve(problem, z):
     """The unique x in the certified ball with f(x) = z, to the proven precision.
 
     Requires v(z - f(x0)) >= v(f'(x0)) + t_exp (z in the image ball).
-    The result is known to r.abs_prec - v(f'(x0)), where r = f(x) - z is
-    the residual at the final exact iterate.
+    Newton's method at doubling precision: each step works to the digits
+    it can gain, and only the top rung runs at full precision.  The
+    result is known to r.abs_prec - v(f'(x0)), where r = f(x) - z is the
+    full-precision residual at the final exact iterate.
     """
     f = problem.f
     if not isinstance(z, Padic):
@@ -178,33 +188,56 @@ def solve(problem, z):
             f"right-hand side outside the image ball: v(z - f(x0)) = "
             f"{shift.valuation_bound} < {problem.target_valuation()}"
         )
-    vfp = problem.report.derivative_valuation
-    # iterates carry `work` digits, more than any Horner term of valuation
-    # >= low or the answer (z.abs_prec - vfp <= work digits) can use
+    vfp, gap, x0 = problem.report.derivative_valuation, problem.report.gap, problem.x0
+    # the residual never passes z.abs_prec, which x at `work` digits reaches:
+    # x at prec digits bounds every Horner term, of valuation >= low, only
+    # at prec + low or deeper, and the step then delivers prec + low - vfp
     low = min([0] + [c.valuation_bound + j * min(problem.m, 0) for j, c in enumerate(f.coeffs)])
     work = z.abs_prec - low
+    # the ladder: x0 holds d0 digits, v(z - f(x0)) = vfp + d0 by the
+    # isometry, and a step from d digits reaches 2d - lag, lag = t_exp - gap,
+    # so w = d - lag + 1 goes to 2w - 1, from w >= gap + 1 >= 2; the rung
+    # that delivers d digits truncates x to d + vfp - low.  The top rung is
+    # one past what the residual can reach when f(x0) shows the data bound
+    # it, which every x in the ball shares when all have the valuation of x0
+    top = work
+    if x0.valuation_bound < problem.t_exp and problem.f_x0.abs_prec < x0.abs_prec + low:
+        top = min(work, shift.abs_prec - low + 1)
+    if gap == math.inf:  # f linear in effect: one step lands
+        rungs = [top]
+    else:
+        lag = problem.t_exp - gap
+        lift = vfp - low + lag - 1  # the rung of w is w + lift
+        d0 = shift.valuation_bound - vfp
+        rungs = [w + lift for w in doubling_ladder(d0 - lag + 1, top - lift, gap)]
     # the loop runs on (v, unit, rel) parts; y ~ f'(x)**-1, exact like x;
     # its Newton update y * (2 - f'(x) * y) needs no inversion, and two is
     # exact to `work` digits (p**1 * 1 at p = 2)
     p, digits = f.p, max(work, 1)
     fc = [(c.v, c.unit, c.rel) for c in f.coeffs]
     dc = [(c.v, c.unit, c.rel) for c in problem.fprime.coeffs]
-    x0, y = problem.x0, problem.fprime_x0.invert()
+    y = problem.fprime_x0.invert()
     x, y, z = (x0.v, x0.unit, x0.rel), (y.v, y.unit, y.rel), (z.v, z.unit, z.rel)
     two = (1, 1, digits) if p == 2 else (0, 2, digits)
-    for step in range(max(work - problem.t_exp, 0) + 2):  # gap >= 1 digit a step
-        x = _exact_parts(p, x, work)
+    # step k truncates x to the rung's prec digits and y to prec - vfp; the
+    # top rung checks the residual, and repeats at full precision, each
+    # step gaining gap digits, should data known to few digits slow it
+    steps = chain(rungs, [top], repeat(work, max(work - problem.t_exp, 0) + 2))
+    for step, prec in enumerate(steps):
+        x = _exact_parts(p, x, prec)
         fx = fc.copy()
         _horner(p, fx, x, 0)
         r = _add_parts(p, fx[0], z, -1)
-        if not r[1]:
+        # a zero short of what x at prec digits allows is what the data
+        # allow, as at full precision
+        if not r[1] and (r[0] < prec + low or prec == work):
             root = _padic(p, *x)
             assert (root - x0).valuation_bound >= problem.t_exp
             return root.truncate(r[0] - vfp)  # r = O(p**r[0])
         if step:
             dx = dc.copy()
             _horner(p, dx, x, 0)
-            y = _exact_parts(p, y, work - vfp)
+            y = _exact_parts(p, y, prec - vfp)
             y = _mul_parts(p, y, _add_parts(p, two, _mul_parts(p, dx[0], y), -1))
         x = _add_parts(p, x, _mul_parts(p, r, y), -1)
     raise AssertionError("Newton iteration failed to settle; internal invariant broken")

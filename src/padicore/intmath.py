@@ -34,22 +34,47 @@ def inv_mod(a, m):
         raise DivisionByZeroError(f"{a} is not invertible modulo {m}") from None
 
 
+def doubling_ladder(start, n, gain=1):
+    """The precisions of a Newton lift from start to n, in increasing order.
+
+    They are n, n//2 + 1, n//4 + 1, ... above start, read from the
+    bottom: each k is at most 2m - 1, m the one before it (start for the
+    first), so a step that takes what is correct to m digits to what is
+    correct to 2m - 1 reaches each rung from the one below.  A step known
+    to gain at least `gain` digits, gain < start, rises at least that far:
+    a rung that m + gain passes is skipped, and one short of it raised
+    (m + gain <= 2m - 1 still).  Empty when start >= n.  A step from one
+    digit reaches 2m - 1 = 1 digit and gains nothing, so start must be at
+    least 2: a caller that knows one digit takes its first step itself,
+    or counts its digits from a shifted origin where the start is at
+    least 2, as hensel.solve does.
+    """
+    if start < 2:  # n//2 + 1 never falls below 2, so the ladder would not end
+        raise ValueError(f"a doubling ladder needs start >= 2, got {start}")
+    ks = []
+    while n > start:
+        ks.append(n)
+        n = n // 2 + 1
+    if gain <= 1:  # each rung already rises by a digit or more
+        return ks[::-1]
+    rungs, m = [], start
+    for i in reversed(range(len(ks))):  # ks[i - 1] is the rung above ks[i]
+        if i and ks[i - 1] <= m + gain:
+            continue
+        m = max(ks[i], m + gain) if i else ks[i]
+        rungs.append(m)
+    return rungs
+
+
 def newton_lift(step, x, start, n):
     """Newton's method on integers mod p**k, doubling the precision k.
 
     x is correct mod p**start, with start >= 2, and step(x, k) takes an x
     correct mod p**m, for any m with 2m - 1 >= k, to one correct mod
-    p**k.  The steps run at n, n//2 + 1, n//4 + 1, ... read from the
-    bottom, so each needs only what the one before delivers, and the
-    result is correct mod p**n.
+    p**k.  The steps run up doubling_ladder(start, n), so each needs only
+    what the one before delivers, and the result is correct mod p**n.
     """
-    if start < 2:  # n//2 + 1 never falls below 2, so the schedule would not end
-        raise ValueError(f"newton_lift needs start >= 2, got {start}")
-    ks = []
-    while n > start:
-        ks.append(n)
-        n = n // 2 + 1
-    for k in reversed(ks):
+    for k in doubling_ladder(start, n):
         x = step(x, k)
     return x
 

@@ -31,7 +31,7 @@ from padicore.errors import (
     IndeterminateConditionError,
 )
 from padicore import hensel
-from padicore.intmath import newton_lift, root_mod
+from padicore.intmath import doubling_ladder, newton_lift, root_mod
 from helpers import (
     best_time,
     brute_force_root,
@@ -209,6 +209,47 @@ def test_newton_route_agrees(monkeypatch):
         gap = problem.report.gap
         assert steps <= (1 if gap == math.inf else max(1, -(-z.abs_prec // gap)))
     assert seen == {-2, 0, 1, 2}
+
+
+def _unit_root_oracle(u, n):
+    """The root that sqrt(u) or nth_root(u, n) should give: the inverting
+    Newton oracle on x**n - u, the problem those calls solve, from the
+    least root mod p (from 1 with t_exp = 2 for 2-adic square roots)."""
+    p, N = u.p, u.abs_prec
+    seed, t_exp = (1, 2) if p == n == 2 else (root_mod(u.residue(1).value, n, p), 1)
+    f = PadicPolynomial(p, [-u] + [Padic.zero(p, N)] * (n - 1) + [Padic.from_int(1, p, N)])
+    problem = HenselProblem(f, Padic.from_int(seed, p, N), m=0, t_exp=t_exp)
+    return inverting_newton_solve(problem, Padic.zero(p, N))[0]
+
+
+@pytest.mark.parametrize("N", [256, 1024])
+@pytest.mark.parametrize("p", [2, 7, 65537])
+def test_doubling_precision_at_large_n(p, N):
+    """solve, sqrt and nth_root well past the step counts of small N: the
+    root satisfies its equation mod p**N, its precision is what the
+    certificate proves (N - v(f'(x0)), N - 1 for 2-adic square roots),
+    and its parts are the inverting Newton oracle's, which steps at full
+    precision."""
+    rng = rng_for(f"large-n-{p}-{N}")
+    q = p**N
+    s = rng.randrange(q)
+    s += s % p == 0
+    for n in (2, 3, 5):
+        if n % p == 0 and n != 2:
+            continue
+        u = Padic.from_int(pow(s, n, q), p, N)
+        x = sqrt(u) if n == 2 else nth_root(u, n)
+        k = N - 1 if p == 2 and n == 2 else N
+        assert x.abs_prec == k
+        assert pow(x.residue(k).value, n, p**k) == u.residue(k).value
+        assert parts(x) == parts(_unit_root_oracle(u, n))
+    problem, z = _certified_cubic(rng, p, N)
+    x = solve(problem, z)
+    assert x.abs_prec == N - problem.report.derivative_valuation
+    coeffs = [c.residue(N).value for c in problem.f.coeffs]
+    xv = x.residue(x.abs_prec).value
+    assert sum(c * pow(xv, j, q) for j, c in enumerate(coeffs)) % q == z.residue(N).value
+    assert parts(x) == parts(inverting_newton_solve(problem, z)[0])
 
 
 def _random_certified(rng):
@@ -609,6 +650,27 @@ def test_newton_lift_rejects_a_start_below_two():
     ks = []
     assert newton_lift(lambda x, k: ks.append(k) or x, 1, 2, 10) == 1
     assert ks == [3, 4, 6, 10]
+
+
+def test_doubling_ladder_rungs():
+    """Each rung is reachable from the one below (k <= 2m - 1), rises by at
+    least the gain unless it is the top, and the ladder ends at n; with
+    gain 1 it is the plain n, n//2 + 1, ... schedule, and a larger gain
+    never adds a rung."""
+    for start in range(2, 12):
+        for n in range(200):
+            plain, k = [], n
+            while k > start:
+                plain.append(k)
+                k = k // 2 + 1
+            assert doubling_ladder(start, n) == plain[::-1]
+            for gain in range(1, start):
+                rungs = doubling_ladder(start, n, gain)
+                assert len(rungs) <= len(plain) and rungs[-1:] == plain[:1]
+                m = start
+                for k in rungs:
+                    assert m + min(gain, n - m) <= k <= 2 * m - 1
+                    m = k
 
 
 def test_teichmuller_examples():
