@@ -27,7 +27,9 @@ precision: up the ladder n, n//2 + 1, n//4 + 1, ... of
 truncates x and y to the digits it can gain, and the part functions
 reduce every product and sum to the less precise operand.  Only the top
 rung runs at full precision, where the iterate carries more digits than
-the data, so only the coefficients and z bring uncertainty.  When the
+the data, so only the coefficients and z bring uncertainty.  A linear f,
+and a p**n of at most _LADDER_BITS bits, where a product costs about the
+same at any precision, take every step on the top rung.  When the
 residual r = f(x) - z is zero to its precision there (or, below it, to
 a precision the data set, not x, which is the full-precision residual
 too), the isometry gives v(x - root) >= r.abs_prec - v(f'(x0)), and that
@@ -77,6 +79,12 @@ from .padics import (
     _read_exact,
     _read_int,
 )
+
+
+# solve climbs its precision ladder only when p**work passes this many
+# bits: below it a product of integers costs about the same at any size,
+# and the rungs would not repay their set-up.
+_LADDER_BITS = 128
 
 
 class ConditionReport(
@@ -173,7 +181,8 @@ def solve(problem, z):
 
     Requires v(z - f(x0)) >= v(f'(x0)) + t_exp (z in the image ball).
     Newton's method at doubling precision: each step works to the digits
-    it can gain, and only the top rung runs at full precision.  The
+    it can gain, and only the top rung runs at full precision (every step,
+    for a linear f or a p**work of at most _LADDER_BITS bits).  The
     result is known to r.abs_prec - v(f'(x0)), where r = f(x) - z is the
     full-precision residual at the final exact iterate.
     """
@@ -194,22 +203,6 @@ def solve(problem, z):
     # at prec + low or deeper, and the step then delivers prec + low - vfp
     low = min([0] + [c.valuation_bound + j * min(problem.m, 0) for j, c in enumerate(f.coeffs)])
     work = z.abs_prec - low
-    # the ladder: x0 holds d0 digits, v(z - f(x0)) = vfp + d0 by the
-    # isometry, and a step from d digits reaches 2d - lag, lag = t_exp - gap,
-    # so w = d - lag + 1 goes to 2w - 1, from w >= gap + 1 >= 2; the rung
-    # that delivers d digits truncates x to d + vfp - low.  The top rung is
-    # one past what the residual can reach when f(x0) shows the data bound
-    # it, which every x in the ball shares when all have the valuation of x0
-    top = work
-    if x0.valuation_bound < problem.t_exp and problem.f_x0.abs_prec < x0.abs_prec + low:
-        top = min(work, shift.abs_prec - low + 1)
-    if gap == math.inf:  # f linear in effect: one step lands
-        rungs = [top]
-    else:
-        lag = problem.t_exp - gap
-        lift = vfp - low + lag - 1  # the rung of w is w + lift
-        d0 = shift.valuation_bound - vfp
-        rungs = [w + lift for w in doubling_ladder(d0 - lag + 1, top - lift, gap)]
     # the loop runs on (v, unit, rel) parts; y ~ f'(x)**-1, exact like x;
     # its Newton update y * (2 - f'(x) * y) needs no inversion, and two is
     # exact to `work` digits (p**1 * 1 at p = 2)
@@ -219,10 +212,28 @@ def solve(problem, z):
     y = problem.fprime_x0.invert()
     x, y, z = (x0.v, x0.unit, x0.rel), (y.v, y.unit, y.rel), (z.v, z.unit, z.rel)
     two = (1, 1, digits) if p == 2 else (0, 2, digits)
-    # step k truncates x to the rung's prec digits and y to prec - vfp; the
-    # top rung checks the residual, and repeats at full precision, each
-    # step gaining gap digits, should data known to few digits slow it
-    steps = chain(rungs, [top], repeat(work, max(work - problem.t_exp, 0) + 2))
+    # step k truncates x to its rung's prec digits and y to prec - vfp.  The
+    # top rung, where the steps end, repeats until the residual certifies,
+    # each step gaining gap >= 1 digits.  After a ladder one step there
+    # certified every problem tried.  A linear f takes all its steps there:
+    # more than one when a coefficient known to few digits bounds f(x0) and
+    # f'(x0), so y carries few digits, and later iterates, of the root's
+    # valuation, let the residual reach further than the step from x0 did
+    top, bound = work, max(work - problem.t_exp, 0) + 2
+    steps = repeat(top, bound)
+    if work * p.bit_length() > _LADDER_BITS and gap != math.inf:
+        # the ladder: x0 holds d0 digits, v(z - f(x0)) = vfp + d0 by the
+        # isometry, and a step from d digits reaches 2d - lag, lag = t_exp - gap,
+        # so w = d - lag + 1 goes to 2w - 1, from w >= gap + 1 >= 2; the rung
+        # that delivers d digits truncates x to d + vfp - low.  The top rung is
+        # one past what the residual can reach when f(x0) shows the data bound
+        # it, which every x in the ball shares when all have the valuation of x0
+        if x0.valuation_bound < problem.t_exp and problem.f_x0.abs_prec < x0.abs_prec + low:
+            top = min(work, shift.abs_prec - low + 1)
+        lag = problem.t_exp - gap
+        lift = vfp - low + lag - 1  # the rung of w is w + lift
+        rungs = doubling_ladder(shift.valuation_bound - vfp - lag + 1, top - lift, gap)
+        steps = chain(map(lift.__add__, rungs), repeat(top, bound))
     for step, prec in enumerate(steps):
         x = _exact_parts(p, x, prec)
         fx = fc.copy()
@@ -230,7 +241,7 @@ def solve(problem, z):
         r = _add_parts(p, fx[0], z, -1)
         # a zero short of what x at prec digits allows is what the data
         # allow, as at full precision
-        if not r[1] and (r[0] < prec + low or prec == work):
+        if not r[1] and (r[0] < prec + low or prec == top):
             root = _padic(p, *x)
             assert (root - x0).valuation_bound >= problem.t_exp
             return root.truncate(r[0] - vfp)  # r = O(p**r[0])

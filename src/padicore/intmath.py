@@ -41,9 +41,10 @@ def doubling_ladder(start, n, gain=1):
     bottom: each k is at most 2m - 1, m the one before it (start for the
     first), so a step that takes what is correct to m digits to what is
     correct to 2m - 1 reaches each rung from the one below.  A step known
-    to gain at least `gain` digits, gain < start, rises at least that far:
-    a rung that m + gain passes is skipped, and one short of it raised
-    (m + gain <= 2m - 1 still).  Empty when start >= n.  A step from one
+    to gain at least `gain` digits, 1 <= gain < start, rises at least that
+    far: a rung below m + gain is raised to it, which is still at most
+    2m - 1 and below the rung above, so no rung is passed.  Empty when
+    start >= n.  A step from one
     digit reaches 2m - 1 = 1 digit and gains nothing, so start must be at
     least 2: a caller that knows one digit takes its first step itself,
     or counts its digits from a shifted origin where the start is at
@@ -51,19 +52,20 @@ def doubling_ladder(start, n, gain=1):
     """
     if start < 2:  # n//2 + 1 never falls below 2, so the ladder would not end
         raise ValueError(f"a doubling ladder needs start >= 2, got {start}")
+    if gain >= start:
+        raise ValueError(f"a doubling ladder needs gain < start, got {gain} >= {start}")
     ks = []
     while n > start:
         ks.append(n)
         n = n // 2 + 1
-    if gain <= 1:  # each rung already rises by a digit or more
-        return ks[::-1]
-    rungs, m = [], start
-    for i in reversed(range(len(ks))):  # ks[i - 1] is the rung above ks[i]
-        if i and ks[i - 1] <= m + gain:
-            continue
-        m = max(ks[i], m + gain) if i else ks[i]
-        rungs.append(m)
-    return rungs
+    ks.reverse()
+    # once a rung k is not raised, none above it is: k + gain <= 2k - 2,
+    # at most the rung above, as gain < start < k
+    i, m = 0, start + gain
+    while i < len(ks) - 1 and ks[i] < m:  # the top, n, is never raised
+        ks[i] = m
+        i, m = i + 1, m + gain
+    return ks
 
 
 def newton_lift(step, x, start, n):

@@ -318,6 +318,19 @@ def test_lifted_inverse_agrees_with_inverting_newton(monkeypatch):
     assert all(any(case[i] for case in seen) for i in range(5))
 
 
+
+@pytest.mark.parametrize(
+    "route",
+    [test_newton_route_agrees, test_lifted_inverse_agrees_with_inverting_newton],
+    ids=["fixed-point", "inverting-newton"],
+)
+def test_ladder_at_every_size_agrees(monkeypatch, route):
+    """The two oracle tests above with solve's precision ladder taken at
+    every size of p**work: their problems are mostly below _LADDER_BITS,
+    where solve steps at full precision."""
+    monkeypatch.setattr(hensel, "_LADDER_BITS", 0)
+    route(monkeypatch)
+
 @pytest.mark.parametrize("p", [2, 3, 7, 101])
 def test_inverse_update_has_the_parts_of_the_two_subtraction_form(p):
     """solve's y * (2 - a*y), with 2 exact to `work` digits, has the parts of
@@ -655,9 +668,11 @@ def test_newton_lift_rejects_a_start_below_two():
 def test_doubling_ladder_rungs():
     """Each rung is reachable from the one below (k <= 2m - 1), rises by at
     least the gain unless it is the top, and the ladder ends at n; with
-    gain 1 it is the plain n, n//2 + 1, ... schedule, and a larger gain
-    never adds a rung."""
+    gain 1 it is the plain n, n//2 + 1, ... schedule, a larger gain only
+    raises its rungs, and a gain of start or more is refused."""
     for start in range(2, 12):
+        with pytest.raises(ValueError):
+            doubling_ladder(start, 100, start)
         for n in range(200):
             plain, k = [], n
             while k > start:
@@ -666,7 +681,7 @@ def test_doubling_ladder_rungs():
             assert doubling_ladder(start, n) == plain[::-1]
             for gain in range(1, start):
                 rungs = doubling_ladder(start, n, gain)
-                assert len(rungs) <= len(plain) and rungs[-1:] == plain[:1]
+                assert len(rungs) == len(plain) and rungs[-1:] == plain[:1]
                 m = start
                 for k in rungs:
                     assert m + min(gain, n - m) <= k <= 2 * m - 1
