@@ -48,8 +48,9 @@ _EXPORTS = {
         "sqrt",
         "teichmuller",
     ),
+    "intmath": ("DEFAULT_PRECISION_CAP",),
     "measure": ("Ball", "ClopenSet", "residue_count"),
-    "padics": ("DEFAULT_PRECISION_CAP", "Padic", "ResidueClass"),
+    "padics": ("Padic", "ResidueClass"),
     "plog": ("isometry_threshold", "log1p", "log_inverse", "log_series_polynomial"),
     "primefield": ("FpElement",),
     "series": ("QQ", "LaurentSeries", "PowerSeries", "PrimeFieldCoefficients", "RPower"),

@@ -13,6 +13,12 @@ _MR_BOUND = 3317044064679887385961981
 # check_prime remembers this many of the moduli it passed most recently.
 _PRIME_CACHE_SIZE = 256
 
+# The precision, in digits, of an exact number read with none given, and
+# the largest --prec the CLI takes unless PADICORE_PREC_CAP sets another.
+# It lives here so that the text forms and the CLI read it without loading
+# padics, which re-exports it.
+DEFAULT_PRECISION_CAP = 64
+
 
 def int_valuation(n, p):
     """Largest e with p**e dividing n, for nonzero integer n."""

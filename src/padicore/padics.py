@@ -47,9 +47,14 @@ from .errors import (
     PrecisionError,
     PrimeMismatchError,
 )
-from .intmath import check_prime, int_valuation, inv_mod, power_prints, str_digit_limit
-
-DEFAULT_PRECISION_CAP = 64
+from .intmath import (
+    DEFAULT_PRECISION_CAP,
+    check_prime,
+    int_valuation,
+    inv_mod,
+    power_prints,
+    str_digit_limit,
+)
 
 
 class Padic:

@@ -26,7 +26,6 @@ from functools import reduce
 
 from .errors import DomainError, EnumerationGuardError, PrimeMismatchError
 from .intmath import int_valuation
-from .padics import Padic
 
 _BFS_GUARD = 20
 
@@ -45,12 +44,29 @@ def _abs_exact(value):
     """
     if isinstance(value, Fraction):
         return abs(value)
+    from .padics import Padic
+
     if isinstance(value, Padic):
         if value.is_zero:
             return Fraction(0)
         v = value.valuation()
         return Fraction(value.p) ** (-v)
     raise DomainError(f"unsupported value {value!r}")
+
+
+def _padic_prime(values):
+    """The one prime of p-adic family values, some of which are not
+    rationals; the p-adic core loads only for such a family."""
+    from .padics import Padic
+
+    if all(isinstance(v, Padic) for v in values):
+        primes = {v.p for v in values}
+        if len(primes) != 1:
+            raise PrimeMismatchError("family mixes primes")
+        return primes.pop()
+    if any(type(v) is not int and not isinstance(v, (Fraction, Padic)) for v in values):
+        raise DomainError("family values must be ints, Fractions or Padics")
+    raise DomainError("family mixes rational and p-adic values")
 
 
 class FiniteFamily:
@@ -71,16 +87,9 @@ class FiniteFamily:
             mode = "rational"
             p = None
             values = tuple(Fraction(v) for v in values)
-        elif all(isinstance(v, Padic) for v in values):
-            mode = "padic"
-            primes = {v.p for v in values}
-            if len(primes) != 1:
-                raise PrimeMismatchError("family mixes primes")
-            p = primes.pop()
-        elif any(type(v) is not int and not isinstance(v, (Fraction, Padic)) for v in values):
-            raise DomainError("family values must be ints, Fractions or Padics")
         else:
-            raise DomainError("family mixes rational and p-adic values")
+            mode = "padic"
+            p = _padic_prime(values)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mode", mode)

@@ -229,7 +229,7 @@ def argvs():
     out = []
     for i in range(ROUNDS):
         rng = random.Random(SEED + i)
-        for group, (_, subcommands, _, _) in cli._GROUPS.items():
+        for group, (_, subcommands) in cli._GROUPS.items():
             for sub in subcommands:
                 for fmt in FORMATS:
                     out.append([group, sub, *_DRAW[group](rng, sub), "--format", fmt])

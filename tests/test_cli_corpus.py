@@ -22,7 +22,7 @@ def test_cli_output_matches_the_corpus(monkeypatch):
 def test_the_corpus_covers_every_subcommand_in_both_formats():
     argvs = cli_corpus.argvs()
     covered = {(argv[0], argv[1], argv[-1]) for argv in argvs}
-    for group, (_, subcommands, _, _) in cli._GROUPS.items():
+    for group, (_, subcommands) in cli._GROUPS.items():
         for sub in subcommands:
             for fmt in cli_corpus.FORMATS:
                 assert (group, sub, fmt) in covered

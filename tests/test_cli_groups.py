@@ -1,15 +1,16 @@
 """A CLI call loads only the command group it names, and a command builds
 only the parser of its own subcommand.
 
-Checked here: the modules that one command of each group loads, the lazy
-package namespace, the one parser a command builds, and help, usage and
-edge-case output byte-identical to that of the parser with every group
-built.  The last check also runs without pytest, on any interpreter:
+Checked here: the exact modules that every subcommand loads when run
+as ``python -m padicore.cli``, the lazy package namespaces, the one
+parser a command builds, and help, usage and edge-case output
+byte-identical to that of the parser with every group built.  The last check also runs without pytest, on any interpreter:
 
     PYTHONPATH=src python tests/test_cli_groups.py
 """
 
 import argparse
+import functools
 import importlib
 import inspect
 import io
@@ -22,51 +23,91 @@ from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from unittest import mock
 
 import padicore
-from padicore import cli
+from padicore import cli, textforms
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(padicore.__file__)))
 
-_LOADED_AFTER_MAIN = """
-import io, json, sys
+# what a command run as ``python -m padicore.cli`` loads, as runpy runs it
+_LOADED_AFTER_RUN = """
+import io, json, runpy, sys
 from contextlib import redirect_stdout
-from padicore import cli
 with redirect_stdout(io.StringIO()):
-    code = cli.main(sys.argv[1:])
+    try:
+        runpy.run_module("padicore.cli", run_name="__main__")
+    except SystemExit as e:
+        code = e.code
 loaded = [m for m in sys.modules if m in ("dataclasses", "inspect") or m.split(".")[0] == "padicore"]
 print(json.dumps([code, sorted(loaded)]))
 """
 
-# what every command loads
+# what every command loads, beside its group's module padicore.commands.<group>
 BASE_MODULES = {
     "padicore",
-    "padicore.cli",
+    "padicore.commands",
     "padicore.errors",
     "padicore.intmath",
-    "padicore.padics",
     "padicore.textforms",
 }
 
-# one command per group, and the modules it loads beyond BASE_MODULES
-GROUP_MODULES = [
-    (["padic", "add", "--p", "5", "--prec", "4", "1/2", "1/2"], set()),
-    (
-        ["series", "compose", "--field", "q", "1 + T + O(T^3)", "T + O(T^3)"],
-        {"padicore._kernels", "padicore.primefield", "padicore.series"},
-    ),
-    (
-        ["analytic", "eval", "--p", "7", "--prec", "4", "--poly", "x^2+1", "3"],
-        {"padicore.analytic"},
-    ),
-    (
-        ["hensel", "sqrt", "--p", "7", "--prec", "3", "2"],
-        {"padicore.analytic", "padicore.hensel"},
-    ),
-    (
-        ["plog", "log", "--p", "5", "--prec", "3", "5"],
-        {"padicore.analytic", "padicore.plog"},
-    ),
-    (["measure", "count", "--p", "2", "--level", "5"], {"padicore.measure"}),
-    (["sums", "bfs", '{"mode":"rational","values":["1"]}'], {"padicore.sumlab"}),
+# the library and text-form modules of each kind of value
+PADIC = {"padicore.padics", "padicore.textforms.padic"}
+SERIES = {"padicore._kernels", "padicore.primefield", "padicore.series", "padicore.textforms.series"}
+POLYNOMIAL = PADIC | {"padicore.analytic", "padicore.textforms.polynomial"}
+CLOPEN = {"padicore.measure", "padicore.textforms.clopen"}
+FAMILY = {"padicore.sumlab", "padicore.textforms.family"}
+HENSEL = PADIC | {"padicore.analytic", "padicore.hensel"}
+PLOG = PADIC | {"padicore.analytic", "padicore.plog"}
+
+# the text forms each group may read or write
+GROUP_FORMS = {
+    "padic": {"padic"},
+    "series": {"series"},
+    "analytic": {"padic", "polynomial"},
+    "hensel": {"padic", "polynomial"},
+    "plog": {"padic", "polynomial"},
+    "measure": {"clopen"},
+    "sums": {"family", "padic"},
+}
+
+_POLY = ["--p", "7", "--prec", "12", "--poly", "x^2-2", "--x0", "3"]
+_Q = ["--field", "q", "1 + T + O(T^3)"]
+_SET = '{"p":5,"balls":[{"level":2,"center":7}]}'
+_SET2 = '{"p":5,"balls":[{"level":1,"center":2}]}'
+_RATIONAL = '{"mode":"rational","values":["1","-1/2"]}'
+
+# every subcommand, some in both formats, and the modules it loads beyond
+# BASE_MODULES and its group's module
+COMMANDS = [
+    *[(["padic", op, "--p", "5", "--prec", "4", "1/2", "1/3"], PADIC) for op in ("add", "sub", "mul", "div")],
+    (["padic", "add", "--p", "5", "--prec", "4", "--format", "json", "1/2", "1/3"], PADIC),
+    *[(["padic", op, "--p", "5", "--prec", "4", "10"], PADIC) for op in ("invert", "valuation", "digits")],
+    (["padic", "reduce", "--p", "5", "--prec", "4", "--level", "2", "10"], PADIC),
+    *[(["series", op, *_Q, "T + O(T^3)"], SERIES) for op in ("add", "sub", "mul", "compose")],
+    (["series", "mul", "--format", "json", *_Q, "T + O(T^3)"], SERIES),
+    (["series", "derive", "--field", "fp:5", "1 + T + O(T^3)"], SERIES),
+    *[(["series", op, *_Q], SERIES) for op in ("invert", "order", "norm")],
+    *[(["analytic", op, "--p", "7", "--prec", "4", "--poly", "x^2+1", "3"], POLYNOMIAL) for op in ("eval", "recenter")],
+    (["analytic", "bounds", "--p", "7", "--prec", "4", "--poly", "x^2+1"], POLYNOMIAL),
+    (["hensel", "sqrt", "--p", "7", "--prec", "3", "2"], HENSEL),
+    (["hensel", "sqrt", "--p", "7", "--prec", "3", "--format", "json", "2"], HENSEL),
+    (["hensel", "teichmuller", "--p", "7", "--prec", "3", "3"], HENSEL),
+    (["hensel", "nthroot", "--p", "7", "--prec", "3", "--n", "3", "1"], HENSEL),
+    (["hensel", "solve", *_POLY], HENSEL | POLYNOMIAL),
+    (["hensel", "check", *_POLY, "--t", "1"], HENSEL | POLYNOMIAL),
+    (["hensel", "image", *_POLY, "--t", "1", "--level", "3"], HENSEL | POLYNOMIAL | {"padicore.measure"}),
+    *[(["plog", op, "--p", "5", "--prec", "3", "5"], PLOG) for op in ("log", "invert")],
+    (["plog", "poly", "--p", "5", "--prec", "4"], PLOG - {"padicore.textforms.padic"}),
+    (["plog", "poly", "--p", "5", "--prec", "4", "--format", "json"], PLOG | POLYNOMIAL),
+    *[(["measure", op, _SET], CLOPEN) for op in ("measure", "complement")],
+    *[(["measure", op, _SET, _SET2], CLOPEN) for op in ("union", "intersect", "diff")],
+    (["measure", "translate", "--shift", "1", _SET], CLOPEN),
+    (["measure", "split", "--p", "5", '{"level":1,"center":2}'], CLOPEN),
+    (["measure", "count", "--p", "2", "--level", "5"], CLOPEN),
+    (["sums", "bfs", _RATIONAL], FAMILY),
+    (["sums", "bfs", '{"mode":"padic","values":[{"p":5,"valuation":0,"digits":[1],"abs_prec":3}]}'], FAMILY | PADIC),
+    (["sums", "fubini", '{"mode":"rational","rows":[["1","2"],["3","4"]]}'], FAMILY),
+    (["sums", "norms", "--r", "2", _RATIONAL], FAMILY),
+    (["sums", "partition", "--blocks", "[[0],[1]]", _RATIONAL], FAMILY),
 ]
 
 
@@ -83,20 +124,55 @@ def _python(code, *args):
     return proc.stdout
 
 
+@functools.lru_cache(maxsize=None)
+def _loaded(argv):
+    """(exit code, padicore modules loaded) of argv run as python -m padicore.cli."""
+    code, loaded = json.loads(_python(_LOADED_AFTER_RUN, *argv))
+    return code, set(loaded)
+
+
+def test_every_subcommand_has_a_command():
+    assert {tuple(argv[:2]) for argv, _ in COMMANDS} == {
+        (group, sub) for group, (_, subcommands) in cli._GROUPS.items() for sub in subcommands
+    }
+
+
 def test_each_group_loads_only_its_modules():
-    for argv, extra in GROUP_MODULES:
-        code, loaded = json.loads(_python(_LOADED_AFTER_MAIN, *argv))
+    for argv, extra in COMMANDS:
+        code, loaded = _loaded(tuple(argv))
         assert code == 0, argv
         # the value types are namedtuples; dataclasses imports inspect, ast and dis
-        assert not {"dataclasses", "inspect"} & set(loaded), argv
-        assert set(loaded) == BASE_MODULES | extra, argv
+        assert not {"dataclasses", "inspect"} & loaded, argv
+        assert loaded == BASE_MODULES | {f"padicore.commands.{argv[0]}"} | extra, argv
+        forms = {m.rpartition(".")[2] for m in loaded if m.startswith("padicore.textforms.")}
+        assert forms <= GROUP_FORMS[argv[0]], argv
 
 
 def test_padic_commands_load_no_other_group():
-    _, loaded = json.loads(_python(_LOADED_AFTER_MAIN, *GROUP_MODULES[0][0]))
     others = ("series", "hensel", "analytic", "measure", "plog", "sumlab")
-    assert not {f"padicore.{m}" for m in others} & set(loaded)
-    assert "dataclasses" not in loaded
+    for argv, _ in COMMANDS:
+        loaded = _loaded(tuple(argv))[1]
+        assert {m for m in loaded if m.startswith("padicore.commands.")} == {f"padicore.commands.{argv[0]}"}
+        if argv[0] == "padic":
+            assert not {f"padicore.{m}" for m in others} & loaded, argv
+
+
+def test_series_measure_and_rational_sums_load_no_padics():
+    for argv, _ in COMMANDS:
+        if argv[0] in ("series", "measure") or (argv[0] == "sums" and "padic" not in argv[-1]):
+            assert "padicore.padics" not in _loaded(tuple(argv))[1], argv
+
+
+def test_a_command_run_as_main_leaves_no_padicore_cli():
+    """cli.py runs once, as __main__: no module imports padicore.cli."""
+    for argv, _ in COMMANDS:
+        assert "padicore.cli" not in _loaded(tuple(argv))[1], argv
+
+
+def test_help_loads_every_group_but_no_library_module():
+    code, loaded = _loaded(("--help",))
+    assert code == 0
+    assert loaded == BASE_MODULES | {f"padicore.commands.{group}" for group in cli._GROUPS}
 
 
 def test_import_padicore_loads_no_submodule():
@@ -120,6 +196,68 @@ def test_every_public_name_resolves_to_its_home_module():
             assert value.__module__ == home.__name__, name
     assert set(padicore.__all__) <= set(vars(padicore))  # resolved once, then kept
     assert not hasattr(padicore, "no_such_name")
+
+
+# the names that padicore.textforms defines, each in the submodule of its form
+TEXTFORMS_NAMES = {
+    "MAX_NORM_EXPONENT",
+    "MAX_TERMS",
+    "balls_json_items",
+    "check_ball_center",
+    "check_ball_level",
+    "check_term_count",
+    "clopen_to_json",
+    "family_from_json",
+    "family_to_json",
+    "padic_from_json",
+    "padic_to_json",
+    "parse_ball",
+    "parse_blocks",
+    "parse_clopen",
+    "parse_family",
+    "parse_field",
+    "parse_grid",
+    "parse_laurent",
+    "parse_norm_exponent",
+    "parse_padic",
+    "parse_polynomial",
+    "parse_polynomial_rational_coeffs",
+    "parse_ratio",
+    "parse_rational",
+    "parse_series",
+    "polynomial_from_json",
+    "polynomial_to_json",
+    "series_from_json",
+    "series_to_json",
+}
+
+
+def test_import_textforms_loads_no_form():
+    code = "import json, sys, padicore.textforms; print(json.dumps(sorted(m for m in sys.modules if 'padicore' in m)))"
+    assert json.loads(_python(code)) == ["padicore", "padicore.errors", "padicore.intmath", "padicore.textforms"]
+
+
+def test_every_textforms_name_resolves():
+    assert set(textforms.__all__) == TEXTFORMS_NAMES <= set(dir(textforms))
+    namespace = {}
+    exec("from padicore.textforms import *", namespace)
+    assert set(namespace) - {"__builtins__"} == TEXTFORMS_NAMES
+    for name in TEXTFORMS_NAMES:
+        exec(f"from padicore.textforms import {name} as value", namespace)
+        value = getattr(textforms, name)
+        assert namespace["value"] is value is namespace[name], name
+        home = textforms._HOME.get(name)
+        if home is not None:
+            module = importlib.import_module(f"padicore.textforms.{home}")
+            assert getattr(module, name) is value, name
+            assert getattr(value, "__module__", module.__name__) == module.__name__, name
+    assert not hasattr(textforms, "no_such_name")
+
+
+def test_the_precision_cap_is_defined_once():
+    from padicore import intmath, padics
+
+    assert padics.DEFAULT_PRECISION_CAP == padicore.DEFAULT_PRECISION_CAP == intmath.DEFAULT_PRECISION_CAP == 64
 
 
 # ---------------------------------------------------------- help and usage
@@ -172,7 +310,7 @@ def help_and_usage_argvs():
     for every subcommand; group names after the one that runs; and the
     edge argv."""
     argvs = [[], ["--help"], ["nonsense"], ["--nonsense", "padic"]]
-    for group, (_, subcommands, _, _) in cli._GROUPS.items():
+    for group, (_, subcommands) in cli._GROUPS.items():
         argvs += [[group], [group, "--help"], [group, "nonsense"], [group, "--help", *cli._GROUPS]]
         for sub in subcommands:
             argvs += [
@@ -209,7 +347,7 @@ def _each_command_builds_one_parser(monkeypatch):
     monkeypatch.setattr(
         argparse.ArgumentParser, "__init__", lambda self, **kw: built.append(self) or init(self, **kw)
     )
-    for argv, _ in GROUP_MODULES:
+    for argv, _ in COMMANDS:
         built.clear()
         assert run_main(argv)[0] == 0, argv
         assert [(type(p), p.prog) for p in built] == [(cli._Parser, "padicore " + " ".join(argv[:2]))], argv

@@ -16,7 +16,7 @@ from padicore import (
     partition_check,
     sup_le_lr,
 )
-from padicore.errors import DomainError, EnumerationGuardError
+from padicore.errors import DomainError, EnumerationGuardError, PrimeMismatchError
 from helpers import random_padic, rng_for
 
 
@@ -78,6 +78,15 @@ def test_a_bool_family_value_is_refused():
     for values in ([True], [1, False], [0.5]):
         with pytest.raises(DomainError, match="must be ints, Fractions or Padics"):
             FiniteFamily(range(len(values)), values)
+
+
+def test_a_padic_family_has_one_kind_and_one_prime():
+    with pytest.raises(DomainError, match="^family mixes rational and p-adic values$"):
+        FiniteFamily([0, 1], [Fraction(1, 2), Padic.from_int(1, 5, 3)])
+    with pytest.raises(PrimeMismatchError, match="^family mixes primes$"):
+        FiniteFamily([0, 1], [Padic.from_int(1, 5, 3), Padic.from_int(1, 7, 3)])
+    with pytest.raises(DomainError, match="^family values must be ints, Fractions or Padics$"):
+        FiniteFamily([0, 1], [Padic.from_int(1, 5, 3), 0.5])
 
 
 def test_singleton_family_norms():

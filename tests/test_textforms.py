@@ -22,6 +22,7 @@ from padicore import (
 from padicore import textforms as tf
 from padicore.intmath import int_valuation, str_digit_limit
 from padicore.padics import DEFAULT_PRECISION_CAP
+from padicore.textforms.padic import _sum_valuation
 from helpers import parts, random_padic, rng_for
 
 F3 = PrimeFieldCoefficients(3)
@@ -92,7 +93,7 @@ def test_pretty_terms_are_summed_over_the_integers():
         value = sum(Fraction(d) * Fraction(p) ** e for d, e in kept)
         assert parts(x) == parts(Padic.from_rational(value, 1, p, n, cap=n - low))
         total = sum(d * p ** (e - low) for d, e in kept)
-        assert tf._sum_valuation(p, kept) == low + int_valuation(total, p)
+        assert _sum_valuation(p, kept) == low + int_valuation(total, p)
 
 
 def test_padic_operand_must_match_the_given_prime():
