@@ -12,7 +12,10 @@ p, the coefficient j * c_j of parts (v, u, r) is (v + e, u * k mod p**r,
 r), the product of c_j with j exact to r digits, and a zero to precision
 O(p**v) becomes O(p**(v + e)).  An int or Fraction argument is exact:
 it is read to as many digits as Horner's rule on the coefficients can
-use, so it never bounds a result.
+use, so it never bounds a result.  Exact coefficients and arguments are
+recognised as ``padics`` recognises an exact operand: ``int`` itself or a
+Fraction found through ``intmath.is_fraction``, with no import of
+``fractions``; only a ``ValuationGrowthRule`` builds a Fraction here.
 
 Radii are restricted to integer powers of p and handled through their
 exponents.  Real thresholds that fall between value-group elements (the
@@ -34,10 +37,9 @@ lower bound, which can only weaken (never falsify) the guarantees.
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import DomainError, PrimeMismatchError, UnsupportedRuleError
-from .intmath import check_prime, int_valuation
+from .intmath import check_prime, int_valuation, is_fraction
 from .padics import Padic, _add_parts, _mul_parts, _padic, _read_exact
 
 
@@ -56,7 +58,7 @@ class PadicPolynomial:
                     raise PrimeMismatchError("coefficient from a different prime")
                 converted.append(c)
                 literal_zero.append(False)
-            elif type(c) is int or isinstance(c, Fraction):  # a bool is not an int
+            elif type(c) is int or is_fraction(c):  # a bool is not an int
                 converted.append(Padic.from_rational(c, 1, p, abs_prec))
                 literal_zero.append(c == 0)
             else:
@@ -211,6 +213,8 @@ class ValuationGrowthRule(namedtuple("ValuationGrowthRule", "slope logflag offse
     __slots__ = ()
 
     def __new__(cls, slope, logflag=0, offset=0):
+        from fractions import Fraction
+
         slope = Fraction(slope)
         if slope < 0:
             raise UnsupportedRuleError("negative slope is not a supported shape")

@@ -15,11 +15,10 @@ Nothing here imports ``padicore.cli``: ``python -m padicore.cli`` runs
 import json
 import math
 import operator
-from fractions import Fraction
 
 from .. import textforms
 from ..errors import DomainError, ParseError
-from ..intmath import int_prints, str_digit_limit
+from ..intmath import int_prints, is_fraction, str_digit_limit
 
 
 def _check_prec(prec, cap):
@@ -49,12 +48,12 @@ def _field(v):
     """A report field as a JSON value: a rational's checked text, a checked
     int, a Padic's checked pretty form, "inf" for infinity, a list for a
     tuple; any other value as it is."""
-    if isinstance(v, Fraction):
-        _check_prints(v)
-        return str(v)
     if isinstance(v, int):
         _check_prints(v)
         return v
+    if is_fraction(v):
+        _check_prints(v)
+        return str(v)
     if isinstance(v, tuple):
         return [_field(x) for x in v]
     if v is math.inf:

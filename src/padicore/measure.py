@@ -25,7 +25,6 @@ so a residue field of size q reuses it with branching = q.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import count, repeat
 
 from .errors import DomainError, EnumerationGuardError, PrimeMismatchError
@@ -70,6 +69,8 @@ class Ball(namedtuple("Ball", "p level center")):
 
     def measure(self, branching=None):
         """Exact measure (1/branching)**level; branching defaults to p."""
+        from fractions import Fraction
+
         b = self.p if branching is None else branching
         return Fraction(1, b**self.level)
 
@@ -230,6 +231,8 @@ class ClopenSet:
 
     def measure(self, branching=None):
         """Exact Haar measure: the sum of (1/branching)**level, counted per level."""
+        from fractions import Fraction
+
         b = self.p if branching is None else branching
         counts, numerator = self._counts(), 0
         for n in counts:  # Horner: sum of n_l * b**(top - l)

@@ -34,10 +34,12 @@ none is given; the CLI bounds its input by ``--prec <= cap`` and by
 refusing a pretty term exponent below -cap.  A plain ``int`` or
 ``Fraction`` operand is exact: it is read at least as precise as the
 other operand, in absolute and relative precision, so it never bounds
-a result.
+a result.  An exact operand is recognised by its type: ``int`` itself
+(a bool is refused) or ``Fraction`` and its subclasses, the latter
+through ``intmath.is_fraction``, which looks for ``fractions`` in
+``sys.modules`` rather than importing it.  So integer operands never load
+``fractions``; only ``lift`` builds a Fraction, and imports it to do so.
 """
-
-from fractions import Fraction
 
 from .errors import (
     DivisionByZeroError,
@@ -52,6 +54,7 @@ from .intmath import (
     check_prime,
     int_valuation,
     inv_mod,
+    is_fraction,
     power_prints,
     str_digit_limit,
 )
@@ -118,12 +121,12 @@ class Padic:
         or Fraction, or a b that is not an int (a bool included), raises
         DomainError.
         """
-        if not (type(a) is int or isinstance(a, Fraction)) or type(b) is not int:
+        if not (type(a) is int or is_fraction(a)) or type(b) is not int:
             raise DomainError(
                 "from_rational needs an int or Fraction over an int, "
                 f"got {type(a).__name__} / {type(b).__name__}"
             )
-        if isinstance(a, Fraction):
+        if type(a) is not int:
             a, b = a.numerator, a.denominator * b
         if p is None:
             raise ValueError("prime p is required")
@@ -172,6 +175,8 @@ class Padic:
 
     def lift(self):
         """The canonical rational representative p**v * m."""
+        from fractions import Fraction
+
         if self.is_zero:
             return Fraction(0)
         return Fraction(self.unit) * Fraction(self.p) ** self.v
@@ -220,7 +225,7 @@ class Padic:
                     f"cannot combine {self.p}-adic and {other.p}-adic values"
                 )
             return other
-        if type(other) is not int and not isinstance(other, Fraction):
+        if type(other) is not int and not is_fraction(other):
             return None  # a bool or float included
         # an exact constant never bounds the result: it is read at least
         # as precise as this value, in absolute and in relative precision
@@ -504,7 +509,7 @@ def _exact_padic(p, num, den, abs_prec, rel=None):
 def _read_exact(p, x, abs_prec, rel=None):
     """The int or Fraction x as ``_exact_padic`` reads it; DomainError for
     any other type, a bool or float included."""
-    if type(x) is not int and not isinstance(x, Fraction):
+    if type(x) is not int and not is_fraction(x):
         raise DomainError(f"expected a Padic, int or Fraction, got {type(x).__name__}")
     return _exact_padic(p, x.numerator, x.denominator, abs_prec, rel)
 

@@ -25,14 +25,15 @@ derivative 1/(1 + x) inverts exactly, at doubling precision, and the
 isometry v(log(1 + x) - log(1 + y)) = v(x - y) turns one vanishing
 residual at full precision into the certificate that pins x mod p**N.
 The truncated polynomial of log_series_polynomial serves the plog poly
-command and, with the Hensel solver, the inversion oracle in the tests.
+command and, with the Hensel solver, the inversion oracle in the tests;
+it alone imports ``analytic``, so log1p and log_inverse compile no
+polynomial code.
 """
 
 import math
 from functools import lru_cache
 from operator import mul
 
-from .analytic import PadicPolynomial
 from .errors import DivergenceError, DomainError
 from .intmath import check_prime, floor_log, int_valuation, newton_lift
 from .padics import Padic
@@ -177,6 +178,8 @@ def log_series_polynomial(p, abs_prec, domain_valuation):
     coefficients (-1)**(j+1)/j are exact rationals carried to enough
     precision that every evaluation error stays below p**abs_prec.
     """
+    from .analytic import PadicPolynomial
+
     check_prime(p)
     if domain_valuation < 1:
         raise DomainError("no valid truncation for domain valuation below 1")

@@ -15,13 +15,13 @@ as ``textforms.parse_series`` imports its submodule on first access.
 
 import json
 import re
-from fractions import Fraction
 
 from ..errors import ParseError
 from ..intmath import str_digit_limit
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
-_DECIMAL_EXPONENT_RE = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+# matched through re.search, whose cache compiles it on first use
+_DECIMAL_EXPONENT_RE = r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z"
 
 
 def _json(text, what="JSON"):
@@ -58,7 +58,9 @@ def _fraction(text, what):
     str_digit_limit() or more in size, whose power has more digits than
     an int prints, is refused first.
     """
-    m, limit = _DECIMAL_EXPONENT_RE.search(text), str_digit_limit()
+    from fractions import Fraction
+
+    m, limit = re.search(_DECIMAL_EXPONENT_RE, text), str_digit_limit()
     if m and abs(_int(m.group(1).replace("_", ""))) >= limit:
         raise ParseError(f"bad {what}: decimal exponent {m.group(1)} exceeds the limit of {limit}")
     try:
@@ -70,14 +72,23 @@ def _fraction(text, what):
 
 
 def parse_rational(text):
-    """An exact rational from "a" or "a/b"."""
+    """An exact rational from "a" or "a/b": the int a, or the Fraction a/b
+    whenever a denominator is written, "4/2" and "3/1" included.
+
+    Only the second form imports ``fractions``, so a command whose
+    operands are integer literals never loads it.
+    """
     m = _RATIONAL_RE.match(text.strip())
     if not m:
         raise ParseError(f"not a rational literal: {text!r}")
     num = _int(m.group(1))
-    den = _int(m.group(2)) if m.group(2) else 1
+    if m.group(2) is None:
+        return num
+    den = _int(m.group(2))
     if den == 0:
         raise ParseError("zero denominator")
+    from fractions import Fraction
+
     return Fraction(num, den)
 
 
@@ -87,7 +98,7 @@ def _term(tm, what):
     as what."""
     if tm.group(4) is not None:
         return 0, parse_rational(tm.group(4))
-    coeff = parse_rational(tm.group(1)) if tm.group(1) else Fraction(1)
+    coeff = parse_rational(tm.group(1)) if tm.group(1) else 1
     exp = _int(tm.group(3)) if tm.group(3) is not None else 1
     check_term_count(exp, what)
     return exp, coeff

@@ -9,8 +9,10 @@ from ..intmath import DEFAULT_PRECISION_CAP, check_prime, int_valuation, power_p
 from ..padics import Padic, _check_unit_modulus_prints
 from . import _int, _json, parse_rational
 
-_PADIC_TERM_RE = re.compile(r"^(\d+)(?:\*(\d+)(?:\^(-?\d+))?)?$")
-_PADIC_O_RE = re.compile(r"^O\((\d+)\^(-?\d+)\)$")
+# the pretty form's patterns, matched through re.match, whose cache
+# compiles each on first use: a compact or rational operand never meets them
+_PADIC_TERM_RE = r"^(\d+)(?:\*(\d+)(?:\^(-?\d+))?)?$"
+_PADIC_O_RE = r"^O\((\d+)\^(-?\d+)\)$"
 _PADIC_COMPACT_RE = re.compile(r"^(\d+)\^(-?\d+)\*\[([\d,]*)\]\+O\((\d+)\^(-?\d+)\)$")
 
 
@@ -86,14 +88,14 @@ def _padic_from_pretty(text, cap):
     parts = [part.strip() for part in text.split("+")]
     if not parts:
         raise ParseError("empty p-adic literal")
-    om = _PADIC_O_RE.match(parts[-1].replace(" ", ""))
+    om = re.match(_PADIC_O_RE, parts[-1].replace(" ", ""))
     if not om:
         raise ParseError(f"p-adic literal must end with O(p^N): {text!r}")
     p = _int(om.group(1))
     abs_prec = _int(om.group(2))
     terms, low = [], abs_prec
     for part in parts[:-1]:
-        tm = _PADIC_TERM_RE.match(part.replace(" ", ""))
+        tm = re.match(_PADIC_TERM_RE, part.replace(" ", ""))
         if not tm:
             raise ParseError(f"bad p-adic term: {part!r}")
         digit = _int(tm.group(1))

@@ -3,7 +3,6 @@ rational coefficients read at a prime and precision."""
 
 import json
 import re
-from fractions import Fraction
 
 from ..analytic import PadicPolynomial
 from ..errors import ParseError
@@ -38,7 +37,9 @@ def parse_polynomial(text, p, abs_prec):
 def parse_polynomial_rational_coeffs(text):
     """Coefficient list (rationals) from a grammar like ``x^2 - 2``.
 
-    Terms are ``c``, ``c*x^k``, or ``x^k`` joined by + and -.
+    Terms are ``c``, ``c*x^k``, or ``x^k`` joined by + and -.  A
+    coefficient is an int, or a Fraction where a term with a written
+    denominator enters it, as ``parse_rational`` reads them.
     """
     text = text.strip()
     if not text:
@@ -55,9 +56,9 @@ def parse_polynomial_rational_coeffs(text):
         if not tm:
             raise ParseError(f"bad polynomial term: {part!r}")
         exp, coeff = _term(tm, "polynomial degree")
-        coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coeff
+        coeffs[exp] = coeffs.get(exp, 0) + sign * coeff
     degree = max(coeffs)
-    return [coeffs.get(e, Fraction(0)) for e in range(degree + 1)]
+    return [coeffs.get(e, 0) for e in range(degree + 1)]
 
 
 def polynomial_to_json(f):

@@ -2,7 +2,8 @@
 only the parser of its own subcommand.
 
 Checked here: the exact modules that every subcommand loads when run
-as ``python -m padicore.cli``, the lazy package namespaces, the one
+as ``python -m padicore.cli``, ``fractions`` only where a rational is
+read or written, the lazy package namespaces, the one
 parser a command builds, and help, usage and edge-case output
 byte-identical to that of the parser with every group built.  The last check also runs without pytest, on any interpreter:
 
@@ -27,17 +28,22 @@ from padicore import cli, textforms
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(padicore.__file__)))
 
-# what a command run as ``python -m padicore.cli`` loads, as runpy runs it
+# what a command run as ``python -m padicore.cli`` loads, as runpy runs it:
+# its exit code, the padicore modules (and dataclasses or inspect) in
+# sys.modules, and the rational modules that it loaded itself, since what
+# site imports at start-up differs between hosts
 _LOADED_AFTER_RUN = """
 import io, json, runpy, sys
 from contextlib import redirect_stdout
+before = set(sys.modules)
 with redirect_stdout(io.StringIO()):
     try:
         runpy.run_module("padicore.cli", run_name="__main__")
     except SystemExit as e:
         code = e.code
 loaded = [m for m in sys.modules if m in ("dataclasses", "inspect") or m.split(".")[0] == "padicore"]
-print(json.dumps([code, sorted(loaded)]))
+rational = [m for m in ("fractions", "decimal") if m in sys.modules and m not in before]
+print(json.dumps([code, sorted(loaded), rational]))
 """
 
 # what every command loads, beside its group's module padicore.commands.<group>
@@ -56,7 +62,7 @@ POLYNOMIAL = PADIC | {"padicore.analytic", "padicore.textforms.polynomial"}
 CLOPEN = {"padicore.measure", "padicore.textforms.clopen"}
 FAMILY = {"padicore.sumlab", "padicore.textforms.family"}
 HENSEL = PADIC | {"padicore.analytic", "padicore.hensel"}
-PLOG = PADIC | {"padicore.analytic", "padicore.plog"}
+PLOG = PADIC | {"padicore.plog"}
 
 # the text forms each group may read or write
 GROUP_FORMS = {
@@ -96,7 +102,7 @@ COMMANDS = [
     (["hensel", "check", *_POLY, "--t", "1"], HENSEL | POLYNOMIAL),
     (["hensel", "image", *_POLY, "--t", "1", "--level", "3"], HENSEL | POLYNOMIAL | {"padicore.measure"}),
     *[(["plog", op, "--p", "5", "--prec", "3", "5"], PLOG) for op in ("log", "invert")],
-    (["plog", "poly", "--p", "5", "--prec", "4"], PLOG - {"padicore.textforms.padic"}),
+    (["plog", "poly", "--p", "5", "--prec", "4"], (PLOG - {"padicore.textforms.padic"}) | {"padicore.analytic"}),
     (["plog", "poly", "--p", "5", "--prec", "4", "--format", "json"], PLOG | POLYNOMIAL),
     *[(["measure", op, _SET], CLOPEN) for op in ("measure", "complement")],
     *[(["measure", op, _SET, _SET2], CLOPEN) for op in ("union", "intersect", "diff")],
@@ -126,9 +132,10 @@ def _python(code, *args):
 
 @functools.lru_cache(maxsize=None)
 def _loaded(argv):
-    """(exit code, padicore modules loaded) of argv run as python -m padicore.cli."""
-    code, loaded = json.loads(_python(_LOADED_AFTER_RUN, *argv))
-    return code, set(loaded)
+    """(exit code, padicore modules loaded, rational modules it loaded) of
+    argv run as python -m padicore.cli."""
+    code, loaded, rational = json.loads(_python(_LOADED_AFTER_RUN, *argv))
+    return code, set(loaded), set(rational)
 
 
 def test_every_subcommand_has_a_command():
@@ -139,7 +146,7 @@ def test_every_subcommand_has_a_command():
 
 def test_each_group_loads_only_its_modules():
     for argv, extra in COMMANDS:
-        code, loaded = _loaded(tuple(argv))
+        code, loaded, _ = _loaded(tuple(argv))
         assert code == 0, argv
         # the value types are namedtuples; dataclasses imports inspect, ast and dis
         assert not {"dataclasses", "inspect"} & loaded, argv
@@ -163,6 +170,60 @@ def test_series_measure_and_rational_sums_load_no_padics():
             assert "padicore.padics" not in _loaded(tuple(argv))[1], argv
 
 
+# the subcommands whose operands and answers are integers, p-adic numbers
+# or clopen sets when given integer operands and polynomials
+_INTEGER_SUBCOMMANDS = {
+    *[("padic", op) for op in ("invert", "valuation", "digits", "reduce")],
+    *[("hensel", op) for op in ("sqrt", "nthroot", "teichmuller")],
+    *[("plog", op) for op in ("log", "invert")],
+    *[("measure", op) for op in ("complement", "union", "intersect", "diff", "translate", "split", "count")],
+    *[("analytic", op) for op in ("eval", "recenter")],
+}
+INTEGER_COMMANDS = [
+    *[argv for argv, _ in COMMANDS if tuple(argv[:2]) in _INTEGER_SUBCOMMANDS],
+    ["padic", "add", "--p", "5", "--prec", "4", "10", "-3"],
+    ["padic", "div", "--p", "5", "--prec", "4", "--format", "json", "10", "3"],
+    ["padic", "mul", "--p", "7", "--prec", "4", "3 + 1*7 + O(7^4)", "7^0*[2]+O(7^3)"],
+    ["hensel", "sqrt", "--p", "7", "--prec", "3", "2 + O(7^3)"],
+    ["analytic", "eval", "--p", "7", "--prec", "4", "--poly", "x^3 - 2*x + 5", "-3"],
+]
+
+# commands that read or write a rational, a QQ series or a rational family
+RATIONAL_COMMANDS = [
+    ["padic", "add", "--p", "5", "--prec", "4", "1/2", "1/3"],
+    ["padic", "add", "--p", "5", "--prec", "4", "1/2", "3"],
+    ["analytic", "eval", "--p", "7", "--prec", "4", "--poly", "x^2+1/2", "3"],
+    ["hensel", "sqrt", "--p", "7", "--prec", "3", "4/2"],
+    ["measure", "measure", _SET],
+    ["series", "mul", *_Q, "T + O(T^3)"],
+    ["sums", "bfs", _RATIONAL],
+]
+
+
+def test_integer_operands_load_no_fractions():
+    arithmetic = {("padic", op) for op in ("add", "div", "mul")}
+    assert {tuple(argv[:2]) for argv in INTEGER_COMMANDS} == _INTEGER_SUBCOMMANDS | arithmetic
+    for argv in INTEGER_COMMANDS:
+        code, _, rational = _loaded(tuple(argv))
+        assert code == 0, argv
+        assert not rational, argv
+
+
+def test_a_rational_operand_or_answer_loads_fractions():
+    for argv in RATIONAL_COMMANDS:
+        code, _, rational = _loaded(tuple(argv))
+        assert code == 0, argv
+        assert rational == {"fractions", "decimal"}, argv
+
+
+def test_plog_log_and_invert_compile_no_polynomial_code():
+    for op in ("log", "invert"):
+        for operand in ("5", "1*5 + O(5^3)"):
+            loaded = _loaded(("plog", op, "--p", "5", "--prec", "3", operand))[1]
+            assert "padicore.plog" in loaded and "padicore.analytic" not in loaded, (op, operand)
+    assert "padicore.analytic" in _loaded(("plog", "poly", "--p", "5", "--prec", "4"))[1]
+
+
 def test_a_command_run_as_main_leaves_no_padicore_cli():
     """cli.py runs once, as __main__: no module imports padicore.cli."""
     for argv, _ in COMMANDS:
@@ -170,9 +231,10 @@ def test_a_command_run_as_main_leaves_no_padicore_cli():
 
 
 def test_help_loads_every_group_but_no_library_module():
-    code, loaded = _loaded(("--help",))
+    code, loaded, rational = _loaded(("--help",))
     assert code == 0
     assert loaded == BASE_MODULES | {f"padicore.commands.{group}" for group in cli._GROUPS}
+    assert not rational
 
 
 def test_import_padicore_loads_no_submodule():

@@ -31,7 +31,8 @@ from padicore.errors import (
     IndeterminateConditionError,
 )
 from padicore import hensel
-from padicore.intmath import doubling_ladder, newton_lift, root_mod
+from padicore.hensel import root_mod
+from padicore.intmath import doubling_ladder, newton_lift
 from helpers import (
     best_time,
     brute_force_root,

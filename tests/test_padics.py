@@ -1,6 +1,10 @@
 """Truncated p-adic arithmetic: representation, precision rules, laws."""
 
+import json
 import operator
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -564,3 +568,106 @@ def test_exact_constants_never_bound_precision(prec, p, m, shift, c):
     f = PadicPolynomial(p, [x, x, x, x])
     for j, coeff in enumerate(f.derivative().coeffs, start=1):
         assert coeff.abs_prec >= n + int_valuation(j, p)
+
+
+
+# ------------------------------------------------ exact operands before fractions
+
+
+# How a fresh interpreter reads exact operands, before fractions is
+# imported and after.  A numbers.Rational that is not a Fraction stays
+# refused, so a check loosened to numbers.Rational fails here, as one that
+# let a bool or a float through does.
+_TYPE_RULES = """
+import json, numbers, sys
+from padicore import Padic, PadicPolynomial
+from padicore.errors import DomainError
+from padicore.textforms import parse_rational
+
+class Rational:
+    numerator, denominator = 1, 2
+
+    def __repr__(self):
+        return "Rational(1, 2)"
+
+numbers.Rational.register(Rational)
+
+def outcome(read):
+    try:
+        return repr(read())
+    except DomainError as e:
+        return f"DomainError: {e}"
+    except TypeError:
+        return "TypeError"
+
+def reads(v):
+    x, f = Padic.from_int(3, 7, 4), PadicPolynomial(7, [1, 1], 4)
+    return [
+        outcome(lambda: Padic.from_rational(v, 1, 7, 4)),
+        outcome(lambda: x + v),
+        outcome(lambda: v * x),
+        outcome(lambda: PadicPolynomial(7, [v, 1], 4)),
+        outcome(lambda: f.evaluate(v)),
+    ]
+
+out = {name: reads(v) for name, v in [("int", 5), ("bool", True), ("float", 0.5), ("str", "5"), ("rational", Rational())]}
+out["parsed"] = [repr(parse_rational(t)) for t in ("12", " -3 ", "0")]
+out["fractions_before"] = "fractions" in sys.modules
+from fractions import Fraction
+
+class Half(Fraction):
+    pass
+
+out["fraction"], out["subclass"] = reads(Fraction(1, 2)), reads(Half(1, 2))
+out["written"] = [repr(parse_rational(t)) for t in ("4/2", "-1/3")]
+print(json.dumps(out))
+"""
+
+
+def _reads(unit, sum_, product, value):
+    """What _TYPE_RULES reads of an exact operand: from_rational, 3 + v,
+    v * 3, a coefficient and the argument of 1 + x, all at p = 7 to 4 digits."""
+    return [
+        f"Padic(7^0*[{unit}]+O(7^4))",
+        f"Padic({sum_}+O(7^4))",
+        f"Padic({product}+O(7^4))",
+        f"PadicPolynomial(p=7, [7^0*[{unit}]+O(7^4), 7^0*[1,0,0,0]+O(7^4)])",
+        f"Padic(7^0*[{value}]+O(7^4))",
+    ]
+
+
+def _refused(kind, shown):
+    return [
+        f"DomainError: from_rational needs an int or Fraction over an int, got {kind} / int",
+        "TypeError",
+        "TypeError",
+        f"DomainError: cannot use {shown} as a coefficient",
+        f"DomainError: expected a Padic, int or Fraction, got {kind}",
+    ]
+
+
+def test_the_type_rules_hold_before_fractions_is_imported():
+    """Exact operands are recognised without fractions loaded: ints are
+    read and no other type is; later a Fraction and a subclass are read."""
+    import padicore
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(padicore.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TYPE_RULES],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    out = json.loads(proc.stdout)
+    assert out["fractions_before"] is False
+    assert out["int"] == _reads("5,0,0,0", "7^0*[1,1,0,0]", "7^0*[1,2,0,0]", "6,0,0,0")
+    assert out["parsed"] == ["12", "-3", "0"]
+    assert out["bool"] == _refused("bool", "True")
+    assert out["float"] == _refused("float", "0.5")
+    assert out["str"] == _refused("str", "'5'")
+    assert out["rational"] == _refused("Rational", "Rational(1, 2)")
+    half = _reads("4,3,3,3", "7^1*[4,3,3]", "7^0*[5,3,3,3]", "5,3,3,3")  # 1/2 = 4 + 3*7 + ...
+    assert out["fraction"] == out["subclass"] == half
+    assert out["written"] == ["Fraction(2, 1)", "Fraction(-1, 3)"]
