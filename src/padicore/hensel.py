@@ -77,7 +77,6 @@ from .padics import (
     _mul_parts,
     _padic,
     _read_exact,
-    _read_int,
 )
 
 
@@ -433,8 +432,8 @@ def _an_nth(n):
     return f"{article} {n}{suffix}"
 
 
-def teichmuller(a, p=None, abs_prec=None):
-    """The root of x**(p-1) = 1 congruent to the unit a mod p.
+def teichmuller(a):
+    """The root of x**(p-1) = 1 congruent to the unit a mod p, to a's precision.
 
     Newton's method on x**(p-1) = 1 over the integers, at doubling
     precision, with the derivative (p-1) * x**(p-2) taken as (p-1) / x,
@@ -445,27 +444,17 @@ def teichmuller(a, p=None, abs_prec=None):
     mod p**2.  The Hensel route on x**(p-1) - 1 and the p-power iteration
     x -> x**p, which gains one digit a step, are oracles in the tests.
     """
-    if isinstance(a, Padic):
-        p = a.p
-        if abs_prec is None:
-            abs_prec = a.abs_prec
-        if a.is_zero or a.valuation() != 0:
-            raise DomainError("Teichmuller lift is defined for units only")
-        seed = a.residue(1).value
-    else:
-        if p is None:
-            raise ValueError("prime p is required for integer input")
-        if abs_prec is None:
-            raise ValueError("abs_prec is required for integer input")
-        seed = _read_int(a, "teichmuller") % p
-        if seed == 0:
-            raise DomainError("Teichmuller lift is defined for units only")
+    if not isinstance(a, Padic):
+        raise DomainError("teichmuller expects a p-adic value")
+    if a.is_zero or a.v != 0:
+        raise DomainError("Teichmuller lift is defined for units only")
+    p, abs_prec = a.p, a.abs_prec
 
     def step(x, k):
         modulus = p**k
         return (x - (pow(x, p, modulus) - x) * pow(p - 1, -1, modulus)) % modulus
 
-    x = newton_lift(step, pow(seed, p, p * p), 2, abs_prec)
+    x = newton_lift(step, pow(a.unit, p, p * p), 2, abs_prec)
     return Padic.from_int(x, p, abs_prec)
 
 

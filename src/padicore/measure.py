@@ -19,9 +19,8 @@ crosses digits, so translate builds its trie again from the shifted
 centers.  The balls property is the only reader that builds one Ball per
 ball, about 2.5 us each.
 
-A level-j ball has the exact measure (1/N)**j, N = p the number of level-1
-sub-balls: the Hausdorff measure with rho_1**alpha = 1/N kept symbolically,
-so a residue field of size q reuses it with branching = q.
+A level-j ball has the exact measure (1/p)**j, p the number of level-1
+sub-balls.
 """
 
 from collections import namedtuple
@@ -67,12 +66,11 @@ class Ball(namedtuple("Ball", "p level center")):
             raise PrimeMismatchError("balls from different primes")
         return other.level >= self.level and other.center % self.p**self.level == self.center
 
-    def measure(self, branching=None):
-        """Exact measure (1/branching)**level; branching defaults to p."""
+    def measure(self):
+        """Exact measure (1/p)**level."""
         from fractions import Fraction
 
-        b = self.p if branching is None else branching
-        return Fraction(1, b**self.level)
+        return Fraction(1, self.p**self.level)
 
     def to_json_dict(self):
         return {"level": self.level, "center": self.center}
@@ -229,15 +227,14 @@ class ClopenSet:
             by_level[level] = [(x + c) % modulus for x in xs]
         return _build(self.p, by_level)
 
-    def measure(self, branching=None):
-        """Exact Haar measure: the sum of (1/branching)**level, counted per level."""
+    def measure(self):
+        """Exact Haar measure: the sum of (1/p)**level, counted per level."""
         from fractions import Fraction
 
-        b = self.p if branching is None else branching
-        counts, numerator = self._counts(), 0
-        for n in counts:  # Horner: sum of n_l * b**(top - l)
-            numerator = numerator * b + n
-        return Fraction(numerator, b ** max(len(counts) - 1, 0))
+        p, counts, numerator = self.p, self._counts(), 0
+        for n in counts:  # Horner: sum of n_l * p**(top - l)
+            numerator = numerator * p + n
+        return Fraction(numerator, p ** max(len(counts) - 1, 0))
 
     def __eq__(self, other):
         if not isinstance(other, ClopenSet):

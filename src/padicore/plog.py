@@ -141,23 +141,17 @@ def _log_int(x, p, n):
     return total // p**e * pow(lcm // p**e, -1, modulus) % modulus // p**k
 
 
-def log1p(x, abs_prec=None):
-    """log(1 + x) for v(x) >= 1, exact to the tracked precision.
+def log1p(x):
+    """log(1 + x) for v(x) >= 1, to the precision of x.
 
     Divergent inputs (v(x) = 0) raise DivergenceError carrying a witness
     term of non-positive valuation.
     """
     if not isinstance(x, Padic):
         raise DomainError("log1p expects a p-adic value")
-    if abs_prec is None:
-        abs_prec = x.abs_prec
-    elif abs_prec > x.abs_prec:
-        raise DomainError(
-            f"requested precision {abs_prec} exceeds input precision {x.abs_prec}"
-        )
     if x.is_zero:
-        return Padic.zero(x.p, min(abs_prec, x.abs_prec))
-    v = x.valuation()
+        return x
+    v, abs_prec = x.v, x.abs_prec
     if v <= 0:
         raise DivergenceError(
             f"log series diverges for v(x) = {v}: term x^1/1 has valuation "
@@ -166,7 +160,7 @@ def log1p(x, abs_prec=None):
             witness_valuation=v,
         )
     if 2 * v - (x.p == 2) >= abs_prec:  # every term past x vanishes mod p**abs_prec
-        return x.truncate(abs_prec)
+        return x
     value = _log_int(x.unit * x.p**v, x.p, abs_prec)
     return Padic.from_int(value, x.p, abs_prec)
 
@@ -193,29 +187,25 @@ def log_series_polynomial(p, abs_prec, domain_valuation):
     return PadicPolynomial(p, coeffs)
 
 
-def log_inverse(z, abs_prec=None):
+def log_inverse(z):
     """The x with log(1 + x) = z, for v(z) past the isometry threshold.
 
     Newton's method x -> x - (log(1 + x) - z) * (1 + x) from x = z, at
-    doubling precision; the isometry pins v(x) = v(z), so z = 0 returns
-    0.  The residual log(1 + x) - z is checked at full precision: by the
-    isometry, its vanishing mod p**N proves x mod p**N.
+    doubling precision, to the precision N of z; the isometry pins
+    v(x) = v(z), so z = 0 returns 0.  The residual log(1 + x) - z is
+    checked at full precision: by the isometry, its vanishing mod p**N
+    proves x mod p**N.
     """
     if not isinstance(z, Padic):
         raise DomainError("log_inverse expects a p-adic value")
-    p = z.p
+    p, n = z.p, z.abs_prec
     s = isometry_threshold(p)
-    if abs_prec is None:
-        abs_prec = z.abs_prec
-    n = min(abs_prec, z.abs_prec)
     if z.is_zero:
-        return Padic.zero(p, n)
-    if z.valuation() < s:
-        raise DomainError(
-            f"inversion needs v(z) >= {s} for p = {p}; got v(z) = {z.valuation()}"
-        )
+        return z
+    if z.v < s:
+        raise DomainError(f"inversion needs v(z) >= {s} for p = {p}; got v(z) = {z.v}")
     if 2 * z.v - (p == 2) >= n:  # log(1 + x) = x mod p**n, so x = z
-        return z.truncate(n)
+        return z
     target = z.unit * p**z.v % p**n
 
     def step(x, k):

@@ -86,8 +86,6 @@ def _padic_from_pretty(text, cap):
     print, and v is then found from the terms before their sum is built.
     """
     parts = [part.strip() for part in text.split("+")]
-    if not parts:
-        raise ParseError("empty p-adic literal")
     om = re.match(_PADIC_O_RE, parts[-1].replace(" ", ""))
     if not om:
         raise ParseError(f"p-adic literal must end with O(p^N): {text!r}")

@@ -353,10 +353,63 @@ def test_malformed_json_exit_2():
     assert run(["sums", "bfs", '{"mode": "weird", "values": []}'])[0] == 2
 
 
-def _valuation_of(p, valuation, digits, abs_prec):
-    operand = json.dumps(
-        {"p": p, "valuation": valuation, "digits": digits, "abs_prec": abs_prec}
+def _padic_json(p, valuation, digits, abs_prec):
+    return {"p": p, "valuation": valuation, "digits": digits, "abs_prec": abs_prec}
+
+
+_POLY_5 = json.dumps({"p": 5, "coeffs": [_padic_json(5, 0, [3], 4), _padic_json(5, 0, [1], 4)]})
+_EVAL_AT_7 = ["analytic", "eval", "--p", "7", "--prec", "4", "--poly"]
+
+# text forms refused by their readers: (argv, the one stderr line)
+TEXT_FORM_CHECKS = [
+    (_EVAL_AT_7 + [_POLY_5, "1"], "polynomial is 5-adic but --p is 7"),
+    (_EVAL_AT_7 + ['{"p": 7}', "1"], "bad polynomial JSON: 'coeffs'"),
+    (_EVAL_AT_7 + ['{"p": 7, "coeffs": 3}', "1"], "bad polynomial JSON: 'int' object is not iterable"),
+    (["series", "add", "--field", "q", "1 + T + T + O(T^3)", "1 + O(T^3)"], "repeated exponent 1 in series literal"),
+    (["series", "add", "--field", "q", "1 + T^x + O(T^3)", "1 + O(T^3)"], "bad series term: 'T^x'"),
+    (["series", "derive", '{"field": "ZZ", "coeffs": [1], "order_prec": 2}'], "unknown field descriptor 'ZZ'"),
+    (["series", "derive", '{"field": {"Fp": 5}, "order_prec": 2}'], "bad series JSON: 'coeffs'"),
+    (["measure", "split", "--p", "5", '{"level": 1}'], "bad ball JSON: 'center'"),
+    (["measure", "split", "--p", "5", "[1, 2]"], "bad ball JSON: list indices must be integers or slices, not str"),
+]
+
+
+@pytest.mark.parametrize("argv, message", TEXT_FORM_CHECKS)
+def test_text_form_errors_exit_2(argv, message):
+    assert run(argv) == (2, "", f"usage error: {message}\n")
+
+
+def test_p_adic_sums_print_their_fields_pretty():
+    """A p-adic report field prints as its pretty form, in either format."""
+    fam = json.dumps(
+        {"mode": "padic", "values": [_padic_json(5, 0, [1, 2], 2), _padic_json(5, 1, [3], 3), _padic_json(5, -1, [4], 2)]}
     )
+    partition = ["sums", "partition", "--blocks", "[[0, 1], [2]]", fam]
+    assert run(partition) == (
+        0,
+        "blocks ['1 + O(5^2)', '4*5^-1 + O(5^2)'] -> 4*5^-1 + 1 + O(5^2), direct 4*5^-1 + 1 + O(5^2), equal=True\n",
+        "",
+    )
+    assert json.loads(run(partition + ["--format", "json"])[1]) == {
+        "block_totals": ["1 + O(5^2)", "4*5^-1 + O(5^2)"],
+        "direct": "4*5^-1 + 1 + O(5^2)",
+        "equal": True,
+        "total_from_blocks": "4*5^-1 + 1 + O(5^2)",
+    }
+    rows = [[_padic_json(5, 0, [1, 2], 2), _padic_json(5, 1, [3], 3)], [_padic_json(5, 0, [4], 3), _padic_json(5, 0, [2, 1], 2)]]
+    fubini = ["sums", "fubini", json.dumps({"mode": "padic", "rows": rows})]
+    total = "2 + 2*5 + O(5^2)"
+    assert run(fubini) == (0, f"row-first {total}, column-first {total}, direct {total}, equal=True\n", "")
+    assert json.loads(run(fubini + ["--format", "json"])[1]) == {
+        "column_first": total,
+        "direct": total,
+        "equal": True,
+        "row_first": total,
+    }
+
+
+def _valuation_of(p, valuation, digits, abs_prec):
+    operand = json.dumps(_padic_json(p, valuation, digits, abs_prec))
     return run(["padic", "valuation", "--p", "5", "--prec", "4", operand])
 
 

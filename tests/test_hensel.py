@@ -713,15 +713,16 @@ def test_teichmuller_oracle_and_cross_check():
 
 @pytest.mark.parametrize("a", [Fraction(1, 2), 0.5, True, False])
 def test_teichmuller_refuses_a_non_int(a):
-    """A Fraction, float or bool is not read as an integer residue."""
-    with pytest.raises(DomainError, match="teichmuller needs an int"):
-        teichmuller(a, 7, 4)
+    """A Fraction, float or bool is refused: the lift reads a p-adic value."""
+    with pytest.raises(DomainError, match="teichmuller expects a p-adic value"):
+        teichmuller(a)
 
 
-def test_teichmuller_reads_an_int():
-    assert teichmuller(1, 7, 4) == Padic.from_int(1, 7, 4)
-    assert teichmuller(-1, 7, 4) == Padic.from_int(-1, 7, 4)
-    assert teichmuller(2, 5, 3).residue(3).value == 57
+def test_teichmuller_refuses_an_int():
+    """An int carries no prime and no precision: build the Padic instead."""
+    for a in (3, 1, -1):
+        with pytest.raises(DomainError, match="teichmuller expects a p-adic value"):
+            teichmuller(a)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -744,28 +745,40 @@ def test_teichmuller_matches_oracles(p, n):
         a = rng.randrange(1, p**n)
         if a % p == 0:
             a += 1
-        w = teichmuller(Padic.from_int(a, p, n, cap=n))
-        assert w == teichmuller(a, p, n)
+        x = Padic.from_int(a, p, n, cap=n)
+        w = teichmuller(x)
         t = w.unit
         assert w.v == 0 and w.rel == n
         assert pow(t, p, p**n) == t and (t - a) % p == 0
         if n * p.bit_length() <= 4096:  # one digit a step: keep the oracle cheap
             assert w == teichmuller_by_p_power(a, p, n)
             below = max(n - 1, 1)
-            assert teichmuller(Padic.from_int(a, p, n, cap=n), abs_prec=below) == (
-                teichmuller_by_p_power(a, p, below)
-            )
+            assert teichmuller(x.truncate(below)) == teichmuller_by_p_power(a, p, below)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65537])
+@pytest.mark.parametrize("n", [16, 64])
+def test_teichmuller_commutes_with_truncation(p, n):
+    """teichmuller(a.truncate(k)) == teichmuller(a).truncate(k) for every
+    1 <= k <= N: a ball's lift is read from any of its points."""
+    rng = rng_for(f"teich-truncation-{p}-{n}")
+    for _ in range(3):
+        a = random_unit(rng, p, n)
+        w = teichmuller(a)
+        for k in range(1, n + 1):
+            assert teichmuller(a.truncate(k)) == w.truncate(k)
 
 
 def test_teichmuller_scaling_budgets():
-    """teichmuller(3, 7, 4096) and teichmuller(3, 65537, 2048).
+    """The lift of 3 in Z_7 to 4096 digits and in Z_65537 to 2048.
 
     Budgets are several times the measured costs (about 2 ms and 70 ms
     on a 2-vCPU container); the p-power iteration took 7.3 s and 105 s
     there.
     """
-    assert best_time(lambda: teichmuller(3, 7, 4096)) <= 0.2
-    assert best_time(lambda: teichmuller(3, 65537, 2048)) <= 2.0
+    seven, big = Padic.from_int(3, 7, 4096), Padic.from_int(3, 65537, 2048)
+    assert best_time(lambda: teichmuller(seven)) <= 0.2
+    assert best_time(lambda: teichmuller(big)) <= 2.0
 
 
 # ------------------------------------------------------------- ball images

@@ -68,7 +68,6 @@ def test_a_huge_level_builds_no_power():
 def test_ball_measure():
     assert Ball(5, 0, 0).measure() == 1
     assert Ball(5, 3, 7).measure() == Fraction(1, 125)
-    assert Ball(5, 2, 7).measure(branching=9) == Fraction(1, 81)
 
 
 def test_containment():
@@ -349,7 +348,6 @@ def _fresh_reads(s, equal):
         "eq": lambda t: (t == equal, equal == t),
         "hash": hash,
         "measure": lambda t: t.measure(),
-        "measure/3": lambda t: t.measure(3),
         "max_level": lambda t: t.max_level(),
         "repr": repr,
         "json_dict": lambda t: t.to_json_dict(),
@@ -371,7 +369,6 @@ def _reads_from_balls(s):
     return {
         "eq": (True, True),
         "measure": sum((b.measure() for b in balls), Fraction(0)),
-        "measure/3": sum((b.measure(3) for b in balls), Fraction(0)),
         "max_level": top,
         "repr": f"ClopenSet(p={s.p}, {{{', '.join(f'{b.center}+{b.p}^{b.level}Zp' for b in balls)}}})",
         "json_dict": {"p": s.p, "balls": [b.to_json_dict() for b in balls]},

@@ -199,7 +199,7 @@ def test_log1p_matches_oracles(p, n):
     for x_int in cases:
         x = Padic.from_int(x_int, p, n, cap=n)
         for abs_prec in precisions:
-            value = log1p(x, abs_prec)
+            value = log1p(x.truncate(abs_prec))
             expected = _expected(log_partial_sum(x_int, p, abs_prec), p, abs_prec)
             assert value == expected
             if n <= 64:
@@ -218,7 +218,7 @@ def test_log_inverse_matches_oracles(p, n):
         assert log_inverse(z) == _expected(y, p, n)
         if n <= 64:
             for abs_prec in (max(n - 1, 0), n // 2):
-                assert log_inverse(z, abs_prec) == _expected(y, p, abs_prec)
+                assert log_inverse(z.truncate(abs_prec)) == _expected(y, p, abs_prec)
         if n <= 64 and p <= 65537:
             assert log_inverse(z) == log_inverse_by_hensel(z)
 
@@ -232,8 +232,25 @@ def test_valuation_at_or_past_the_precision(p):
         assert log_inverse(Padic.zero(p, n)) == Padic.zero(p, n)
         for v in (max(n, s), n + 3):
             x = Padic.from_int(p**v * 7, p, v + 4)
-            assert log1p(x, n) == Padic.zero(p, n)
-            assert log_inverse(x, n) == Padic.zero(p, n)
+            assert log1p(x.truncate(n)) == Padic.zero(p, n)
+            assert log_inverse(x.truncate(n)) == Padic.zero(p, n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65537])
+@pytest.mark.parametrize("n", [16, 64])
+def test_truncation_commutes_with_log_and_its_inverse(p, n):
+    """f(x.truncate(k)) == f(x).truncate(k) for every 1 <= k <= N: a value
+    known mod p**k is a ball and any of its points a center, so asking the
+    input for fewer digits asks the answer for as many."""
+    rng = rng_for(f"log-truncation-{p}-{n}")
+    s = isometry_threshold(p)
+    for v in (1, 2, 3):
+        x = Padic.from_int(_with_valuation(rng, p, v, n), p, n)
+        z = Padic.from_int(_with_valuation(rng, p, v - 1 + s, n), p, n)
+        log_x, root_z = log1p(x), log_inverse(z)
+        for k in range(1, n + 1):
+            assert log1p(x.truncate(k)) == log_x.truncate(k)
+            assert log_inverse(z.truncate(k)) == root_z.truncate(k)
 
 
 # ---------------------------------------- one-denominator baby-step sum
