@@ -50,7 +50,7 @@ _EXPORTS = {
     ),
     "intmath": ("DEFAULT_PRECISION_CAP",),
     "measure": ("Ball", "ClopenSet", "residue_count"),
-    "padics": ("Padic", "ResidueClass"),
+    "padics": ("Padic",),
     "plog": ("isometry_threshold", "log1p", "log_inverse", "log_series_polynomial"),
     "primefield": ("FpElement",),
     "series": ("QQ", "LaurentSeries", "PowerSeries", "PrimeFieldCoefficients", "RPower"),

@@ -34,8 +34,7 @@ def run(args, cap):
             lambda f: f"digits {f['digits']} from exponent {x.valuation_bound}, "
             f"known mod {x.p}^{x.abs_prec}",
         )
-    r = x.residue(args.level)  # reduce
-    fields = {"p": r.p, "level": r.level, "value": r.value}
+    fields = {"p": x.p, "level": args.level, "value": x.residue(args.level)}  # reduce
     return _emit(args, fields, "{value} mod {p}^{level}".format_map)
 
 

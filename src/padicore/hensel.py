@@ -388,15 +388,17 @@ def sqrt(u):
     For odd p the seed is the smaller square root of u mod p; p = 2 needs
     u = 1 mod 8 and returns the root congruent to 1 mod 4.
     """
+    if not isinstance(u, Padic):
+        raise DomainError("sqrt expects a p-adic value")
     if u.is_zero or u.valuation() != 0:
         raise DomainError("square root is provided for units only")
     p = u.p
     if p == 2:
         # residue(3) raises PrecisionError when u is not known mod 8
-        if u.residue(3).value != 1:
+        if u.residue(3) != 1:
             raise NoRootError("2-adic units have square roots only when u = 1 mod 8")
         return _unit_root(u, 2, 1, 2)
-    u0 = u.residue(1).value
+    u0 = u.residue(1)
     seed = root_mod(u0, 2, p)
     if seed is None:
         raise NoRootError(f"{u0} is not a quadratic residue mod {p}")
@@ -405,16 +407,18 @@ def sqrt(u):
 
 def nth_root(u, n):
     """An n-th root of the unit u for n prime to p, canonical mod-p branch."""
+    if not isinstance(u, Padic):
+        raise DomainError("nth_root expects a p-adic value")
     if u.is_zero or u.valuation() != 0:
         raise DomainError("n-th root is provided for units only")
     p = u.p
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise DomainError("root degree must be a positive integer")
     if n % p == 0:
         raise DomainError(f"root degree {n} must be prime to p = {p}")
     if n == 1:
         return u
-    u0 = u.residue(1).value
+    u0 = u.residue(1)
     seed = root_mod(u0, n, p)
     if seed is None:
         raise NoRootError(f"{u0} is not {_an_nth(n)} power residue mod {p}")
@@ -510,7 +514,7 @@ def ball_image(f, x0, t_exp, level):
     _check_integral(f, x0)
     _check_known(f, x0, level)
     p, guard = f.p, measure._BALL_GUARD
-    pieces, images, count = [measure.Ball(p, t_exp, x0.residue(t_exp).value)], [], 1
+    pieces, images, count = [measure.Ball(p, t_exp, x0.residue(t_exp))], [], 1
     while pieces:
         piece = pieces.pop()
         k, image_exp = piece.level, level
@@ -524,7 +528,7 @@ def ball_image(f, x0, t_exp, level):
                 pieces += piece.split()
                 continue
             image_exp = min(c1.v + k, level)
-        images.append(measure.Ball(p, image_exp, g.coeffs[0].residue(level).value))
+        images.append(measure.Ball(p, image_exp, g.coeffs[0].residue(level)))
     return measure.ClopenSet(p, images)
 
 
@@ -559,7 +563,7 @@ def ball_image_check(f, x0, m, t_exp, level):
             f"level {level} too fine: {p}^{level} has more than {str_digit_limit()} digits"
         )
     image = ball_image(f, x0, t_exp, level)
-    fx0 = f.evaluate(x0).residue(level).value
+    fx0 = f.evaluate(x0).residue(level)
     target = measure.ClopenSet(p, [measure.Ball(p, target_exp, fx0)])
     return BallImageReport(
         "verified",

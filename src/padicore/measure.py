@@ -45,6 +45,8 @@ class Ball(namedtuple("Ball", "p level center")):
 
     def __new__(cls, p, level, center):
         check_prime(p)
+        if not isinstance(level, int) or isinstance(level, bool):
+            raise DomainError(f"ball level must be an integer, got {level!r}")
         if level < 0:
             raise DomainError("ball level must be nonnegative")
         if not isinstance(center, int) or isinstance(center, bool):

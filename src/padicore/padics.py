@@ -182,12 +182,15 @@ class Padic:
         return Fraction(self.unit) * Fraction(self.p) ** self.v
 
     def residue(self, j):
-        """This value reduced modulo p**j, as a ResidueClass.
+        """The least nonnegative int congruent to this value mod p**j: the
+        center of the level-j ball that holds it.
 
         Requires valuation >= 0 (a p-adic integer) and enough precision.
         A nonzero residue is at least p**v; when that has more digits than
         str() prints, it is refused before the power is built.
         """
+        if type(j) is not int:
+            raise DomainError(f"residue level must be an integer, got {j!r}")
         if j < 0:
             raise DomainError("residue level must be nonnegative")
         if self.v < 0:
@@ -200,10 +203,10 @@ class Padic:
             )
         p, v = self.p, self.v
         if v >= j:  # zero, or a multiple of p**j
-            return ResidueClass(p, j, 0)
+            return 0
         if v and not power_prints(p, v):
             raise DomainError(f"the residue has more than {str_digit_limit()} digits")
-        return ResidueClass(p, j, _mod_power(self.unit, p, j - v) * p**v)
+        return _mod_power(self.unit, p, j - v) * p**v
 
     def truncate(self, abs_prec):
         """Forget information: the same value to a lower absolute precision."""
@@ -537,55 +540,3 @@ def _integer(value, name):
     if type(value) is not int:
         raise ParseError(f"{name} must be an integer, got {value!r}")
     return value
-
-
-class ResidueClass:
-    """A residue c modulo p**level, the image of a p-adic integer."""
-
-    __slots__ = ("p", "level", "value")
-
-    def __init__(self, p, level, value):
-        check_prime(p)
-        if type(level) is not int or type(value) is not int:
-            raise DomainError("residue level and value must be integers")
-        if level < 0:
-            raise DomainError("level must be nonnegative")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "value", _mod_power(value, p, level))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ResidueClass is immutable")
-
-    def _check(self, other):
-        if not isinstance(other, ResidueClass):
-            raise DomainError("expected a ResidueClass")
-        if other.p != self.p or other.level != self.level:
-            raise PrimeMismatchError("mismatched residue rings")
-
-    def __add__(self, other):
-        self._check(other)
-        return ResidueClass(self.p, self.level, self.value + other.value)
-
-    def __sub__(self, other):
-        self._check(other)
-        return ResidueClass(self.p, self.level, self.value - other.value)
-
-    def __mul__(self, other):
-        self._check(other)
-        return ResidueClass(self.p, self.level, self.value * other.value)
-
-    def __eq__(self, other):
-        if not isinstance(other, ResidueClass):
-            return NotImplemented
-        return (
-            self.p == other.p
-            and self.level == other.level
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.level, self.value))
-
-    def __repr__(self):
-        return f"ResidueClass({self.value} mod {self.p}^{self.level})"

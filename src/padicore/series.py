@@ -418,7 +418,7 @@ class LaurentSeries:
             prec = len(coeffs)
         if len(coeffs) < prec:
             coeffs.extend([field.zero] * (prec - len(coeffs)))
-        coeffs = coeffs[:prec]
+        coeffs = coeffs[: max(prec, 0)]
         shift = 0
         while shift < len(coeffs) and coeffs[shift] == field.zero:
             shift += 1
@@ -493,8 +493,6 @@ class LaurentSeries:
         return LaurentSeries(self.field, coeffs, tail, max(end - tail, 0))
 
     def _coeff_at(self, e):
-        if self.is_zero:
-            return self.field.zero
         i = e - self.tail
         if 0 <= i < self.unit.prec:
             return self.unit.coeffs[i]

@@ -233,9 +233,9 @@ def argvs():
             for sub in subcommands:
                 for fmt in FORMATS:
                     out.append([group, sub, *_DRAW[group](rng, sub), "--format", fmt])
-    from test_cli import RATIONAL_OPERAND_REPROS
+    from test_cli import NEGATIVE_LAURENT_PRECISION_REPROS, RATIONAL_OPERAND_REPROS
 
-    for argv in _repros() + _many_balls() + RATIONAL_OPERAND_REPROS:
+    for argv in _repros() + _many_balls() + RATIONAL_OPERAND_REPROS + NEGATIVE_LAURENT_PRECISION_REPROS:
         out += [argv + ["--format", fmt] for fmt in FORMATS]
     return out
 

@@ -231,8 +231,8 @@ def enumerated_ball_image(f, x0, t_exp, level):
     on every residue of the ball; f and x0 known mod p**level."""
     p = f.p
     modulus, step = p**level, p**t_exp
-    coeffs = [c.residue(level).value for c in f.coeffs]
-    x0 = x0.residue(level).value
+    coeffs = [c.residue(level) for c in f.coeffs]
+    x0 = x0.residue(level)
     image = set()
     for k in range(p ** (level - t_exp)):
         x, acc = (x0 + k * step) % modulus, 0
@@ -256,7 +256,7 @@ def enumerated_ball_image_report(f, x0, m, t_exp, level):
     if level < target_exp:
         raise DomainError(f"level {level} too coarse: needs at least {target_exp}")
     image = enumerated_ball_image(f, x0, t_exp, level)
-    fx0 = f.evaluate(x0).residue(level).value
+    fx0 = f.evaluate(x0).residue(level)
     target = {(fx0 + k * p**target_exp) % p**level for k in range(p ** (level - target_exp))}
     return BallImageReport("verified", image == target, level, p ** (level - t_exp), len(image), len(target))
 

@@ -289,6 +289,9 @@ def test_domain_error_exit_1():
     # a pretty form's prime is checked before the value is built
     code, out, err = run(["padic", "add", "--p", "7", "--prec", "8", "1*0^-1 + O(0^3)", "1"])
     assert (code, out, err) == (1, "", "error: modulus must be an integer >= 2, got 0\n")
+    # a ball level below zero is a JSON integer, so the ball itself refuses it
+    argv = ["measure", "measure", '{"p":5,"balls":[{"level":-1,"center":1}]}']
+    assert run(argv) == (1, "", "error: ball level must be nonnegative\n")
 
 
 def test_divergent_log_exit_1():
@@ -371,12 +374,24 @@ TEXT_FORM_CHECKS = [
     (["series", "derive", '{"field": {"Fp": 5}, "order_prec": 2}'], "bad series JSON: 'coeffs'"),
     (["measure", "split", "--p", "5", '{"level": 1}'], "bad ball JSON: 'center'"),
     (["measure", "split", "--p", "5", "[1, 2]"], "bad ball JSON: list indices must be integers or slices, not str"),
+    (["padic", "add", "--p", "7", "--prec", "4", "5^0*[1,2]+O(7^2)", "1"], "mismatched primes in compact form"),
+    (["padic", "add", "--p", "7", "--prec", "4", "1*7^x + O(7^3)", "1"], "bad p-adic term: '1*7^x'"),
+    (["measure", "measure", '{"p":5,"balls":[{"level":1.5,"center":1}]}'], "ball level must be an integer, got 1.5"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", TEXT_FORM_CHECKS)
 def test_text_form_errors_exit_2(argv, message):
     assert run(argv) == (2, "", f"usage error: {message}\n")
+
+
+def test_a_json_poly_of_the_matching_prime_is_read_as_given():
+    """The JSON form of x^2 - 2 that analytic recenter writes solves as the text form does."""
+    code, poly, _ = run(["analytic", "recenter", "--p", "7", "--prec", "12", "--poly", "x^2-2", "0", "--format", "json"])
+    assert code == 0
+    solve = ["hensel", "solve", "--p", "7", "--prec", "12", "--x0", "3", "--poly"]
+    text = run(solve + ["x^2-2"])
+    assert text[0] == 0 and run(solve + [poly.strip()]) == text
 
 
 def test_p_adic_sums_print_their_fields_pretty():
@@ -796,6 +811,9 @@ def test_prec_cap_env(monkeypatch):
         monkeypatch=monkeypatch,
     )
     assert code == 0 and out.strip() == "2 + O(5^8)"
+    add = ["padic", "add", "--p", "5", "--prec", "4", "1", "1"]
+    for raw, message in (("abc", "must be an integer, got 'abc'"), ("0", "must be positive")):
+        assert run(add, env_cap=raw, monkeypatch=monkeypatch) == (2, "", f"usage error: PADICORE_PREC_CAP {message}\n")
 
 
 # ------------------------------------------------------------- determinism
@@ -927,6 +945,22 @@ RATIONAL_OPERAND_REPROS = [
     ["analytic", "eval", "--p", "2", "--prec", "64", "--poly", f"1/{2**14280}", "0"],
     ["analytic", "eval", "--p", "2", "--prec", "64", "--poly", f"1/{2**14220}", "0"],
 ]
+
+
+# a Laurent series known only below T^0: every listed coefficient lies past
+# its precision, so order prints ">= -1" whatever the coefficients are
+_LAURENT_BELOW_ZERO = '{"field":"QQ","order_prec":-1,"coeffs":[%s],"tail_valuation":0}'
+NEGATIVE_LAURENT_PRECISION_REPROS = [
+    ["series", "order", _LAURENT_BELOW_ZERO % "1,2,3"],
+    ["series", "order", _LAURENT_BELOW_ZERO % "0,0,5"],
+    ["series", "mul", "--field", "q", _LAURENT_BELOW_ZERO % "1,2,3", "T^-1 + 1 + O(T^2)"],
+]
+
+
+def test_a_laurent_series_of_negative_precision_is_zero():
+    for argv in NEGATIVE_LAURENT_PRECISION_REPROS[:2]:
+        assert run(argv) == (0, ">= -1\n", "")
+    assert run(NEGATIVE_LAURENT_PRECISION_REPROS[2]) == (0, "O(T^-2)\n", "")
 
 
 def test_a_rational_operand_is_read_to_prec():

@@ -109,7 +109,7 @@ def test_solve_sqrt2_in_z7_matches_brute_force():
     x = solve(problem, Padic.zero(7, 3))
     hits = brute_force_root(7, 3, 0, [-2, 0, 1], 3, 1)
     assert len(hits) == 1 and hits[0] == 108
-    assert x.residue(3).value == 108
+    assert x.residue(3) == 108
     assert x.digits() == [3, 1, 2]
 
 
@@ -126,7 +126,7 @@ def test_solve_cube_root_matches_brute_force():
     x = solve(problem, Padic.zero(5, 2))
     hits = brute_force_root(5, 2, 0, [-6, 0, 0, 1], 1, 1)
     assert hits == [11]
-    assert x.residue(2).value == 11
+    assert x.residue(2) == 11
 
 
 def test_solve_rejects_rhs_outside_image_ball():
@@ -217,7 +217,7 @@ def _unit_root_oracle(u, n):
     Newton oracle on x**n - u, the problem those calls solve, from the
     least root mod p (from 1 with t_exp = 2 for 2-adic square roots)."""
     p, N = u.p, u.abs_prec
-    seed, t_exp = (1, 2) if p == n == 2 else (root_mod(u.residue(1).value, n, p), 1)
+    seed, t_exp = (1, 2) if p == n == 2 else (root_mod(u.residue(1), n, p), 1)
     f = PadicPolynomial(p, [-u] + [Padic.zero(p, N)] * (n - 1) + [Padic.from_int(1, p, N)])
     problem = HenselProblem(f, Padic.from_int(seed, p, N), m=0, t_exp=t_exp)
     return inverting_newton_solve(problem, Padic.zero(p, N))[0]
@@ -242,14 +242,14 @@ def test_doubling_precision_at_large_n(p, N):
         x = sqrt(u) if n == 2 else nth_root(u, n)
         k = N - 1 if p == 2 and n == 2 else N
         assert x.abs_prec == k
-        assert pow(x.residue(k).value, n, p**k) == u.residue(k).value
+        assert pow(x.residue(k), n, p**k) == u.residue(k)
         assert parts(x) == parts(_unit_root_oracle(u, n))
     problem, z = _certified_cubic(rng, p, N)
     x = solve(problem, z)
     assert x.abs_prec == N - problem.report.derivative_valuation
-    coeffs = [c.residue(N).value for c in problem.f.coeffs]
-    xv = x.residue(x.abs_prec).value
-    assert sum(c * pow(xv, j, q) for j, c in enumerate(coeffs)) % q == z.residue(N).value
+    coeffs = [c.residue(N) for c in problem.f.coeffs]
+    xv = x.residue(x.abs_prec)
+    assert sum(c * pow(xv, j, q) for j, c in enumerate(coeffs)) % q == z.residue(N)
     assert parts(x) == parts(inverting_newton_solve(problem, z)[0])
 
 
@@ -356,7 +356,7 @@ def test_solve_classical_wild_cube_root():
         HenselProblem(f, Padic.from_int(1, 3, 20), m=0, t_exp=1)
     x = solve_classical(f, Padic.from_int(4, 3, 20))
     n = x.abs_prec
-    assert pow(x.residue(n).value, 3, 3**n) == 10 % 3**n
+    assert pow(x.residue(n), 3, 3**n) == 10 % 3**n
 
 
 def test_solve_classical_nonzero_target():
@@ -364,7 +364,7 @@ def test_solve_classical_nonzero_target():
     z = Padic.from_int(9 + 256, 2, 12)
     x = solve_classical(f, Padic.from_int(3, 2, 12), z)
     assert (x * x - z).is_zero
-    assert x.residue(1).value == 1
+    assert x.residue(1) == 1
 
 
 def test_solve_classical_route():
@@ -399,6 +399,13 @@ def test_solve_classical_zero_residual_below_twice_the_derivative_valuation():
         solve_classical(g, Padic.from_int(1, 5, 30, cap=30))
 
 
+def test_solve_classical_refuses_a_derivative_zero_to_precision():
+    f = _poly(7, [-2, 0, 1], 6)  # f'(x) = 2x
+    for x0 in (0, Padic.from_int(7**6, 7, 6)):
+        with pytest.raises(IndeterminateConditionError, match="^f'\\(x0\\) is zero to precision$"):
+            solve_classical(f, x0)
+
+
 # ------------------------------------------------------- exact arguments
 
 
@@ -416,9 +423,9 @@ def test_exact_center_and_target_never_bound_the_answer(p):
     for _ in range(12):
         N = rng.choice((12, 70, 100))
         problem, z = _certified_cubic(rng, p, N)
-        f, x0, t_exp = problem.f, problem.x0.residue(N).value, problem.t_exp
+        f, x0, t_exp = problem.f, problem.x0.residue(N), problem.t_exp
         k = problem.report.derivative_valuation
-        targets = [z.residue(N).value, z.residue(N).value + Fraction(p ** (k + t_exp), 3 if p == 2 else 2)]
+        targets = [z.residue(N), z.residue(N) + Fraction(p ** (k + t_exp), 3 if p == 2 else 2)]
         for target in targets:
             x = solve(HenselProblem(f, x0, m=0, t_exp=t_exp), target)
             assert x == solve(HenselProblem(f, _far(x0, p), m=0, t_exp=t_exp), _far(target, p))
@@ -516,10 +523,25 @@ def test_uniqueness_of_roots():
 # ------------------------------------------------------- derived operations
 
 
+@pytest.mark.parametrize("u", [4, Fraction(1, 4), 0.25, True])
+def test_roots_refuse_a_radicand_that_is_not_a_padic(u):
+    with pytest.raises(DomainError, match="^sqrt expects a p-adic value$"):
+        sqrt(u)
+    with pytest.raises(DomainError, match="^nth_root expects a p-adic value$"):
+        nth_root(u, 3)
+
+
+def test_nth_root_refuses_a_degree_that_is_not_an_int():
+    u = Padic.from_int(2, 7, 4)
+    for n in (True, 2.0, Fraction(2), "2"):
+        with pytest.raises(DomainError, match="^root degree must be a positive integer$"):
+            nth_root(u, n)
+
+
 def test_sqrt_examples():
     r = sqrt(Padic.from_int(2, 7, 3))
     assert r.digits() == [3, 1, 2]
-    assert sqrt(Padic.from_int(1, 5, 6)).residue(1).value == 1
+    assert sqrt(Padic.from_int(1, 5, 6)).residue(1) == 1
     with pytest.raises(NoRootError):
         sqrt(Padic.from_int(3, 5, 4))
     with pytest.raises(NoRootError):
@@ -535,12 +557,12 @@ def test_sqrt_random_units(p):
     rng = rng_for(f"sqrt-{p}")
     for _ in range(40):
         u = random_unit(rng, p, 10)
-        u0 = u.residue(1).value
+        u0 = u.residue(1)
         if any(s * s % p == u0 for s in range(p)):
             r = sqrt(u)
             assert (r * r - u).is_zero
             seed = min(s for s in range(p) if s * s % p == u0)
-            assert r.residue(1).value == seed
+            assert r.residue(1) == seed
         else:
             with pytest.raises(NoRootError):
                 sqrt(u)
@@ -548,8 +570,8 @@ def test_sqrt_random_units(p):
 
 def test_nth_root_examples():
     c = nth_root(Padic.from_int(6, 5, 2), 3)
-    assert c.residue(2).value == 11
-    assert nth_root(Padic.from_int(1, 7, 5), 4).residue(1).value == 1
+    assert c.residue(2) == 11
+    assert nth_root(Padic.from_int(1, 7, 5), 4).residue(1) == 1
     with pytest.raises(NoRootError):
         nth_root(Padic.from_int(2, 5, 4), 4)  # x^4 in {0, 1} mod 5
     with pytest.raises(DomainError):
@@ -577,7 +599,7 @@ def test_nth_root_postcondition():
     for p, n in ((7, 3), (5, 3), (3, 2)):
         for _ in range(25):
             u = random_unit(rng, p, 9)
-            u0 = u.residue(1).value
+            u0 = u.residue(1)
             if any(pow(s, n, p) == u0 for s in range(p)):
                 r = nth_root(u, n)
                 assert (r**n - u).is_zero
@@ -596,12 +618,12 @@ def test_root_seeds_match_the_residue_scan(p):
                     with pytest.raises(NoRootError):
                         sqrt(u)
                 else:
-                    assert sqrt(u).residue(1).value == seed
+                    assert sqrt(u).residue(1) == seed
             if seed is None:
                 with pytest.raises(NoRootError):
                     nth_root(u, n)
             else:
-                assert nth_root(u, n).residue(1).value == seed
+                assert nth_root(u, n).residue(1) == seed
 
 
 def test_root_seeds_for_large_primes():
@@ -609,10 +631,10 @@ def test_root_seeds_for_large_primes():
     with pytest.raises(NoRootError):
         sqrt(Padic.from_int(3, p, 2))
     r = sqrt(Padic.from_int(4, p, 2))
-    assert r.residue(2).value == 2
+    assert r.residue(2) == 2
     q = 1000000007  # gcd(3, q - 1) = 1: one cube root mod q
     c = nth_root(Padic.from_int(5, q, 2), 3)
-    assert pow(c.residue(2).value, 3, q**2) == 5
+    assert pow(c.residue(2), 3, q**2) == 5
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 31, 37, 41, 61, 73, 97, 181, 193, 257, 433, 577, 641, 1009])
@@ -649,7 +671,7 @@ def test_nth_root_seed_at_a_large_prime_is_the_least_branch():
     with pytest.raises(NoRootError):
         nth_root(Padic.from_int(5, q, 2), 3)
     c = nth_root(Padic.from_int(8, q, 2), 3)
-    assert c.residue(1).value == 2 and pow(c.residue(2).value, 3, q**2) == 8
+    assert c.residue(1) == 2 and pow(c.residue(2), 3, q**2) == 8
     assert time.perf_counter() - started < 1
 
 
@@ -691,9 +713,9 @@ def test_doubling_ladder_rungs():
 
 def test_teichmuller_examples():
     t = teichmuller(Padic.from_int(2, 5, 3))
-    assert t.residue(3).value == 57
+    assert t.residue(3) == 57
     assert t.digits() == [2, 1, 2]
-    assert teichmuller(Padic.from_int(1, 7, 6)).residue(6).value == 1
+    assert teichmuller(Padic.from_int(1, 7, 6)).residue(6) == 1
     w = teichmuller(Padic.from_int(6, 7, 6))
     assert (w + Padic.from_int(1, 7, 6)).is_zero  # p-adic -1
 
@@ -708,7 +730,7 @@ def test_teichmuller_oracle_and_cross_check():
     f = _poly(5, [-1, 0, 0, 0, 1], 3)
     problem = HenselProblem(f, Padic.from_int(2, 5, 3), m=0, t_exp=1)
     via_solve = solve(problem, Padic.zero(5, 3))
-    assert via_solve.residue(3).value == 57
+    assert via_solve.residue(3) == 57
 
 
 @pytest.mark.parametrize("a", [Fraction(1, 2), 0.5, True, False])

@@ -333,6 +333,12 @@ def test_a_shift_must_be_an_int():
             s.translate(shift)
 
 
+def test_ball_level_must_be_an_int():
+    for level in (True, 2.0, "2", None, Fraction(2)):
+        with pytest.raises(DomainError, match="^ball level must be an integer, got "):
+            Ball(5, level, 1)
+
+
 def test_ball_center_must_be_an_int():
     for center in (1.5, True, "3", None, Fraction(1, 2)):
         with pytest.raises(DomainError):

@@ -91,6 +91,17 @@ def test_laurent_invert_examples():
         LaurentSeries(QQ, [], 0, 4).invert()
 
 
+def test_laurent_precision_below_zero_keeps_no_coefficient():
+    """A precision below zero puts every listed coefficient past it: the
+    series is zero, known to T**(tail + prec), whatever was listed."""
+    for coeffs in ([1, 2, 3], [0, 0, 5], []):
+        f = LaurentSeries(QQ, coeffs, 0, -1)
+        assert f.is_zero and f.order_bound == -1
+    g = LaurentSeries(QQ, [1, 1], -1, 3)  # T^-1 + 1 + O(T^2)
+    product = LaurentSeries(QQ, [1, 2, 3], 0, -1) * g
+    assert product.is_zero and product.order_bound == -2
+
+
 def test_compose_examples():
     f = PowerSeries(F2, [0, 0, 1, 0, 0], 5)
     g = PowerSeries(F2, [0, 1, 1, 0, 0], 5)
